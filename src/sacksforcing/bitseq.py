@@ -112,10 +112,9 @@ def width(k: int) -> int:
     """
     if k < 0:
         raise PreconditionError("width takes a natural")
-    n = 0
-    while pair_index(n, 0) < k:
-        n += 1
-    return n
+    # pair_index(n, 0) == n(n+3)/2; the floor root is the least n or one less
+    n = (isqrt(8 * k + 9) - 3) // 2
+    return n if pair_index(n, 0) >= k else n + 1
 
 
 def join_family(xs, length: int) -> Bits:

@@ -5,6 +5,8 @@ reports per-property counts, ``eval`` applies one public operation to a
 JSON payload and prints the result as JSON, ``dot`` renders a tree or a
 degree poset as deterministic DOT.  Exit codes: 0 pass, 1 operation or
 property failure, 2 usage error.
+
+The payload schema of ``eval`` is data: the operation table ``_OPS``.
 """
 
 from __future__ import annotations
@@ -25,68 +27,66 @@ from .degrees import (DegreePoset, Ordinal2, ScPattern, TowerCensus,
 from .errors import EngineError, InputError
 from .implicit import (FinStructure, eval_formula, formula_size,
                        formula_text, free_vars, imp_levels, implicit_subsets,
-                       implicitly_defined_by, levels_to_json, parse_formula,
-                       vn_levels)
+                       implicitly_defined_by, parse_formula, vn_levels)
 from .suites import DEFAULT_SEED, SUITE_NAMES, Bounds, run_suite, suite_report
 from .trees import SkeletonTree, amalgamate, leq_n, subtree_leq, tree_dot
 
 
-# -- payload field access -----------------------------------------------------
+# -- field readers: (JSON value, field name) -> argument ----------------------
 
-def _field(payload, name):
-    if not isinstance(payload, dict):
-        raise InputError(f"{name}: payload is not a JSON object")
-    if name not in payload:
-        raise InputError(f"{name}: missing field")
-    return payload[name]
-
-
-def _int_field(payload, name, minimum=None):
-    v = _field(payload, name)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InputError(f"{name}: expected an integer")
-    if minimum is not None and v < minimum:
-        raise InputError(f"{name}: expected an integer >= {minimum}")
-    return v
+def _int_at_least(minimum):
+    def read(v, name):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InputError(f"{name}: expected an integer")
+        if v < minimum:
+            raise InputError(f"{name}: expected an integer >= {minimum}")
+        return v
+    return read
 
 
-def _bits_field(payload, name):
-    v = _field(payload, name)
+_nat, _pos = _int_at_least(0), _int_at_least(1)
+
+
+def _bits(v, name):
     if not isinstance(v, str) or any(c not in "01" for c in v):
         raise InputError(f"{name}: expected a string of 0s and 1s")
     return tuple(int(c) for c in v)
 
 
-def _int_list_field(payload, name):
-    v = _field(payload, name)
+def _columns(v, name):
+    if not isinstance(v, list):
+        raise InputError(f"{name}: expected a list of 0/1 strings")
+    return [_bits(c, name) for c in v]
+
+
+def _ints(v, name):
     if not isinstance(v, list) or any(
             not isinstance(c, int) or isinstance(c, bool) for c in v):
         raise InputError(f"{name}: expected a list of integers")
     return v
 
 
-def _tree_field(payload, name):
-    v = _field(payload, name)
-    try:
-        return SkeletonTree.from_json(v)
-    except EngineError:
-        raise
-    except (TypeError, ValueError, KeyError, AttributeError) as e:
-        raise InputError(f"{name}: not a tree presentation ({e})")
+def _universe(v, name):
+    return FinStructure(_ints(v, name))
 
 
-def _condition_field(payload, name):
-    v = _field(payload, name)
-    try:
-        return condition_from_json(v)
-    except EngineError:
-        raise
-    except (TypeError, ValueError, KeyError, AttributeError) as e:
-        raise InputError(f"{name}: not a condition ({e})")
+def _decoded(from_json, what):
+    def read(v, name):
+        try:
+            return from_json(v)
+        except EngineError:
+            raise
+        except (TypeError, ValueError, KeyError, AttributeError) as e:
+            raise InputError(f"{name}: not {what} ({e})")
+    return read
 
 
-def _mode_field(payload, name="mode"):
-    v = payload.get("mode", "column") if isinstance(payload, dict) else None
+_tree = _decoded(SkeletonTree.from_json, "a tree presentation")
+_condition = _decoded(condition_from_json, "a condition")
+_poset = _decoded(lambda v: DegreePoset(v["nodes"], v["edges"]), "a poset")
+
+
+def _mode(v, name):
     if v not in ("column", "pairwise"):
         raise InputError(f"{name}: expected \"column\" or \"pairwise\"")
     return v
@@ -100,26 +100,33 @@ def _index(v, name):
     return v
 
 
-def _sbar_field(payload, name="sbar"):
-    v = _field(payload, name)
+def _sbar(v, name):
     if not isinstance(v, list):
         raise InputError(f"{name}: expected a list of indices")
     return [_index(c, name) for c in v]
 
 
-def _formula_field(payload, name="formula"):
-    v = _field(payload, name)
+def _formula(v, name):
     if not isinstance(v, str):
         raise InputError(f"{name}: expected a formula string")
     return parse_formula(v)
 
 
-def _structure_field(payload, name="universe"):
-    return FinStructure(_int_list_field(payload, name))
+def _recipe(v, name):
+    if not isinstance(v, list) or any(k not in ("single", "pair") for k in v):
+        raise InputError(f"{name}: expected a list of \"single\"/\"pair\"")
+    return TowerRecipe(tuple(v))
 
 
-def _census_field(payload, name="census"):
-    v = _field(payload, name)
+def _pattern(v, name):
+    levels = v.get("levels") if isinstance(v, dict) else v
+    if not isinstance(levels, list) or any(
+            lv not in ("line", "diamond") for lv in levels):
+        raise InputError(f"{name}: expected a list of \"line\"/\"diamond\"")
+    return ScPattern(tuple(levels))
+
+
+def _census(v, name):
     entries = v.get("entries") if isinstance(v, dict) else v
     if not isinstance(entries, list):
         raise InputError(f"{name}: expected an entry list")
@@ -133,17 +140,113 @@ def _census_field(payload, name="census"):
     return TowerCensus(out)
 
 
-# -- result encoding ------------------------------------------------------------
+def _bit_function(v, name):
+    if not isinstance(v, list):
+        raise InputError(f"{name}: expected a list of [a, n, bit] triples")
+    out = {}
+    for i, entry in enumerate(v):
+        try:
+            a, n, bit = entry
+            out[Ordinal2(a, n)] = bit
+        except (TypeError, ValueError):
+            raise InputError(f"{name}[{i}]: expected [a, n, bit]")
+    return out
+
+
+def _verdicts(v, name):
+    if not isinstance(v, dict):
+        raise InputError(f"{name}: expected an object of level -> verdict")
+    try:
+        return {int(k): verdict for k, verdict in v.items()}
+    except ValueError:
+        raise InputError(f"{name}: keys must be integer levels")
+
+
+# -- results whose JSON shape differs from the library's return value ---------
+
+def _pair_split(k):
+    return list(pair_split(k))      # _encode prints a 0/1 tuple as bits
+
+
+def _tower_degrees(recipe):
+    poset = tower_degrees(recipe)
+    return {"nodes": list(poset.nodes), "edges": list(poset.edges)}
+
+
+def _sc_decode(pattern):
+    n, g = sc_decode(pattern)
+    return {"n": n, "g": g}
+
+
+def _census_decode(c):
+    return [[h.a, h.b, bit] for h, bit in sorted(census_decode(c).items())]
+
+
+def _parse(f):
+    return {"text": formula_text(f), "size": formula_size(f),
+            "free": sorted(free_vars(f))}
+
+
+# -- the operation table ------------------------------------------------------
+
+# a field is (name, reader) or (name, reader, default) when it is optional
+_SIGMA, _N, _TREE = ("sigma", _bits), ("n", _nat), ("tree", _tree)
+_Q, _P, _SBAR = ("q", _condition), ("p", _condition), ("sbar", _sbar)
+_FORMULA, _UNIVERSE = ("formula", _formula), ("universe", _universe)
+_MODE, _PARAMS = ("mode", _mode, "column"), ("params", _ints, ())
+
+_OPS = {
+    "pair_index": (pair_index, [("m", _nat), _N]),
+    "pair_split": (_pair_split, [("k", _nat)]),
+    "join_pair": (join_pair, [("x", _bits), ("y", _bits)]),
+    "split_pair": (split_pair, [_SIGMA]),
+    "column": (column, [_SIGMA, _N]),
+    "join_family": (join_family, [("columns", _columns), ("length", _nat)]),
+    "width": (width, [("k", _nat)]),
+    "rt": (SkeletonTree.rt, [_TREE, _SIGMA]),
+    "stem": (SkeletonTree.stem, [_TREE]),
+    "restrict_cell": (SkeletonTree.restrict_cell, [_TREE, _SIGMA]),
+    "restrict_node": (SkeletonTree.restrict_node, [_TREE, ("tau", _bits)]),
+    "subtree_leq": (subtree_leq, [("sub", _tree), ("sup", _tree)]),
+    "leq_n": (leq_n, [("sub", _tree), ("sup", _tree), _N]),
+    "amalgamate": (amalgamate, [_TREE, _SIGMA, ("graft", _tree)]),
+    "iter_restrict": (iter_restrict,
+                      [("condition", _condition), _SIGMA, _MODE]),
+    "iter_leq": (iter_leq, [_Q, _P]),
+    "iter_leq_n": (iter_leq_n, [_Q, _P, _N, _MODE]),
+    "iter_equal": (iter_equal, [_Q, _P]),
+    "iter_amalgamate": (iter_amalgamate, [_P, _SIGMA, _Q, _MODE]),
+    "prod_restrict": (prod_restrict,
+                      [("product", _condition), _SIGMA, _SBAR]),
+    "prod_extends": (prod_extends, [_Q, _P]),
+    "prod_leq": (prod_leq, [_Q, _P, _N, _SBAR]),
+    "prod_amalgamate": (prod_amalgamate, [_P, _SIGMA, _SBAR, _Q]),
+    "tower_degrees": (_tower_degrees, [("kinds", _recipe)]),
+    "sc_schedule": (sc_schedule, [_N, ("g", _bits), ("length", _pos)]),
+    "sc_pattern": (sc_pattern, [("kinds", _recipe)]),
+    "sc_decode": (_sc_decode, [("pattern", _pattern)]),
+    "census_encode": (census_encode, [("x", _bit_function),
+                                      ("limit_bound", _pos),
+                                      ("n_bound", _pos)]),
+    "census_decode": (_census_decode, [("census", _census)]),
+    "sc_census_encode": (sc_census_encode,
+                         [("h", _bits), ("alpha_bound", _int_at_least(2))]),
+    "sc_census_decode": (sc_census_decode, [("census", _verdicts)]),
+    "parse": (_parse, [_FORMULA]),
+    "eval": (eval_formula, [_FORMULA, _UNIVERSE, ("subset", _ints), _PARAMS]),
+    "implicitly_defined_by": (implicitly_defined_by,
+                              [_UNIVERSE, _FORMULA, _PARAMS]),
+    "implicit_subsets": (implicit_subsets, [_UNIVERSE, ("budget", _nat)]),
+    "imp_levels": (imp_levels, [_N, ("budget", _nat)]),
+    "vn_levels": (vn_levels, [_N]),
+}
+
 
 def _encode(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, tuple) and all(v in (0, 1) for v in value):
         return bits_str(value)
-    if isinstance(value, Ordinal2):
-        return value.to_json()
     if hasattr(value, "to_json"):
         return value.to_json()
     if isinstance(value, (frozenset, set)):
@@ -151,247 +254,28 @@ def _encode(value):
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in sorted(value.items(),
-                                                      key=lambda kv: str(kv[0]))}
+        return {str(k): _encode(v)
+                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     raise InputError(f"cannot encode {type(value).__name__}")
 
 
-# -- operation adapters -----------------------------------------------------------
-
-def _op_pair_index(p):
-    return pair_index(_int_field(p, "m", 0), _int_field(p, "n", 0))
-
-
-def _op_pair_split(p):
-    return list(pair_split(_int_field(p, "k", 0)))
-
-
-def _op_join_pair(p):
-    return bits_str(join_pair(_bits_field(p, "x"), _bits_field(p, "y")))
-
-
-def _op_split_pair(p):
-    x, y = split_pair(_bits_field(p, "sigma"))
-    return [bits_str(x), bits_str(y)]
-
-
-def _op_column(p):
-    return bits_str(column(_bits_field(p, "sigma"), _int_field(p, "n", 0)))
-
-
-def _op_join_family(p):
-    cols = _field(p, "columns")
-    if not isinstance(cols, list):
-        raise InputError("columns: expected a list of 0/1 strings")
-    xs = [_bits_field({"columns": c}, "columns") for c in cols]
-    return bits_str(join_family(xs, _int_field(p, "length", 0)))
-
-
-def _op_width(p):
-    return width(_int_field(p, "k", 0))
-
-
-def _op_rt(p):
-    return bits_str(_tree_field(p, "tree").rt(_bits_field(p, "sigma")))
-
-
-def _op_stem(p):
-    return bits_str(_tree_field(p, "tree").stem())
-
-
-def _op_restrict_cell(p):
-    return _tree_field(p, "tree").restrict_cell(_bits_field(p, "sigma"))
-
-
-def _op_restrict_node(p):
-    return _tree_field(p, "tree").restrict_node(_bits_field(p, "tau"))
-
-
-def _op_subtree_leq(p):
-    return subtree_leq(_tree_field(p, "sub"), _tree_field(p, "sup"))
-
-
-def _op_leq_n(p):
-    return leq_n(_tree_field(p, "sub"), _tree_field(p, "sup"),
-                 _int_field(p, "n", 0))
-
-
-def _op_amalgamate(p):
-    return amalgamate(_tree_field(p, "tree"), _bits_field(p, "sigma"),
-                      _tree_field(p, "graft"))
-
-
-def _op_iter_restrict(p):
-    return iter_restrict(_condition_field(p, "condition"),
-                         _bits_field(p, "sigma"), _mode_field(p))
-
-
-def _op_iter_leq(p):
-    return iter_leq(_condition_field(p, "q"), _condition_field(p, "p"))
-
-
-def _op_iter_leq_n(p):
-    return iter_leq_n(_condition_field(p, "q"), _condition_field(p, "p"),
-                      _int_field(p, "n", 0), _mode_field(p))
-
-
-def _op_iter_equal(p):
-    return iter_equal(_condition_field(p, "q"), _condition_field(p, "p"))
-
-
-def _op_iter_amalgamate(p):
-    return iter_amalgamate(_condition_field(p, "p"), _bits_field(p, "sigma"),
-                           _condition_field(p, "q"), _mode_field(p))
-
-
-def _op_prod_restrict(p):
-    return prod_restrict(_condition_field(p, "product"),
-                         _bits_field(p, "sigma"), _sbar_field(p))
-
-
-def _op_prod_extends(p):
-    return prod_extends(_condition_field(p, "q"), _condition_field(p, "p"))
-
-
-def _op_prod_leq(p):
-    return prod_leq(_condition_field(p, "q"), _condition_field(p, "p"),
-                    _int_field(p, "n", 0), _sbar_field(p))
-
-
-def _op_prod_amalgamate(p):
-    return prod_amalgamate(_condition_field(p, "p"), _bits_field(p, "sigma"),
-                           _sbar_field(p), _condition_field(p, "q"))
-
-
-def _kinds_field(p, name="kinds"):
-    v = _field(p, name)
-    if not isinstance(v, list) or any(k not in ("single", "pair") for k in v):
-        raise InputError(f"{name}: expected a list of \"single\"/\"pair\"")
-    return tuple(v)
-
-
-def _op_tower_degrees(p):
-    poset = tower_degrees(TowerRecipe(_kinds_field(p)))
-    return {"nodes": list(poset.nodes), "edges": [list(e)
-                                                  for e in poset.edges]}
-
-
-def _op_sc_schedule(p):
-    recipe = sc_schedule(_int_field(p, "n", 0), _bits_field(p, "g"),
-                         _int_field(p, "length", 1))
-    return {"kinds": list(recipe.kinds)}
-
-
-def _op_sc_pattern(p):
-    return {"levels": list(sc_pattern(TowerRecipe(_kinds_field(p))).levels)}
-
-
-def _op_sc_decode(p):
-    v = _field(p, "pattern")
-    levels = v.get("levels") if isinstance(v, dict) else v
-    if not isinstance(levels, list) or any(
-            lv not in ("line", "diamond") for lv in levels):
-        raise InputError("pattern: expected a list of \"line\"/\"diamond\"")
-    n, g = sc_decode(ScPattern(tuple(levels)))
-    return {"n": n, "g": bits_str(g)}
-
-
-def _op_census_encode(p):
-    entries = _field(p, "x")
-    if not isinstance(entries, list):
-        raise InputError("x: expected a list of [a, n, bit] triples")
-    x = {}
-    for i, entry in enumerate(entries):
-        try:
-            a, n, bit = entry
-            x[Ordinal2(a, n)] = bit
-        except (TypeError, ValueError):
-            raise InputError(f"x[{i}]: expected [a, n, bit]")
-    return census_encode(x, _int_field(p, "limit_bound", 1),
-                         _int_field(p, "n_bound", 1))
-
-
-def _op_census_decode(p):
-    x = census_decode(_census_field(p))
-    return [[h.a, h.b, bit] for h, bit in sorted(x.items())]
-
-
-def _op_sc_census_encode(p):
-    out = sc_census_encode(_bits_field(p, "h"),
-                           _int_field(p, "alpha_bound", 2))
-    return {str(n): verdict for n, verdict in sorted(out.items())}
-
-
-def _op_sc_census_decode(p):
-    v = _field(p, "census")
-    if not isinstance(v, dict):
-        raise InputError("census: expected an object of level -> verdict")
-    try:
-        census = {int(k): verdict for k, verdict in v.items()}
-    except ValueError:
-        raise InputError("census: keys must be integer levels")
-    return bits_str(sc_census_decode(census))
-
-
-def _op_parse(p):
-    f = _formula_field(p)
-    return {"text": formula_text(f), "size": formula_size(f),
-            "free": sorted(free_vars(f))}
-
-
-def _op_eval_formula(p):
-    return eval_formula(_formula_field(p), _structure_field(p),
-                        _int_list_field(p, "subset"),
-                        _int_list_field(p, "params")
-                        if "params" in p else ())
-
-
-def _op_implicitly_defined_by(p):
-    got = implicitly_defined_by(_structure_field(p), _formula_field(p),
-                                _int_list_field(p, "params")
-                                if "params" in p else ())
-    return None if got is None else sorted(got)
-
-
-def _op_implicit_subsets(p):
-    fam = implicit_subsets(_structure_field(p), _int_field(p, "budget", 0))
-    return sorted(sorted(s) for s in fam)
-
-
-def _op_imp_levels(p):
-    return levels_to_json(imp_levels(_int_field(p, "n", 0),
-                                     _int_field(p, "budget", 0)))
-
-
-def _op_vn_levels(p):
-    return levels_to_json(vn_levels(_int_field(p, "n", 0)))
-
-
-_OPS = {
-    "pair_index": _op_pair_index, "pair_split": _op_pair_split,
-    "join_pair": _op_join_pair, "split_pair": _op_split_pair,
-    "column": _op_column, "join_family": _op_join_family, "width": _op_width,
-    "rt": _op_rt, "stem": _op_stem, "restrict_cell": _op_restrict_cell,
-    "restrict_node": _op_restrict_node, "subtree_leq": _op_subtree_leq,
-    "leq_n": _op_leq_n, "amalgamate": _op_amalgamate,
-    "iter_restrict": _op_iter_restrict, "iter_leq": _op_iter_leq,
-    "iter_leq_n": _op_iter_leq_n, "iter_equal": _op_iter_equal,
-    "iter_amalgamate": _op_iter_amalgamate,
-    "prod_restrict": _op_prod_restrict, "prod_extends": _op_prod_extends,
-    "prod_leq": _op_prod_leq, "prod_amalgamate": _op_prod_amalgamate,
-    "tower_degrees": _op_tower_degrees, "sc_schedule": _op_sc_schedule,
-    "sc_pattern": _op_sc_pattern, "sc_decode": _op_sc_decode,
-    "census_encode": _op_census_encode, "census_decode": _op_census_decode,
-    "sc_census_encode": _op_sc_census_encode,
-    "sc_census_decode": _op_sc_census_decode,
-    "parse": _op_parse, "eval": _op_eval_formula,
-    "implicitly_defined_by": _op_implicitly_defined_by,
-    "implicit_subsets": _op_implicit_subsets,
-    "imp_levels": _op_imp_levels, "vn_levels": _op_vn_levels,
-}
-
-
-# -- subcommands ------------------------------------------------------------------
+def _apply(op, payload):
+    """Read op's fields in their listed order; call it; encode the result."""
+    fn, fields = _OPS[op]
+    if not isinstance(payload, dict):
+        raise InputError(f"{fields[0][0]}: payload is not a JSON object")
+    args = []
+    for name, read, *default in fields:
+        if name in payload:
+            args.append(read(payload[name], name))
+        elif default:
+            args.append(default[0])
+        else:
+            raise InputError(f"{name}: missing field")
+    return _encode(fn(*args))
+
+
+# -- subcommands --------------------------------------------------------------
 
 def _load_json(path):
     if path == "-":
@@ -427,11 +311,11 @@ def cmd_eval(args, parser):
         print(f"input error: {e}", file=sys.stderr)
         return 1
     try:
-        result = _OPS[args.op](payload)
+        result = _apply(args.op, payload)
     except EngineError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    print(json.dumps(_encode(result), sort_keys=True))
+    print(json.dumps(result, sort_keys=True))
     return 0
 
 
@@ -443,13 +327,11 @@ def cmd_dot(args, parser):
         return 1
     try:
         if isinstance(obj, dict) and "skeleton" in obj:
-            text = tree_dot(SkeletonTree.from_json(obj))
+            text = tree_dot(_tree(obj, "tree"))
         elif isinstance(obj, dict) and "kinds" in obj:
-            text = poset_dot(tower_degrees(TowerRecipe(_kinds_field(obj))))
+            text = poset_dot(tower_degrees(_recipe(obj["kinds"], "kinds")))
         elif isinstance(obj, dict) and "nodes" in obj and "edges" in obj:
-            poset = DegreePoset(tuple(obj["nodes"]),
-                                tuple(tuple(e) for e in obj["edges"]))
-            text = poset_dot(poset)
+            text = poset_dot(_poset(obj, "poset"))
         else:
             parser.error("object is neither a tree, a recipe, nor a poset")
     except EngineError as e:

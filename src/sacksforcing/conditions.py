@@ -24,21 +24,19 @@ on the complementary cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .bitseq import Bits, bits, bits_str, check_bits, column, join_pair, \
-    split_pair, pair_split, width
+from .bitseq import (bits, bits_str, check_bits, column, pair_split,
+                     split_pair, width)
 from .errors import AmalgamationError, IncompatibleError, PreconditionError
-from .trees import SkeletonTree, amalgamate, full_tree, subtree_leq
+from .trees import (SkeletonTree, _is_prefix, all_bitstrings, amalgamate,
+                    full_tree, subtree_leq)
 
 SINGLE = "single"
 PAIR = "pair"
 
 COLUMN = "column"
 PAIRWISE = "pairwise"
-
-
-def _is_prefix(a: Bits, b: Bits) -> bool:
-    return len(a) <= len(b) and b[: len(a)] == a
 
 
 # -- pair conditions ---------------------------------------------------------
@@ -75,7 +73,6 @@ def pair_leq(q: PairCondition, p: PairCondition) -> bool:
 
 def pair_leq_n(q: PairCondition, p: PairCondition, n: int) -> bool:
     """Cellwise order at every interleaved index of length n."""
-    from .trees import all_bitstrings
     return all(pair_leq(pair_restrict(q, sigma), pair_restrict(p, sigma))
                for sigma in all_bitstrings(n))
 
@@ -213,15 +210,10 @@ def _complement_guards(guard):
     out = []
     for i, (k, addr) in enumerate(items):
         prefix = dict(items[:i])
-        for other in _cells_of_length(len(addr)):
+        for other in all_bitstrings(len(addr)):
             if other != addr:
                 out.append({**prefix, k: other})
     return out
-
-
-def _cells_of_length(n):
-    from .trees import all_bitstrings
-    return all_bitstrings(n)
 
 
 def _table_is_partition(rows, beta):
@@ -240,8 +232,7 @@ def _table_is_partition(rows, beta):
         for k, addr in g.items():
             mention[k] = max(mention.get(k, 0), len(addr))
     keys = sorted(mention)
-    from itertools import product as iproduct
-    for combo in iproduct(*(_cells_of_length(mention[k]) for k in keys)):
+    for combo in product(*(all_bitstrings(mention[k]) for k in keys)):
         assignment = dict(zip(keys, combo))
         hits = sum(
             all(_is_prefix(addr, assignment[k]) for k, addr in g.items())
@@ -453,7 +444,6 @@ def iter_equal(q: IterCondition, p: IterCondition) -> bool:
 
 
 def iter_leq_n(q: IterCondition, p: IterCondition, n: int, mode=COLUMN) -> bool:
-    from .trees import all_bitstrings
     return all(
         iter_leq(iter_restrict(q, sigma, mode), iter_restrict(p, sigma, mode))
         for sigma in all_bitstrings(n))
@@ -598,7 +588,6 @@ def prod_equal(q: ProductCondition, p: ProductCondition) -> bool:
 def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     """The graded order: every length-n index, distributed over sbar,
     restricts q to an extension of the matching restriction of p."""
-    from .trees import all_bitstrings
     return all(
         prod_extends(prod_restrict(q, sigma, sbar),
                      prod_restrict(p, sigma, sbar))

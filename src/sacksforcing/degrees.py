@@ -99,37 +99,36 @@ class DegreePoset:
         for lo, hi in self.edges:
             if lo not in node_set or hi not in node_set:
                 raise PreconditionError(f"edge ({lo}, {hi}) off the node set")
-        self._up = self._reachability()
-        minimal = [v for v in self.nodes
-                   if not any(hi == v for _, hi in self.edges)]
+        self._index = {v: i for i, v in enumerate(self.nodes)}
+        succ = {v: [] for v in self.nodes}
+        indegree = dict.fromkeys(self.nodes, 0)
+        for lo, hi in self.edges:
+            succ[lo].append(hi)
+            indegree[hi] += 1
+        minimal = [v for v in self.nodes if indegree[v] == 0]
+        # Kahn's algorithm: a node is placed once all its lower covers are
+        order = list(minimal)
+        for v in order:
+            for w in succ[v]:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    order.append(w)
+        if len(order) != len(self.nodes):
+            raise PreconditionError("order relation has a cycle")
         if len(minimal) != 1:
             raise PreconditionError(f"expected a unique bottom, got {minimal}")
         self.bottom = minimal[0]
-
-    def _reachability(self):
-        succ = {v: [] for v in self.nodes}
-        for lo, hi in self.edges:
-            succ[lo].append(hi)
-        up = {}
-
-        def visit(v, trail):
-            if v in trail:
-                raise PreconditionError("order relation has a cycle")
-            if v in up:
-                return up[v]
-            reach = set()
+        # bit i of _up[v] is set when nodes[i] lies strictly above v
+        self._up = {}
+        for v in reversed(order):
+            up = 0
             for w in succ[v]:
-                reach.add(w)
-                reach |= visit(w, trail | {v})
-            up[v] = reach
-            return reach
-
-        for v in self.nodes:
-            visit(v, frozenset())
-        return up
+                up |= self._up[w] | 1 << self._index[w]
+            self._up[v] = up
 
     def leq(self, x, y) -> bool:
-        return x == y or y in self._up[x]
+        return x == y or (y in self._index
+                          and bool(self._up[x] >> self._index[y] & 1))
 
     def _unique_extreme(self, candidates, prefer_high):
         picked = [c for c in candidates

@@ -228,6 +228,15 @@ def formula_text(f) -> str:
     raise PreconditionError(f"not a formula node: {f!r}")
 
 
+# text nested deeper than this is a ParseError: each parenthesis,
+# negation, quantifier and binary connective nests what follows it one
+# level deeper, until its group ends.  The parser and every recursive
+# walk over a formula then stay well inside Python's recursion limit.
+# formula_text wraps each quantifier and binary connective in
+# parentheses, so its text of a formula nested MAX_NESTING // 2 deep
+# is the deepest that always parses back.
+MAX_NESTING = 64
+
 _TOKEN = re.compile(r"\s*(?:(<->|->|[()=.&|!])|(#\d+)|([A-Za-z_][A-Za-z0-9_]*))")
 _KEYWORDS = {"all", "ex", "in", "S"}
 
@@ -255,6 +264,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k][0]
@@ -269,44 +279,65 @@ class _Parser:
         self.k += 1
         return tok
 
+    def deeper(self):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} "
+                             f"levels", self.pos())
+        self.depth += 1
+
+    def nested(self, parse):
+        self.deeper()
+        out = parse()
+        self.depth -= 1
+        return out
+
     def formula(self):
+        top = self.depth
         left = self.implication()
         while self.peek() == "<->":
             self.take()
+            self.deeper()
             left = Iff(left, self.implication())
+        self.depth = top
         return left
 
     def implication(self):
         left = self.disjunction()
         if self.peek() == "->":
             self.take()
-            return Implies(left, self.implication())
+            return Implies(left, self.nested(self.implication))
         return left
 
     def disjunction(self):
+        top = self.depth
         left = self.conjunction()
         while self.peek() == "|":
             self.take()
+            self.deeper()
             left = Or(left, self.conjunction())
+        self.depth = top
         return left
 
     def conjunction(self):
+        top = self.depth
         left = self.unary()
         while self.peek() == "&":
             self.take()
+            self.deeper()
             left = And(left, self.unary())
+        self.depth = top
         return left
 
     def unary(self):
         tok = self.peek()
         if tok == "!":
             self.take()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok in ("all", "ex"):
             self.take()
             var = self.variable()
             self.take(".")
-            body = self.formula()
+            body = self.nested(self.formula)
             return (Forall if tok == "all" else Exists)(var, body)
         return self.primary()
 
@@ -314,7 +345,7 @@ class _Parser:
         tok = self.peek()
         if tok == "(":
             self.take()
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.take(")")
             return inner
         if tok == "S":
@@ -364,26 +395,18 @@ def parse_formula(text: str):
 
 def eval_formula(f, structure: FinStructure, subset, params=()) -> bool:
     """Tarskian satisfaction over the structure's universe, with the
-    predicate symbol read as membership in ``subset``."""
+    predicate symbol read as membership in ``subset``.  The whole formula
+    is checked first (see _formula_table), so a fault raises even where
+    the evaluation would skip it."""
     subset = frozenset(subset)
     params = tuple(params)
     for c in subset:
         if c not in structure:
             raise PreconditionError(f"subset element {c} outside the universe")
-    for c in params:
-        if c not in structure:
-            raise PreconditionError(f"parameter {c} outside the universe")
+    _formula_table(structure, f, params, None)
 
     def term_val(t, env):
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise PreconditionError(f"unbound variable {t.name!r}")
-            return env[t.name]
-        if isinstance(t, Param):
-            if not 0 <= t.index < len(params):
-                raise PreconditionError(f"no parameter #{t.index}")
-            return params[t.index]
-        raise PreconditionError(f"not a term: {t!r}")
+        return env[t.name] if isinstance(t, Var) else params[t.index]
 
     def sat(g, env):
         if isinstance(g, Pred):
@@ -405,10 +428,8 @@ def eval_formula(f, structure: FinStructure, subset, params=()) -> bool:
         if isinstance(g, Forall):
             return all(sat(g.body, {**env, g.var: c})
                        for c in structure.universe)
-        if isinstance(g, Exists):
-            return any(sat(g.body, {**env, g.var: c})
-                       for c in structure.universe)
-        raise PreconditionError(f"not a formula node: {g!r}")
+        return any(sat(g.body, {**env, g.var: c})       # Exists
+                   for c in structure.universe)
 
     return sat(f, {})
 
@@ -460,27 +481,30 @@ def _atom_table(structure, key):
     return table
 
 
-def implicitly_defined_by(structure: FinStructure, f, params=()):
-    """The unique satisfying subset, or None when zero or several
-    subsets satisfy the formula.
+def _formula_table(structure, f, params, atom):
+    """Check f against the contract of eval_formula and
+    implicitly_defined_by, and return its table over the structure.
 
-    The whole formula is checked before any answer is given, so the
-    answer never depends on which parts an evaluation could skip:
-    a parameter outside the universe, a ``#k`` with no k-th parameter,
-    a free variable, or a node that is not a formula raises
+    The contract covers the whole formula, whatever an evaluation could
+    skip: every parameter lies in the universe, every ``#k`` names one
+    of them, every variable is bound, and every node is a formula with
+    terms in term positions.  The first violation, left to right, raises
     PreconditionError.
 
-    One pass over the formula decides all 2**u subsets at once, with the
-    table semantics of implicit_subsets: a subformula under d quantifiers
-    becomes a table of u**d * 2**u bits, and a quantifier folds its
-    variable's slot, always the last, away.  eval_formula is the
-    reference this is tested against.
+    The table semantics is that of implicit_subsets: a subformula under
+    d quantifiers becomes a table of u**d * 2**u bits, and a quantifier
+    folds its variable's slot, always the last, away; atoms get their
+    tables from ``atom``, which is _atom_table.  With ``atom`` None the
+    walk only checks: it runs with u = 0, where a table has at most one
+    bit and no atom is evaluated.
     """
-    params = tuple(params)
     for c in params:
         if c not in structure:
             raise PreconditionError(f"parameter {c} outside the universe")
-    u = structure.size
+    if atom is None:
+        u, atom = 0, lambda _structure, _key: 0
+    else:
+        u = structure.size
 
     def term(t, scope):
         if type(t) is Var:
@@ -496,11 +520,10 @@ def implicitly_defined_by(structure: FinStructure, f, params=()):
     def table(g, scope, depth, bits):
         kind = type(g)
         if kind is Pred:
-            return _atom_table(structure,
-                               (depth, Pred, term(g.term, scope), None))
+            return atom(structure, (depth, Pred, term(g.term, scope), None))
         if kind is Member or kind is Eq:
-            return _atom_table(structure, (depth, kind, term(g.left, scope),
-                                           term(g.right, scope)))
+            return atom(structure, (depth, kind, term(g.left, scope),
+                                    term(g.right, scope)))
         if kind is Forall or kind is Exists:
             body = table(g.body, {**scope, g.var: depth}, depth + 1,
                          bits * u)
@@ -527,7 +550,21 @@ def implicitly_defined_by(structure: FinStructure, f, params=()):
             return left ^ right ^ ((1 << bits) - 1)
         raise PreconditionError(f"not a formula node: {g!r}")
 
-    family = table(f, {}, 0, 1 << u)
+    return table(f, {}, 0, 1 << u)
+
+
+def implicitly_defined_by(structure: FinStructure, f, params=()):
+    """The unique satisfying subset, or None when zero or several
+    subsets satisfy the formula.
+
+    The whole formula is checked before any answer is given, as in
+    eval_formula, so the answer never depends on which parts an
+    evaluation could skip.  One pass over the formula decides all 2**u
+    subsets at once (see _formula_table).  eval_formula is the reference
+    this is tested against.
+    """
+    family = _formula_table(structure, f, tuple(params), _atom_table)
+    u = structure.size
     if not family or family & (family - 1):
         return None
     s = family.bit_length() - 1

@@ -294,12 +294,6 @@ def enumerate_trees(max_depth: int, slack: int):
     beyond the minimal ones.  The family deliberately includes distinct
     presentations of the same tree.
     """
-    def strings_upto(k):
-        out = []
-        for ln in range(k + 1):
-            out.extend(all_bitstrings(ln))
-        return out
-
     out = []
     for depth in range(max_depth + 1):
         edges = [sigma for sigma in bitstrings_upto(depth) if sigma]
@@ -310,12 +304,12 @@ def enumerate_trees(max_depth: int, slack: int):
                 return
             sigma = edges[i]
             base = skel[sigma[:-1]] + sigma[-1:]
-            for ext in strings_upto(budget):
+            for ext in bitstrings_upto(budget):
                 skel[sigma] = base + ext
                 assign(i + 1, budget - len(ext), skel)
             del skel[sigma]
 
-        for stem in strings_upto(slack):
+        for stem in bitstrings_upto(slack):
             assign(0, slack - len(stem), {(): stem})
     return out
 

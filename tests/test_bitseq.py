@@ -109,6 +109,21 @@ def test_width_values():
         assert n == 0 or pair_index(n - 1, 0) < k
 
 
+def _width_by_search(k):
+    n = 0
+    while pair_index(n, 0) < k:
+        n += 1
+    return n
+
+
+def test_width_closed_form_matches_the_search():
+    assert all(width(k) == _width_by_search(k) for k in range(10_000))
+    for n in range(10 ** 9 - 3, 10 ** 9 + 4):
+        first = pair_index(n, 0)
+        assert width(first - 1) == width(first) == n
+        assert width(first + 1) == n + 1
+
+
 def test_width_marks_last_nonempty_column():
     for k in range(1, 40):
         sigma = tuple(1 for _ in range(k))

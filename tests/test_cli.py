@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from sacksforcing.cli import main
+from sacksforcing.cli import _OPS, main
 
 
 def write_json(tmp_path, payload, name="payload.json"):
@@ -107,6 +108,55 @@ def test_eval_schema_mismatch_names_field(tmp_path, capsys):
     assert "m:" in err
 
 
+OPERATIONS = """
+    pair_index pair_split join_pair split_pair column join_family width
+    rt stem restrict_cell restrict_node subtree_leq leq_n amalgamate
+    iter_restrict iter_leq iter_leq_n iter_equal iter_amalgamate
+    prod_restrict prod_extends prod_leq prod_amalgamate
+    tower_degrees sc_schedule sc_pattern sc_decode census_encode
+    census_decode sc_census_encode sc_census_decode
+    parse eval implicitly_defined_by implicit_subsets imp_levels vn_levels
+""".split()
+
+
+def test_eval_offers_every_operation():
+    assert len(OPERATIONS) == 37
+    assert sorted(_OPS) == sorted(OPERATIONS)
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_eval_payload_errors_name_the_first_field(tmp_path, capsys, op):
+    first = _OPS[op][1][0][0]
+    code, out, err = run_eval(tmp_path, op, {}, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InputError: {first}: missing field")
+    code, out, err = run_eval(tmp_path, op, [], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InputError: {first}: payload is not")
+
+
+def test_eval_pair_split_prints_a_list(tmp_path, capsys):
+    # a tuple of 0s and 1s would otherwise be encoded as the bits "01"
+    assert run_eval(tmp_path, "pair_split", {"k": 1}, capsys) \
+        == (0, "[0, 1]", "")
+
+
+def test_eval_width_of_a_huge_length(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, _ = run_eval(tmp_path, "width", {"k": 10 ** 18}, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, json.loads(out)) == (0, 1414213561)
+
+
+def test_eval_parse_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "parse",
+                              {"formula": "!" * 3000 + "S(#0)"}, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("ParseError: formula nested deeper than")
+
+
 def test_eval_unknown_op_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["eval", "nosuchop", write_json(tmp_path, {})])
@@ -162,6 +212,29 @@ def test_dot_tree(tmp_path, capsys):
                                               "1": "011"}})
     assert main(["dot", path, "-"]) == 0
     assert "digraph" in capsys.readouterr().out
+
+
+def test_dot_long_chain_poset(tmp_path, capsys):
+    n = 3000
+    path = write_json(tmp_path, {
+        "nodes": [f"n{i}" for i in range(n)],
+        "edges": [[f"n{i}", f"n{i + 1}"] for i in range(n - 1)]})
+    start = time.perf_counter()
+    assert main(["dot", path, "-"]) == 0
+    assert time.perf_counter() - start < 2
+    nodes, edges = dot_lines(capsys.readouterr().out)
+    assert (len(nodes), len(edges)) == (n, n - 1)
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"nodes": [[1]], "edges": []}, "poset"),
+    ({"nodes": ["a"], "edges": [1]}, "poset"),
+    ({"depth": "x", "skeleton": {"": ""}}, "tree"),
+    ({"kinds": "single"}, "kinds"),
+])
+def test_dot_malformed_object(tmp_path, capsys, obj, field):
+    assert main(["dot", write_json(tmp_path, obj), "-"]) == 1
+    assert capsys.readouterr().err.startswith(f"InputError: {field}: ")
 
 
 def test_dot_unsupported_kind(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -92,6 +93,38 @@ def test_poset_validation():
         DegreePoset(["a", "a"], [])
     with pytest.raises(PreconditionError):
         DegreePoset(["a"], [("a", "zzz")])
+
+
+def test_poset_order_matches_a_search():
+    # random DAGs above node 0; leq against a plain graph search
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        edges = {(rng.randrange(hi), hi) for hi in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2)))
+                  for _ in range(rng.randrange(n + 1)) if n > 1}
+        labels = [f"v{i}" for i in rng.sample(range(n), n)]
+        poset = DegreePoset(labels, [(labels[a], labels[b])
+                                     for a, b in sorted(edges)])
+        assert poset.bottom == labels[0]
+        for a in range(n):
+            seen, todo = {a}, [a]
+            while todo:
+                v = todo.pop()
+                for lo, hi in edges:
+                    if lo == v and hi not in seen:
+                        seen.add(hi)
+                        todo.append(hi)
+            for b in range(n):
+                assert poset.leq(labels[a], labels[b]) == (b in seen)
+    # a long chain is no deeper for the checks than a short one
+    chain = DegreePoset([f"c{i}" for i in range(3000)],
+                        [(f"c{i}", f"c{i + 1}") for i in range(2999)])
+    assert chain.leq("c0", "c2999") and not chain.leq("c2999", "c0")
+    with pytest.raises(PreconditionError, match="cycle"):
+        DegreePoset([f"c{i}" for i in range(3000)],
+                    [(f"c{i}", f"c{i + 1}") for i in range(2999)]
+                    + [("c2999", "c1")])
 
 
 # -- tower censuses ---------------------------------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from sacksforcing.cli import main
 from sacksforcing.errors import ParseError, PreconditionError, ResourceError
-from sacksforcing.implicit import (And, Eq, Exists, FinStructure, Forall, Iff,
-                                   Implies, Member, Not, Or, Param, Pred, Var,
+from sacksforcing.implicit import (MAX_NESTING, And, Eq, Exists,
+                                   FinStructure, Forall, Iff, Implies, Member,
+                                   Not, Or, Param, Pred, Var,
                                    eval_formula, formula_size, formula_text,
                                    free_vars, imp_levels, implicit_subsets,
                                    implicitly_defined_by, levels_to_json,
@@ -106,6 +107,25 @@ def test_parse_error_positions():
         parse_formula("")
 
 
+def test_parse_nesting_cap():
+    deep = MAX_NESTING + 1
+    for text in ["!" * deep + "S(#0)", "(" * deep + "S(#0)" + ")" * deep,
+                 "all x. " * deep + "S(x)", "S(#0) -> " * deep + "S(#0)",
+                 "S(#0) & " * deep + "S(#0)", "!" * 3000 + "S(#0)"]:
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_formula(text)
+    # at the cap every walk over the formula still answers
+    f = parse_formula("all x. " * MAX_NESTING + "S(x)")
+    assert formula_size(f) == MAX_NESTING + 2
+    assert implicitly_defined_by(S1, f) == {0}
+    assert eval_formula(f, S1, {0})
+    # formula_text parenthesizes each quantifier: half the cap parses back
+    half = parse_formula("all x. " * (MAX_NESTING // 2) + "S(x)")
+    assert parse_formula(formula_text(half)) == half
+    flat = parse_formula("S(#0) & " * MAX_NESTING + "S(#0)")
+    assert formula_size(flat) == 3 * MAX_NESTING + 2
+
+
 def test_formula_text_round_trip_examples():
     for text in ["all x. S(x)",
                  "all x. (S(x) <-> x = #0)",
@@ -186,6 +206,11 @@ def test_eval_domain_errors():
         eval_formula(parse_formula("S(#1)"), S2, (), params=(0,))
     with pytest.raises(PreconditionError):
         eval_formula(parse_formula("S(x)"), S2, ())
+    # the whole formula is checked, also parts the evaluation skips
+    with pytest.raises(PreconditionError, match="unbound variable 'x'"):
+        eval_formula(parse_formula("(all y. y = y) | S(x)"), S1, ())
+    with pytest.raises(PreconditionError, match="no parameter #5"):
+        eval_formula(parse_formula("all x. S(#5)"), EMPTY, ())
 
 
 # -- implicit definitions ---------------------------------------------------
@@ -226,6 +251,20 @@ def test_cli_implicitly_defined_by_rejects_bad_formula(
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"universe": universe, "formula": text}))
     assert main(["eval", "implicitly_defined_by", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("PreconditionError: ") and message in err
+
+
+@pytest.mark.parametrize("universe, text, message", [
+    ([0], "(all y. y = y) | S(x)", "unbound variable 'x'"),
+    ([], "all x. S(#5)", "no parameter #5"),
+])
+def test_cli_eval_rejects_bad_formula(tmp_path, capsys, universe, text,
+                                      message):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"universe": universe, "formula": text,
+                                "subset": []}))
+    assert main(["eval", "eval", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("PreconditionError: ") and message in err
 
