@@ -83,7 +83,17 @@ def _decoded(from_json, what):
 
 _tree = _decoded(SkeletonTree.from_json, "a tree presentation")
 _condition = _decoded(condition_from_json, "a condition")
-_poset = _decoded(lambda v: DegreePoset(v["nodes"], v["edges"]), "a poset")
+_degree_poset = _decoded(lambda v: DegreePoset(v["nodes"], v["edges"]),
+                         "a poset")
+
+
+def _poset(v, name):
+    for field in ("nodes", "edges"):
+        if not isinstance(v[field], list):
+            raise InputError(f"{name}: {field}: expected a list")
+    if any(not isinstance(e, list) or len(e) != 2 for e in v["edges"]):
+        raise InputError(f"{name}: edges: expected [lower, upper] pairs")
+    return _degree_poset(v, name)
 
 
 def _mode(v, name):

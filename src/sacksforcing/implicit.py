@@ -18,8 +18,16 @@ The enumerator in implicit_subsets works with semantic tables instead of
 formula syntax: one big integer per formula class, one bit per
 (variable-assignment, subset) pair.  Two formulas with the same table
 are interchangeable everywhere, so keeping the smallest size per table
-loses nothing.  implicitly_defined_by computes the same tables for one
-given formula, which decides all subsets in a single pass over it.
+loses nothing.  A table is closed, the table of a sentence, exactly when
+every assignment's block of 2**u bits equals the first one, which one
+multiply and one compare decide.  Each class also carries the free-slot
+mask of the formula that first gave it: mask 0 proves it closed, and a
+quantifier on a slot outside the mask would give the same table back,
+so it is not tried.  The defined family only grows with the size, so
+the enumeration stops as soon as every subset is defined, and its
+answers are remembered per (universe, budget).  implicitly_defined_by
+computes the same tables for one given formula, which decides all
+subsets in a single pass over it.
 """
 
 from __future__ import annotations
@@ -579,6 +587,12 @@ def _var_pool(budget: int) -> int:
     return 1 + (budget >= 5) + (budget >= 9)
 
 
+# implicit_subsets keeps its answers for this many (universe, budget)
+# pairs, dropping the oldest first; an answer is at most 2**u subsets
+_MEMO_ENTRIES = 256
+_memo = {}
+
+
 def implicit_subsets(structure: FinStructure, budget: int):
     """Every subset implicitly defined by some formula of AST size at
     most ``budget``, parameters included as constant-size-one terms.
@@ -586,97 +600,123 @@ def implicit_subsets(structure: FinStructure, budget: int):
     The empty structure is special-cased: it has exactly one subset, and
     that subset is returned at every budget rather than making the
     answer depend on which vacuously-true formula first fits the budget.
+    Answers are remembered per (universe, budget).
     """
     if budget > MAX_BUDGET:
         raise ResourceError(
             f"budget {budget} exceeds {MAX_BUDGET}, the range where the "
             f"three-variable enumeration is provably complete")
+    key = (structure.universe, budget)
+    out = _memo.get(key)
+    if out is None:
+        out = _enumerate(structure, budget)
+        if len(_memo) >= _MEMO_ENTRIES:
+            del _memo[next(iter(_memo))]
+        _memo[key] = out
+    return out
+
+
+def _enumerate(structure, budget):
+    """implicit_subsets without the memo."""
     universe = structure.universe
     u = len(universe)
     if u == 0:
         return frozenset({frozenset()})
+    nsub = 1 << u
+    submask = (1 << nsub) - 1
+    # a table is closed when every assignment's block equals block 0
+    every = sum(1 << (a * nsub) for a in range(u ** _var_pool(budget)))
+    found = 0       # bit s: the subset with position mask s is defined
+    for t, free in _tables(structure, budget):
+        family = t & submask
+        if family & (family - 1) == 0 and family \
+                and (not free or t == family * every):
+            found |= family
+            if found == submask:
+                break       # every subset is defined already
+    return frozenset(frozenset(universe[j] for j in range(u) if (s >> j) & 1)
+                     for s in range(nsub) if (found >> s) & 1)
 
+
+def _tables(structure, budget):
+    """(table, free-slot mask) for each formula class of size at most
+    ``budget`` over a nonempty structure, smallest size first.
+
+    Each class below the budget comes once, with the mask of the formula
+    that first gave it.  The mask is syntactic, so it may hold slots the
+    table ignores: mask 0 proves a table closed, and a quantifier on a
+    slot outside the mask gives back its operand, so it is skipped.
+    Nothing is built from the last size, so its tables are not stored
+    and may repeat a class.
+    """
+    universe = structure.universe
+    u = len(universe)
     nvars = _var_pool(budget)
     nsub = 1 << u
     nasg = u ** nvars
-    nbits = nasg * nsub
-    full = (1 << nbits) - 1
+    full = (1 << (nasg * nsub)) - 1
 
-    strides = [u ** i * nsub for i in range(nvars)]
-    slot_masks = []
+    # per slot i: its bit, the shifts to its other values, the bits of
+    # the assignments where it takes the first value, and the multiplier
+    # that copies such bits to every value of slot i
+    folds = []
     for i in range(nvars):
-        per_val = []
-        for k in range(u):
-            m = 0
-            for a in range(nasg):
-                if (a // u ** i) % u == k:
-                    m |= ((1 << nsub) - 1) << (a * nsub)
-            per_val.append(m)
-        slot_masks.append(per_val)
+        stride = u ** i * nsub
+        period = stride * u
+        first = ((1 << stride) - 1) * sum(
+            1 << (p * period) for p in range(nasg // u ** (i + 1)))
+        copies = sum(1 << (k * stride) for k in range(u))
+        folds.append((1 << i, range(stride, period, stride), first, copies))
 
-    def forall(t, i):
-        folded = full
-        for k in range(u):
-            folded &= (t & slot_masks[i][k]) >> (k * strides[i])
-        out = 0
-        for k in range(u):
-            out |= folded << (k * strides[i])
-        return out
+    # term -> free-slot mask: slot numbers, then complemented codes
+    terms = {**{i: 1 << i for i in range(nvars)}, **{~c: 0 for c in universe}}
+    by_size = {}    # size -> [(table, free-slot mask)]
 
-    def exists(t, i):
-        folded = 0
-        for k in range(u):
-            folded |= (t & slot_masks[i][k]) >> (k * strides[i])
-        out = 0
-        for k in range(u):
-            out |= folded << (k * strides[i])
-        return out
-
-    classes = {}
-    by_size = {}
-
-    def add(table, size):
-        if table not in classes:
-            classes[table] = size
-            by_size.setdefault(size, []).append(table)
-
-    terms = list(range(nvars)) + [~c for c in universe]
-    if budget >= 2:
-        for tm in terms:
-            add(_atom_table(structure, (nvars, Pred, tm, None)), 2)
-    if budget >= 3:
-        for t1 in terms:
-            for t2 in terms:
-                add(_atom_table(structure, (nvars, Member, t1, t2)), 3)
-                add(_atom_table(structure, (nvars, Eq, t1, t2)), 3)
-
-    for size in range(3, budget + 1):
-        for t in by_size.get(size - 1, []):
-            add(~t & full, size)
-            for i in range(nvars):
-                add(forall(t, i), size)
-                add(exists(t, i), size)
+    def candidates(size):
+        if size == 2:
+            for tm, free in terms.items():
+                yield _atom_table(structure, (nvars, Pred, tm, None)), free
+        if size == 3:
+            for t1, free1 in terms.items():
+                for t2, free2 in terms.items():
+                    for kind in (Member, Eq):
+                        yield (_atom_table(structure, (nvars, kind, t1, t2)),
+                               free1 | free2)
+        for t, free in by_size.get(size - 1, ()):
+            yield t ^ full, free
+            for bit, shifts, first, copies in folds:
+                if free & bit:
+                    all_k = any_k = t
+                    for k in shifts:
+                        all_k &= t >> k
+                        any_k |= t >> k
+                    yield (all_k & first) * copies, free ^ bit
+                    yield (any_k & first) * copies, free ^ bit
         for s1 in range(2, (size - 1) // 2 + 1):
-            s2 = size - 1 - s1
-            for t1 in by_size.get(s1, []):
-                for t2 in by_size.get(s2, []):
-                    add(t1 & t2, size)
-                    add(t1 | t2, size)
-                    add((~t1 | t2) & full, size)
-                    add((~t2 | t1) & full, size)
-                    add(~(t1 ^ t2) & full, size)
+            left, right = by_size[s1], by_size[size - 1 - s1]
+            for n, (t1, free1) in enumerate(left):
+                # the connectives are symmetric, both implications are
+                # tried, and t op t is t or true: an equal-size pair is
+                # needed once, and never a class with itself
+                not1 = t1 ^ full
+                for t2, free2 in right[n + 1:] if left is right else right:
+                    free = free1 | free2
+                    yield t1 & t2, free
+                    yield t1 | t2, free
+                    yield not1 | t2, free
+                    yield t2 ^ full | t1, free
+                    yield not1 ^ t2, free
 
-    submask = (1 << nsub) - 1
-    defined = set()
-    for table in classes:
-        if any(forall(table, i) != table for i in range(nvars)):
-            continue  # open formula; its closures were enumerated too
-        family = table & submask
-        if family and family & (family - 1) == 0:
-            s = family.bit_length() - 1
-            defined.add(frozenset(universe[j] for j in range(u)
-                                  if (s >> j) & 1))
-    return frozenset(defined)
+    seen = set()
+    for size in range(2, budget):
+        level = by_size[size] = []
+        for t, free in candidates(size):
+            if t not in seen:
+                seen.add(t)
+                level.append((t, free))
+                yield t, free
+    if budget >= 2:
+        yield from candidates(budget)
 
 
 # -- hierarchies ---------------------------------------------------------------------

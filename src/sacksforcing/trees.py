@@ -24,7 +24,11 @@ from __future__ import annotations
 from itertools import product
 
 from .bitseq import Bits, bits_str, check_bits
-from .errors import AmalgamationError, FusionError, PreconditionError
+from .errors import (AmalgamationError, FusionError, PreconditionError,
+                     ResourceError)
+
+# amalgamate refuses to build a skeleton with more entries than this
+MAX_SKELETON_ENTRIES = 1 << 16
 
 
 def _is_prefix(a: Bits, b: Bits) -> bool:
@@ -240,14 +244,21 @@ def amalgamate(tree: SkeletonTree, sigma, graft: SkeletonTree) -> SkeletonTree:
     graft must be a subtree of the sigma-cell.  The result R satisfies
     R.restrict_cell(sigma) == graft, R.restrict_cell(tau) ==
     tree.restrict_cell(tau) for the other indices tau of the same length,
-    and leq_n(R, tree, len(sigma)).
+    and leq_n(R, tree, len(sigma)).  A result whose skeleton would have
+    more than MAX_SKELETON_ENTRIES entries raises ResourceError before
+    anything is built.
     """
     sigma = check_bits(sigma)
     n = len(sigma)
+    extra = max(graft.depth, max(tree.depth, n) - n)
+    entries = 2 ** (n + extra + 1) - 1
+    if entries > MAX_SKELETON_ENTRIES:
+        raise ResourceError(
+            f"amalgamate would build {entries} skeleton entries; the bound "
+            f"is {MAX_SKELETON_ENTRIES}")
     if not subtree_leq(graft, tree.restrict_cell(sigma)):
         raise AmalgamationError(
             f"graft is not a subtree of the {bits_str(sigma) or 'root'} cell")
-    extra = max(graft.depth, max(tree.depth, n) - n)
     skel = {}
     for rho in bitstrings_upto(n + extra):
         if len(rho) >= n and rho[:n] == sigma:

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import sacksforcing
 from sacksforcing.cli import _OPS, main
 
 
@@ -148,6 +150,18 @@ def test_eval_width_of_a_huge_length(tmp_path, capsys):
     assert (code, json.loads(out)) == (0, 1414213561)
 
 
+def test_eval_amalgamate_past_the_skeleton_bound(tmp_path, capsys):
+    leaf = {"depth": 0, "skeleton": {"": ""}}
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "amalgamate",
+                              {"tree": leaf, "sigma": "0" * 24,
+                               "graft": leaf}, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("ResourceError: amalgamate would build 33554431 ")
+    assert "65536" in err
+
+
 def test_eval_parse_deep_nesting_is_a_parse_error(tmp_path, capsys):
     start = time.perf_counter()
     code, out, err = run_eval(tmp_path, "parse",
@@ -231,6 +245,10 @@ def test_dot_long_chain_poset(tmp_path, capsys):
     ({"nodes": ["a"], "edges": [1]}, "poset"),
     ({"depth": "x", "skeleton": {"": ""}}, "tree"),
     ({"kinds": "single"}, "kinds"),
+    ({"nodes": "ab", "edges": [["a", "b"]]}, "poset: nodes"),
+    ({"nodes": ["a", "b"], "edges": "ab"}, "poset: edges"),
+    ({"nodes": ["a", "b"], "edges": [["a", "b", "a"]]}, "poset: edges"),
+    ({"nodes": ["a", "b"], "edges": [["a"]]}, "poset: edges"),
 ])
 def test_dot_malformed_object(tmp_path, capsys, obj, field):
     assert main(["dot", write_json(tmp_path, obj), "-"]) == 1
@@ -247,8 +265,12 @@ def test_dot_unsupported_kind(tmp_path, capsys):
 # -- installed entry point --------------------------------------------------
 
 def test_module_invocation_smoke():
+    # the child imports the package from where this process did, which
+    # may be a plain checkout's src/ put on the path by pytest
+    src = os.path.dirname(os.path.dirname(sacksforcing.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sacksforcing", "verify", "codec"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "pass" in proc.stdout

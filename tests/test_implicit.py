@@ -1,9 +1,12 @@
 import json
+import time
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sacksforcing import implicit
 from sacksforcing.cli import main
 from sacksforcing.errors import ParseError, PreconditionError, ResourceError
 from sacksforcing.implicit import (MAX_NESTING, And, Eq, Exists,
@@ -417,6 +420,172 @@ def test_enumerator_matches_syntactic_oracle():
         for budget in (4, 5):
             assert implicit_subsets(structure, budget) == \
                 _syntactic_defined(structure, budget)
+
+
+def _reference_classes(structure, budget):
+    """The enumerator before free-slot masks, saturation and the memo:
+    every formula class over a nonempty structure up to the budget,
+    as a map from table to smallest size, and the table fold of a
+    universal quantifier.  Kept as the reference that implicit_subsets
+    is tested against."""
+    universe = structure.universe
+    u = len(universe)
+    nvars = implicit._var_pool(budget)
+    nsub = 1 << u
+    nasg = u ** nvars
+    full = (1 << (nasg * nsub)) - 1
+    strides = [u ** i * nsub for i in range(nvars)]
+    slot_masks = [[sum(((1 << nsub) - 1) << (a * nsub) for a in range(nasg)
+                       if (a // u ** i) % u == k) for k in range(u)]
+                  for i in range(nvars)]
+
+    def fold(t, i, op, start):
+        folded = start
+        for k in range(u):
+            folded = op(folded, (t & slot_masks[i][k]) >> (k * strides[i]))
+        out = 0
+        for k in range(u):
+            out |= folded << (k * strides[i])
+        return out
+
+    def forall(t, i):
+        return fold(t, i, int.__and__, full)
+
+    def exists(t, i):
+        return fold(t, i, int.__or__, 0)
+
+    classes = {}
+    by_size = {}
+
+    def add(table, size):
+        if table not in classes:
+            classes[table] = size
+            by_size.setdefault(size, []).append(table)
+
+    atom = implicit._atom_table
+    terms = list(range(nvars)) + [~c for c in universe]
+    if budget >= 2:
+        for tm in terms:
+            add(atom(structure, (nvars, Pred, tm, None)), 2)
+    if budget >= 3:
+        for t1 in terms:
+            for t2 in terms:
+                add(atom(structure, (nvars, Member, t1, t2)), 3)
+                add(atom(structure, (nvars, Eq, t1, t2)), 3)
+    for size in range(3, budget + 1):
+        for t in by_size.get(size - 1, []):
+            add(~t & full, size)
+            for i in range(nvars):
+                add(forall(t, i), size)
+                add(exists(t, i), size)
+        for s1 in range(2, (size - 1) // 2 + 1):
+            for t1 in by_size.get(s1, []):
+                for t2 in by_size.get(size - 1 - s1, []):
+                    add(t1 & t2, size)
+                    add(t1 | t2, size)
+                    add((~t1 | t2) & full, size)
+                    add((~t2 | t1) & full, size)
+                    add(~(t1 ^ t2) & full, size)
+    return classes, forall
+
+
+def _reference_subsets(structure, budget):
+    universe = structure.universe
+    u = len(universe)
+    if u == 0:
+        return frozenset({frozenset()})
+    classes, forall = _reference_classes(structure, budget)
+    defined = set()
+    for table in classes:
+        if any(forall(table, i) != table
+               for i in range(implicit._var_pool(budget))):
+            continue  # open formula; its closures were enumerated too
+        family = table & ((1 << (1 << u)) - 1)
+        if family and family & (family - 1) == 0:
+            s = family.bit_length() - 1
+            defined.add(frozenset(universe[j] for j in range(u)
+                                  if (s >> j) & 1))
+    return frozenset(defined)
+
+
+def _fresh_subsets(structure, budget):
+    implicit._memo.clear()
+    return implicit_subsets(structure, budget)
+
+
+def test_enumerator_matches_reference():
+    reference = {}
+    for r in range(5):
+        for universe in combinations(range(5), r):
+            for budget in range(9):
+                want = _reference_subsets(FinStructure(universe), budget)
+                reference[universe, budget] = want
+                assert _fresh_subsets(FinStructure(universe), budget) == \
+                    want, (universe, budget)
+    for budget in range(10):
+        levels = [frozenset()]
+        for _ in range(4):
+            universe = tuple(sorted(levels[-1]))
+            if (universe, budget) not in reference:
+                reference[universe, budget] = _reference_subsets(
+                    FinStructure(universe), budget)
+            levels.append(frozenset(set_of(s) for s in
+                                    reference[universe, budget]))
+        for n in range(1, 5):
+            implicit._memo.clear()
+            assert imp_levels(n, budget) == levels[:n + 1], (n, budget)
+
+
+def test_enumerator_classes_match_reference():
+    # the answers alone hardly see a lost class: most subsets have many
+    # defining formulas, and a parameter can stand for any free variable
+    for universe in ((0,), (0, 1), (1, 3), (0, 1, 2), (0, 2, 3),
+                     (0, 1, 2, 3)):
+        for budget in range(9 if len(universe) < 4 else 8):
+            structure = FinStructure(universe)
+            classes, forall = _reference_classes(structure, budget)
+            got = list(implicit._tables(structure, budget))
+            assert {t for t, _ in got} == set(classes), (universe, budget)
+            for t, free in got:
+                for i in range(implicit._var_pool(budget)):
+                    if not (free >> i) & 1:
+                        assert forall(t, i) == t, (universe, budget, free)
+
+
+def test_enumerator_saturates_on_v3():
+    v3 = FinStructure([0, 1, 2, 3])
+    powerset = frozenset(frozenset(c for c in range(4) if (s >> c) & 1)
+                         for s in range(16))
+    for budget in (11, 12, 13):
+        assert _fresh_subsets(v3, budget) == powerset
+    start = time.perf_counter()
+    assert _fresh_subsets(v3, 14) == powerset
+    assert time.perf_counter() - start < 10
+
+
+def test_cli_implicit_subsets_at_the_budget_cap(tmp_path, capsys):
+    implicit._memo.clear()
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"universe": [0, 1, 2, 3], "budget": 14}))
+    assert main(["eval", "implicit_subsets", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 16
+
+
+def test_budget_cap_is_checked_before_the_memo(monkeypatch):
+    monkeypatch.setitem(implicit._memo, (S2.universe, 15), frozenset())
+    with pytest.raises(ResourceError):
+        implicit_subsets(S2, 15)
+
+
+def test_memo_is_keyed_by_universe_and_bounded():
+    implicit._memo.clear()
+    first = implicit_subsets(FinStructure([1, 2, 0]), 6)
+    again = implicit_subsets(FinStructure([0, 1, 2]), 6)
+    assert again == first and again is first
+    for code in range(2 * implicit._MEMO_ENTRIES):
+        implicit_subsets(FinStructure([code]), 3)
+    assert len(implicit._memo) == implicit._MEMO_ENTRIES
+    assert ((2 * implicit._MEMO_ENTRIES - 1,), 3) in implicit._memo
 
 
 # -- hierarchies -----------------------------------------------------------
