@@ -41,7 +41,8 @@ def bits_str(b: Bits) -> str:
 
 def check_bits(b) -> Bits:
     b = tuple(b)
-    if any(x not in (0, 1) for x in b):
+    # every entry equals 0 or 1 exactly when the two counts cover them all
+    if b.count(0) + b.count(1) != len(b):
         raise PreconditionError(f"not a bit sequence: {b!r}")
     return b
 
@@ -96,11 +97,13 @@ def column(sigma: Bits, n: int) -> Bits:
     sigma = check_bits(sigma)
     if n < 0:
         raise PreconditionError("column index must be a natural")
+    # pair_index(n, m + 1) - pair_index(n, m) == n + m + 1
     out = []
-    m = 0
-    while pair_index(n, m) < len(sigma):
-        out.append(sigma[pair_index(n, m)])
-        m += 1
+    p, step = pair_index(n, 0), n + 1
+    while p < len(sigma):
+        out.append(sigma[p])
+        p += step
+        step += 1
     return tuple(out)
 
 

@@ -28,9 +28,10 @@ from itertools import product
 
 from .bitseq import (bits, bits_str, check_bits, column, pair_split,
                      split_pair, width)
-from .errors import AmalgamationError, IncompatibleError, PreconditionError
-from .trees import (SkeletonTree, _is_prefix, all_bitstrings, amalgamate,
-                    full_tree, subtree_leq)
+from .errors import (AmalgamationError, IncompatibleError, PreconditionError,
+                     ResourceError)
+from .trees import (MAX_SKELETON_ENTRIES, SkeletonTree, _is_prefix, _strings,
+                    amalgamate, full_tree, subtree_leq)
 
 SINGLE = "single"
 PAIR = "pair"
@@ -63,8 +64,8 @@ def full_pair() -> PairCondition:
 def pair_restrict(p: PairCondition, sigma) -> PairCondition:
     """Split sigma into its interleave halves and restrict componentwise."""
     left_addr, right_addr = split_pair(check_bits(sigma))
-    return PairCondition(p.left.restrict_cell(left_addr),
-                         p.right.restrict_cell(right_addr))
+    return PairCondition(p.left._restrict_cell(left_addr),
+                         p.right._restrict_cell(right_addr))
 
 
 def pair_leq(q: PairCondition, p: PairCondition) -> bool:
@@ -73,8 +74,9 @@ def pair_leq(q: PairCondition, p: PairCondition) -> bool:
 
 def pair_leq_n(q: PairCondition, p: PairCondition, n: int) -> bool:
     """Cellwise order at every interleaved index of length n."""
+    _check_cells("pair_leq_n", n)
     return all(pair_leq(pair_restrict(q, sigma), pair_restrict(p, sigma))
-               for sigma in all_bitstrings(n))
+               for sigma in _strings(n))
 
 
 def pair_amalgamate(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
@@ -84,6 +86,15 @@ def pair_amalgamate(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
     left_addr, right_addr = split_pair(sigma)
     return PairCondition(amalgamate(p.left, left_addr, q.left),
                          amalgamate(p.right, right_addr, q.right))
+
+
+def _check_cells(op, n):
+    """The graded orders compare 2^n pairs of restrictions; past the
+    bound amalgamate uses for skeleton entries, refuse before looping."""
+    if n > MAX_SKELETON_ENTRIES.bit_length() - 1:
+        raise ResourceError(
+            f"{op} would compare 2^{n} pairs of restrictions; the bound is "
+            f"{MAX_SKELETON_ENTRIES}")
 
 
 # -- schedules and generic contexts ------------------------------------------
@@ -210,7 +221,7 @@ def _complement_guards(guard):
     out = []
     for i, (k, addr) in enumerate(items):
         prefix = dict(items[:i])
-        for other in all_bitstrings(len(addr)):
+        for other in _strings(len(addr)):
             if other != addr:
                 out.append({**prefix, k: other})
     return out
@@ -232,7 +243,7 @@ def _table_is_partition(rows, beta):
         for k, addr in g.items():
             mention[k] = max(mention.get(k, 0), len(addr))
     keys = sorted(mention)
-    for combo in product(*(all_bitstrings(mention[k]) for k in keys)):
+    for combo in product(*(_strings(mention[k]) for k in keys)):
         assignment = dict(zip(keys, combo))
         hits = sum(
             all(_is_prefix(addr, assignment[k]) for k, addr in g.items())
@@ -272,6 +283,20 @@ class IterCondition:
         if context is not None:
             self._check_context(context)
 
+    @classmethod
+    def _trusted(cls, kinds, coords) -> "IterCondition":
+        """An iteration under FixedSchedule(kinds) with no commitments,
+        from tables that are valid by construction: guards with int keys
+        below their coordinate and nonempty bit-tuple addresses, payloads
+        of the coordinate's kind, rows forming a partition.  Nothing is
+        checked."""
+        cond = object.__new__(cls)
+        cond.schedule = FixedSchedule(kinds)
+        cond.context = GenericContext()
+        cond.kinds = kinds
+        cond.coords = tuple(tuple(rows) for rows in coords)
+        return cond
+
     @staticmethod
     def _check_payload(payload, kind, beta):
         want = SkeletonTree if kind == SINGLE else PairCondition
@@ -287,11 +312,11 @@ class IterCondition:
             ok = False
             for _, payload in self.coords[beta]:
                 if self.kinds[beta] == SINGLE:
-                    ok = ok or payload.contains(committed)
+                    ok = ok or payload._contains(committed)
                 else:
                     lhs, rhs = split_pair(committed)
-                    ok = ok or (payload.left.contains(lhs)
-                                and payload.right.contains(rhs))
+                    ok = ok or (payload.left._contains(lhs)
+                                and payload.right._contains(rhs))
             if not ok:
                 raise PreconditionError(
                     f"context commitment for coordinate {beta} is not a "
@@ -381,7 +406,7 @@ def _addresses(sigma, mode, length):
 
 def _restrict_payload(payload, addr, kind):
     if kind == SINGLE:
-        return payload.restrict_cell(addr)
+        return payload._restrict_cell(addr)
     return pair_restrict(payload, addr)
 
 
@@ -421,7 +446,7 @@ def iter_restrict(p: IterCondition, sigma, mode=COLUMN) -> IterCondition:
                 rows.append((residual,
                              _restrict_payload(payload, addrs[m], p.kinds[m])))
         new_coords.append(rows)
-    return IterCondition(FixedSchedule(p.kinds), new_coords)
+    return IterCondition._trusted(p.kinds, new_coords)
 
 
 def iter_leq(q: IterCondition, p: IterCondition) -> bool:
@@ -444,9 +469,10 @@ def iter_equal(q: IterCondition, p: IterCondition) -> bool:
 
 
 def iter_leq_n(q: IterCondition, p: IterCondition, n: int, mode=COLUMN) -> bool:
+    _check_cells("iter_leq_n", n)
     return all(
         iter_leq(iter_restrict(q, sigma, mode), iter_restrict(p, sigma, mode))
-        for sigma in all_bitstrings(n))
+        for sigma in _strings(n))
 
 
 def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
@@ -481,7 +507,7 @@ def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
                 if _guards_compatible(guard, comp):
                     rows.append((_guard_meet(guard, comp), payload))
         new_coords.append(rows)
-    return IterCondition(FixedSchedule(p.kinds), new_coords)
+    return IterCondition._trusted(p.kinds, new_coords)
 
 
 # -- product conditions --------------------------------------------------------
@@ -588,10 +614,11 @@ def prod_equal(q: ProductCondition, p: ProductCondition) -> bool:
 def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     """The graded order: every length-n index, distributed over sbar,
     restricts q to an extension of the matching restriction of p."""
+    _check_cells("prod_leq", n)
     return all(
         prod_extends(prod_restrict(q, sigma, sbar),
                      prod_restrict(p, sigma, sbar))
-        for sigma in all_bitstrings(n))
+        for sigma in _strings(n))
 
 
 def prod_amalgamate(p: ProductCondition, sigma, sbar,

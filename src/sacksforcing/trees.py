@@ -10,13 +10,32 @@ node and e(sigma + (i,)) extends e(sigma) + (i,).  The tree presented is
 the downward closure of { e(sigma) + rho : |sigma| = d, rho any string }.
 
 The same tree has many presentations (deepening a skeleton never changes
-the tree), so equality first reduces both sides to the canonical minimal
-presentation.
+the tree), so equality compares the canonical minimal presentations.
 
 Index strings address everything: rt(sigma) is the sigma-th splitting
 node also beyond the stored depth, restrict_cell(sigma) is the subtree of
 nodes comparable with rt(sigma), and splitting_level(n) collects the 2^n
 splitting nodes with index length n.
+
+Trees are validated once, at the boundary.  The public constructor and
+``from_json`` check every entry; the trees this module and the condition
+layer build themselves (deepen, canonical, restrict_cell, amalgamate, ...)
+are valid by construction and come from the private ``_trusted``
+constructor, which checks nothing.  Public methods check their bit-string
+arguments once and hand them to unchecked private twins (``_rt``,
+``_restrict_cell``, ``_contains``) that internal callers use directly.
+Trees are immutable, so each caches its canonical form and its hash the
+first time they are asked for, and ``==`` and ``hash`` reuse them.
+
+Two queries walk the skeleton instead of listing the frontier.
+``contains`` follows the node down the skeleton, taking at each splitting
+entry the branch the node's next bit dictates, so it costs O(depth)
+steps rather than a scan of all 2^depth frontier entries.
+``subtree_leq`` walks both skeletons together: the s-cell of sub lies in
+the t-cell of sup exactly when rt_sup(t) is a prefix of rt_sub(s) and,
+below sup's stored depth, the matching child cells are contained in turn;
+every step goes one level down sup's skeleton, so the cost is bounded by
+sup's skeleton and not by the length of its entries.
 """
 
 from __future__ import annotations
@@ -30,26 +49,53 @@ from .errors import (AmalgamationError, FusionError, PreconditionError,
 # amalgamate refuses to build a skeleton with more entries than this
 MAX_SKELETON_ENTRIES = 1 << 16
 
+# index strings of at most this length are built once and shared
+_CACHED_LENGTH = 10
+_STRINGS = {}
+_UPTO = {}
+
 
 def _is_prefix(a: Bits, b: Bits) -> bool:
     return len(a) <= len(b) and b[: len(a)] == a
 
 
+def _strings(n: int):
+    """All bit tuples of length exactly n, lexicographically, as a tuple."""
+    out = _STRINGS.get(n)
+    if out is None:
+        out = tuple(product((0, 1), repeat=n))
+        if n <= _CACHED_LENGTH:
+            _STRINGS[n] = out
+    return out
+
+
+def _upto(n: int):
+    """All bit tuples of length at most n, shortest first, as a tuple."""
+    out = _UPTO.get(n)
+    if out is None:
+        out = tuple(s for k in range(n + 1) for s in _strings(k))
+        if n <= _CACHED_LENGTH:
+            _UPTO[n] = out
+    return out
+
+
 def all_bitstrings(n: int):
     """All bit tuples of length exactly n, lexicographically."""
-    return [tuple(p) for p in product((0, 1), repeat=n)]
+    return list(_strings(n))
 
 
 def bitstrings_upto(n: int):
     """All bit tuples of length at most n, shortest first."""
-    out = []
-    for k in range(n + 1):
-        out.extend(all_bitstrings(k))
-    return out
+    return list(_upto(n))
+
+
+_set = object.__setattr__
 
 
 class SkeletonTree:
-    __slots__ = ("depth", "_skel")
+    # _canon is None until computed, False when this presentation is
+    # already minimal, else the minimal tree; _hash is None until computed
+    __slots__ = ("depth", "_skel", "_canon", "_hash")
 
     def __init__(self, depth: int, skeleton):
         if depth < 0:
@@ -57,18 +103,44 @@ class SkeletonTree:
         skel = {}
         for key, entry in skeleton.items():
             skel[check_bits(key)] = check_bits(entry)
-        expected = 2 ** (depth + 1) - 1
-        if len(skel) != expected:
+        # compare bit lengths first, so a huge depth never builds 2^depth
+        count = len(skel)
+        if count.bit_length() != depth + 1 or count != (2 << depth) - 1:
             raise PreconditionError(
                 f"skeleton must have one entry per index of length <= {depth}")
-        for sigma in bitstrings_upto(depth):
+        for sigma in _upto(depth):
             if sigma not in skel:
                 raise PreconditionError(f"missing skeleton index {sigma}")
             if sigma and not _is_prefix(skel[sigma[:-1]] + sigma[-1:], skel[sigma]):
                 raise PreconditionError(
                     f"entry at {sigma} does not extend its parent entry")
-        self.depth = depth
-        self._skel = skel
+        self._fill(depth, skel)
+
+    @classmethod
+    def _trusted(cls, depth: int, skel) -> "SkeletonTree":
+        """A tree from a skeleton that is valid by construction: a dict of
+        bit tuples with every index of length <= depth, each entry
+        extending its parent entry plus the last index bit.  Nothing is
+        checked, and the dict is taken over, not copied."""
+        tree = object.__new__(cls)
+        tree._fill(depth, skel)
+        return tree
+
+    def _fill(self, depth, skel):
+        _set(self, "depth", depth)
+        _set(self, "_skel", skel)
+        _set(self, "_canon", None)
+        _set(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SkeletonTree is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"SkeletonTree is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return SkeletonTree, (self.depth, dict(self._skel))
 
     # -- presentation --------------------------------------------------
 
@@ -83,33 +155,45 @@ class SkeletonTree:
         """Re-present the same tree with a deeper skeleton."""
         if depth < self.depth:
             raise PreconditionError("deepen cannot reduce the stored depth")
+        if depth == self.depth:
+            return self
         skel = dict(self._skel)
-        for sigma in bitstrings_upto(depth):
-            if len(sigma) > self.depth:
+        for k in range(self.depth + 1, depth + 1):
+            for sigma in _strings(k):
                 skel[sigma] = skel[sigma[:-1]] + sigma[-1:]
-        return SkeletonTree(depth, skel)
+        return SkeletonTree._trusted(depth, skel)
 
     def canonical(self) -> "SkeletonTree":
-        """The unique minimal-depth presentation of this tree."""
-        depth = self.depth
-        skel = dict(self._skel)
-        while depth > 0 and all(
-                skel[sigma] == skel[sigma[:-1]] + sigma[-1:]
-                for sigma in all_bitstrings(depth)):
-            for sigma in all_bitstrings(depth):
-                del skel[sigma]
-            depth -= 1
-        return SkeletonTree(depth, skel)
+        """The unique minimal-depth presentation of this tree.
+
+        Its depth is the longest index whose entry does more than extend
+        its parent entry by the index's last bit.  Computed once.
+        """
+        if self._canon is None:
+            skel = self._skel
+            depth = 0
+            for sigma, e in skel.items():
+                if len(sigma) > depth and len(e) != len(skel[sigma[:-1]]) + 1:
+                    depth = len(sigma)
+            canon = False
+            if depth < self.depth:
+                canon = SkeletonTree._trusted(depth, {
+                    s: e for s, e in skel.items() if len(s) <= depth})
+                _set(canon, "_canon", False)
+            _set(self, "_canon", canon)
+        return self._canon or self
 
     def __eq__(self, other):
         if not isinstance(other, SkeletonTree):
             return NotImplemented
         a, b = self.canonical(), other.canonical()
-        return a.depth == b.depth and a._skel == b._skel
+        return a is b or (a.depth == b.depth and a._skel == b._skel)
 
     def __hash__(self):
-        c = self.canonical()
-        return hash((c.depth, tuple(sorted(c._skel.items()))))
+        if self._hash is None:
+            c = self.canonical()
+            _set(self, "_hash", hash((c.depth, frozenset(c._skel.items()))))
+        return self._hash
 
     def __repr__(self):
         c = self.canonical()
@@ -124,20 +208,33 @@ class SkeletonTree:
         return self._skel[()]
 
     def contains(self, node) -> bool:
-        """Membership in the presented tree.
+        """Membership in the presented tree."""
+        return self._contains(check_bits(node))
 
-        A string is a node exactly when it is comparable with some
-        frontier skeleton entry: prefixes are picked up by downward
-        closure, extensions by the full binary tail.
-        """
-        node = check_bits(node)
-        return any(
-            _is_prefix(node, e) or _is_prefix(e, node)
-            for e in (self._skel[s] for s in all_bitstrings(self.depth)))
+    def _contains(self, node: Bits) -> bool:
+        """A string is a node exactly when it is comparable with some
+        frontier entry.  Every frontier entry below index sigma extends
+        e(sigma), so walk down from the root: a node that is a prefix of
+        e(sigma) is in, one incomparable with it is out, and one that
+        extends it can only meet the frontier below sigma + (its next
+        bit,).  A node extending a frontier entry is in the full tail."""
+        skel = self._skel
+        sigma = ()
+        while True:
+            e = skel[sigma]
+            if len(node) <= len(e):
+                return e[: len(node)] == node
+            if node[: len(e)] != e:
+                return False
+            if len(sigma) == self.depth:
+                return True
+            sigma += (node[len(e)],)
 
     def rt(self, sigma) -> Bits:
         """The sigma-th splitting node, for index strings of any length."""
-        sigma = check_bits(sigma)
+        return self._rt(check_bits(sigma))
+
+    def _rt(self, sigma: Bits) -> Bits:
         if len(sigma) <= self.depth:
             return self._skel[sigma]
         return self._skel[sigma[: self.depth]] + sigma[self.depth:]
@@ -145,14 +242,19 @@ class SkeletonTree:
     def splitting_level(self, n: int) -> frozenset:
         if n < 0:
             raise PreconditionError("level must be a natural")
-        return frozenset(self.rt(sigma) for sigma in all_bitstrings(n))
+        return frozenset(self._rt(sigma) for sigma in _strings(n))
 
     def restrict_cell(self, sigma) -> "SkeletonTree":
         """The subtree of nodes comparable with rt(sigma)."""
-        sigma = check_bits(sigma)
-        depth = max(self.depth - len(sigma), 0)
-        skel = {rho: self.rt(sigma + rho) for rho in bitstrings_upto(depth)}
-        return SkeletonTree(depth, skel)
+        return self._restrict_cell(check_bits(sigma))
+
+    def _restrict_cell(self, sigma: Bits) -> "SkeletonTree":
+        depth = self.depth - len(sigma)
+        if depth <= 0:
+            return SkeletonTree._trusted(0, {(): self._rt(sigma)})
+        skel = self._skel
+        return SkeletonTree._trusted(
+            depth, {rho: skel[sigma + rho] for rho in _upto(depth)})
 
     def restrict_node(self, tau) -> "SkeletonTree":
         """The subtree of nodes comparable with tau (tau must be a node).
@@ -162,13 +264,13 @@ class SkeletonTree:
         the direction tau dictates.
         """
         tau = check_bits(tau)
-        if not self.contains(tau):
+        if not self._contains(tau):
             raise PreconditionError(f"{bits_str(tau) or 'the empty string'} "
                                     f"is not a node of this tree")
         sigma = ()
-        while not _is_prefix(tau, self.rt(sigma)):
-            sigma = sigma + (tau[len(self.rt(sigma))],)
-        return self.restrict_cell(sigma)
+        while not _is_prefix(tau, e := self._rt(sigma)):
+            sigma = sigma + (tau[len(e)],)
+        return self._restrict_cell(sigma)
 
     # -- serialization --------------------------------------------------
 
@@ -189,42 +291,56 @@ class SkeletonTree:
 
 def full_tree() -> SkeletonTree:
     """The complete binary tree."""
-    return SkeletonTree(0, {(): ()})
+    return SkeletonTree._trusted(0, {(): ()})
 
 
 def node_set(tree: SkeletonTree, max_len: int):
     """All nodes of the tree up to the given length, as a set."""
-    out = set()
-    for nu in bitstrings_upto(max_len):
-        if tree.contains(nu):
-            out.add(nu)
-    return out
+    return {nu for nu in _upto(max_len) if tree._contains(nu)}
 
 
 def subtree_leq(sub: SkeletonTree, sup: SkeletonTree) -> bool:
     """Whether sub is a subtree (i.e. a subset of nodes) of sup.
 
-    Deepen sub until its frontier entries are longer than every skeleton
-    entry of sup; then sub is contained in sup iff each frontier entry is
-    a node of sup, because everything beyond sup's entries is either
-    outside sup or in its full binary tail.
+    Walk both skeletons from the roots, asking whether the s-cell of sub
+    lies in the t-cell of sup.  With a = rt_sub(s) and b = rt_sup(t):
+    unless b is a prefix of a, some node of the s-cell (a itself, or a
+    branch leaving a below b) is outside the t-cell.  Otherwise, at or
+    past sup's stored depth the t-cell is full above b and holds the
+    whole s-cell; before it, if a == b both cells split there and the two
+    child cells must match up, and if a goes past b the s-cell runs into
+    the one child of t that a's next bit names.
     """
-    max_len = max(len(e) for e in sup._skel.values())
-    frontier = [sub.rt(s) for s in all_bitstrings(sub.depth)]
-    extra = max(0, max_len + 1 - min(len(e) for e in frontier))
-    for sigma in all_bitstrings(sub.depth + extra):
-        if not sup.contains(sub.rt(sigma)):
+    stack = [((), ())]
+    while stack:
+        s, t = stack.pop()
+        a, b = sub._rt(s), sup._skel[t]
+        if not _is_prefix(b, a):
             return False
+        if len(t) == sup.depth:
+            continue
+        if len(a) == len(b):
+            stack.append((s + (0,), t + (0,)))
+            stack.append((s + (1,), t + (1,)))
+        else:
+            stack.append((s, t + (a[len(b)],)))
     return True
 
 
 def leq_n(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:
-    """Subtree order refined by agreement of splitting levels below n."""
+    """Subtree order refined by agreement of splitting levels below n.
+
+    Past both stored depths level m + 1 is {e + (i,) : e in level m}, so
+    levels that agree at the larger depth agree at every later one and
+    only the levels below min(n, larger depth + 1) are compared.
+    """
     if n < 0:
         raise PreconditionError("level must be a natural")
     if not subtree_leq(sub, sup):
         return False
-    return all(sub.splitting_level(m) == sup.splitting_level(m) for m in range(n))
+    top = min(n, max(sub.depth, sup.depth) + 1)
+    return all(sub.splitting_level(m) == sup.splitting_level(m)
+               for m in range(top))
 
 
 def leq_n_cellwise(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:
@@ -234,8 +350,8 @@ def leq_n_cellwise(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:
     if n < 0:
         raise PreconditionError("level must be a natural")
     return all(
-        subtree_leq(sub.restrict_cell(sigma), sup.restrict_cell(sigma))
-        for sigma in all_bitstrings(n))
+        subtree_leq(sub._restrict_cell(sigma), sup._restrict_cell(sigma))
+        for sigma in _strings(n))
 
 
 def amalgamate(tree: SkeletonTree, sigma, graft: SkeletonTree) -> SkeletonTree:
@@ -256,16 +372,16 @@ def amalgamate(tree: SkeletonTree, sigma, graft: SkeletonTree) -> SkeletonTree:
         raise ResourceError(
             f"amalgamate would build {entries} skeleton entries; the bound "
             f"is {MAX_SKELETON_ENTRIES}")
-    if not subtree_leq(graft, tree.restrict_cell(sigma)):
+    if not subtree_leq(graft, tree._restrict_cell(sigma)):
         raise AmalgamationError(
             f"graft is not a subtree of the {bits_str(sigma) or 'root'} cell")
     skel = {}
-    for rho in bitstrings_upto(n + extra):
+    for rho in _upto(n + extra):
         if len(rho) >= n and rho[:n] == sigma:
-            skel[rho] = graft.rt(rho[n:])
+            skel[rho] = graft._rt(rho[n:])
         else:
-            skel[rho] = tree.rt(rho)
-    return SkeletonTree(n + extra, skel)
+            skel[rho] = tree._rt(rho)
+    return SkeletonTree._trusted(n + extra, skel)
 
 
 def fusion_prefix(seq, schedule, n: int) -> SkeletonTree:
@@ -294,7 +410,7 @@ def fusion_prefix(seq, schedule, n: int) -> SkeletonTree:
                 raise FusionError(
                     f"levels below {j} move at step {m}, after schedule[{j}]")
     base = seq[schedule[n]]
-    return SkeletonTree(n, {rho: base.rt(rho) for rho in bitstrings_upto(n)})
+    return SkeletonTree._trusted(n, {rho: base._rt(rho) for rho in _upto(n)})
 
 
 def enumerate_trees(max_depth: int, slack: int):
@@ -307,20 +423,20 @@ def enumerate_trees(max_depth: int, slack: int):
     """
     out = []
     for depth in range(max_depth + 1):
-        edges = [sigma for sigma in bitstrings_upto(depth) if sigma]
+        edges = _upto(depth)[1:]
 
         def assign(i, budget, skel):
             if i == len(edges):
-                out.append(SkeletonTree(depth, dict(skel)))
+                out.append(SkeletonTree._trusted(depth, dict(skel)))
                 return
             sigma = edges[i]
             base = skel[sigma[:-1]] + sigma[-1:]
-            for ext in bitstrings_upto(budget):
+            for ext in _upto(budget):
                 skel[sigma] = base + ext
                 assign(i + 1, budget - len(ext), skel)
             del skel[sigma]
 
-        for stem in bitstrings_upto(slack):
+        for stem in _upto(slack):
             assign(0, slack - len(stem), {(): stem})
     return out
 
@@ -328,10 +444,10 @@ def enumerate_trees(max_depth: int, slack: int):
 def tree_dot(tree: SkeletonTree) -> str:
     """Deterministic DOT rendering of the skeleton (indices as nodes)."""
     lines = ["digraph tree {", "  rankdir=TB;"]
-    idx = sorted(bitstrings_upto(tree.depth), key=lambda s: (len(s), s))
+    idx = _upto(tree.depth)
     for sigma in idx:
         name = bits_str(sigma) or "root"
-        label = bits_str(tree.entry(sigma)) or "()"
+        label = bits_str(tree._skel[sigma]) or "()"
         lines.append(f'  "{name}" [label="{label}"];')
     for sigma in idx:
         if sigma:

@@ -162,6 +162,68 @@ def test_eval_amalgamate_past_the_skeleton_bound(tmp_path, capsys):
     assert "65536" in err
 
 
+LEAF = {"depth": 0, "skeleton": {"": ""}}
+LONG_STEM = {"depth": 0, "skeleton": {"": "0" * 24}}
+
+
+def test_eval_subtree_leq_against_a_long_stem(tmp_path, capsys):
+    start = time.perf_counter()
+    result = run_eval(tmp_path, "subtree_leq",
+                      {"sub": LEAF, "sup": LONG_STEM}, capsys)
+    assert time.perf_counter() - start < 2
+    assert result == (0, "false", "")
+
+
+def test_eval_amalgamate_into_a_long_stem(tmp_path, capsys):
+    graft = {"depth": 0, "skeleton": {"": "0" * 24 + "10"}}
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "amalgamate",
+                              {"tree": LONG_STEM, "sigma": "1",
+                               "graft": graft}, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"depth": 1, "skeleton": {
+        "": "0" * 24, "0": "0" * 25, "1": "0" * 24 + "10"}}
+
+
+def test_eval_leq_n_at_a_huge_level(tmp_path, capsys):
+    tree = {"depth": 1, "skeleton": {"": "0", "0": "00", "1": "011"}}
+    start = time.perf_counter()
+    result = run_eval(tmp_path, "leq_n",
+                      {"sub": tree, "sup": tree, "n": 10 ** 6}, capsys)
+    assert time.perf_counter() - start < 2
+    assert result == (0, "true", "")
+
+
+ITER = {"kind": "iter", "schedule": {"kinds": ["single"]},
+        "coords": [[{"guard": {}, "payload": LEAF}]]}
+PRODUCT = {"kind": "product", "coords": [{"index": 0, "cond": ITER}]}
+
+
+@pytest.mark.parametrize("op, payload", [
+    ("iter_leq_n", {"q": ITER, "p": ITER, "n": 40}),
+    ("prod_leq", {"q": PRODUCT, "p": PRODUCT, "n": 40, "sbar": [0]}),
+])
+def test_eval_graded_order_past_the_bound(tmp_path, capsys, op, payload):
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, op, payload, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ResourceError: {op} would compare 2^40 ")
+    assert "65536" in err
+
+
+def test_eval_tree_with_a_huge_depth(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run_eval(
+        tmp_path, "rt",
+        {"tree": {"depth": 10 ** 18, "skeleton": {"": ""}}, "sigma": "0"},
+        capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("PreconditionError: skeleton must have one entry")
+
+
 def test_eval_parse_deep_nesting_is_a_parse_error(tmp_path, capsys):
     start = time.perf_counter()
     code, out, err = run_eval(tmp_path, "parse",

@@ -4,7 +4,7 @@ import pytest
 
 from sacksforcing.bitseq import bits, column, join_family, join_pair, width
 from sacksforcing.errors import (
-    AmalgamationError, IncompatibleError, PreconditionError,
+    AmalgamationError, IncompatibleError, PreconditionError, ResourceError,
 )
 from sacksforcing.conditions import (
     COLUMN, PAIR, PAIRWISE, SINGLE,
@@ -471,3 +471,16 @@ def test_product_json_round_trip():
 def test_full_iter_recognition():
     assert is_full_iter(full_iter([SINGLE, PAIR]))
     assert not is_full_iter(iter_of(T1))
+
+
+def test_graded_orders_refuse_past_the_bound():
+    # 2^16 pairs of restrictions is the most the graded orders compare
+    pair = PairCondition(F, F)
+    product = ProductCondition({0: iter_of(F)})
+    for call in (lambda n: pair_leq_n(pair, pair, n),
+                 lambda n: iter_leq_n(P2, P2, n, PAIRWISE),
+                 lambda n: prod_leq(product, product, n, [0])):
+        with pytest.raises(ResourceError, match="2\\^17 pairs.*65536"):
+            call(17)
+        with pytest.raises(ResourceError, match="2\\^1000000 pairs"):
+            call(10 ** 6)

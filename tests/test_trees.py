@@ -1,8 +1,18 @@
+import copy
+import pickle
+import time
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sacksforcing.bitseq import bits
+from sacksforcing.bitseq import bits, width
+from sacksforcing.conditions import (
+    COLUMN, PAIRWISE, SINGLE, FixedSchedule, IterCondition, PairCondition,
+    ProductCondition, iter_amalgamate, iter_restrict, plain_iter,
+    prod_amalgamate, prod_restrict,
+)
 from sacksforcing.errors import (
     AmalgamationError, FusionError, PreconditionError,
 )
@@ -367,3 +377,188 @@ def test_tree_dot_is_deterministic():
     assert out.startswith("digraph tree {")
     assert '"root" [label="0"];' in out
     assert '"root" -> "0";' in out
+
+
+# -- fast paths against the frontier-listing reference ------------------------
+
+def _reference_contains(tree, node):
+    """Membership by scanning every frontier entry."""
+    return any(
+        e[: len(node)] == node or node[: len(e)] == e
+        for e in (tree.entry(s) for s in all_bitstrings(tree.depth)))
+
+
+def _reference_subtree_leq(sub, sup):
+    """Deepen sub until its frontier entries are longer than every
+    skeleton entry of sup; then sub lies in sup iff each of them is a node
+    of sup."""
+    max_len = max(len(e) for e in sup.skeleton.values())
+    frontier = [sub.rt(s) for s in all_bitstrings(sub.depth)]
+    extra = max(0, max_len + 1 - min(len(e) for e in frontier))
+    return all(_reference_contains(sup, sub.rt(sigma))
+               for sigma in all_bitstrings(sub.depth + extra))
+
+
+def _reference_canonical(tree):
+    """The minimal presentation as (depth, sorted entries), by dropping
+    trivial deepest levels one at a time."""
+    depth, skel = tree.depth, tree.skeleton
+    while depth > 0 and all(skel[s] == skel[s[:-1]] + s[-1:]
+                            for s in all_bitstrings(depth)):
+        for s in all_bitstrings(depth):
+            del skel[s]
+        depth -= 1
+    return depth, sorted(skel.items())
+
+
+def _reference_leq_n(sub, sup, n):
+    """The graded order comparing every splitting level below n."""
+    return subtree_leq(sub, sup) and all(
+        sub.splitting_level(m) == sup.splitting_level(m) for m in range(n))
+
+
+DIFF_FAMILY = enumerate_trees(2, 2) + enumerate_trees(3, 1)
+
+
+def test_subtree_leq_matches_reference():
+    assert len(DIFF_FAMILY) ** 2 == 48841
+    for sub in DIFF_FAMILY:
+        for sup in DIFF_FAMILY:
+            assert subtree_leq(sub, sup) == _reference_subtree_leq(sub, sup), \
+                (sub.to_json(), sup.to_json())
+
+
+def test_contains_matches_reference():
+    for tree in DIFF_FAMILY:
+        for nu in bitstrings_upto(6):
+            assert tree.contains(nu) == _reference_contains(tree, nu), \
+                (tree.to_json(), nu)
+
+
+def test_equality_hash_and_cells_match_reference():
+    forms = [_reference_canonical(t) for t in DIFF_FAMILY]
+    for a, fa in zip(DIFF_FAMILY, forms):
+        c = a.canonical()
+        assert (c.depth, sorted(c.skeleton.items())) == fa
+        for b, fb in zip(DIFF_FAMILY, forms):
+            assert (a == b) == (fa == fb)
+            if fa == fb:
+                assert hash(a) == hash(b)
+        for sigma in bitstrings_upto(3):
+            depth = max(a.depth - len(sigma), 0)
+            assert a.restrict_cell(sigma).skeleton == {
+                rho: a.rt(sigma + rho) for rho in bitstrings_upto(depth)}
+
+
+def test_leq_n_matches_all_levels():
+    trees = enumerate_trees(2, 2)
+    for sub in trees:
+        for sup in trees:
+            for n in range(7):
+                assert leq_n(sub, sup, n) == _reference_leq_n(sub, sup, n), \
+                    (sub.to_json(), sup.to_json(), n)
+
+
+def test_leq_n_cost_does_not_grow_with_n():
+    tree = T1.deepen(2)
+    start = time.perf_counter()
+    assert leq_n(tree, T1, 10 ** 6)
+    assert not leq_n(T1.restrict_cell(bits("0")), T1, 10 ** 6)
+    assert time.perf_counter() - start < 1
+
+
+def test_subtree_leq_cost_is_bounded_by_the_skeleton():
+    # a leaf against a tree with a long stem, both ways round
+    long_stem = make_tree(0, {"": "0" * 10000})
+    start = time.perf_counter()
+    assert not subtree_leq(full_tree(), long_stem)
+    assert subtree_leq(long_stem, full_tree())
+    assert subtree_leq(long_stem.restrict_cell(bits("1")), long_stem)
+    assert time.perf_counter() - start < 1
+
+
+# -- immutability and the trusted constructor ---------------------------------
+
+def test_trees_are_immutable():
+    tree = T1.deepen(2)
+    before = (tree.canonical(), hash(tree))
+    for name, value in (("depth", 1), ("_skel", {(): ()}), ("_canon", None),
+                        ("_hash", 0)):
+        with pytest.raises(AttributeError):
+            setattr(tree, name, value)
+        with pytest.raises(AttributeError):
+            delattr(tree, name)
+    tree.skeleton[()] = bits("1")      # a copy: the tree is unchanged
+    assert (tree.canonical(), hash(tree)) == before
+    assert tree.depth == 2 and tree == T1
+    assert copy.copy(tree) == tree
+    assert pickle.loads(pickle.dumps(tree)) == tree
+
+
+def _revalidate(value):
+    """Rebuild a value through the public constructors, which check every
+    skeleton entry and every guard partition, and compare."""
+    if isinstance(value, SkeletonTree):
+        again = SkeletonTree(value.depth, value.skeleton)
+        assert again.skeleton == value.skeleton
+        assert again == value
+    elif isinstance(value, PairCondition):
+        _revalidate(value.left)
+        _revalidate(value.right)
+    elif isinstance(value, IterCondition):
+        again = IterCondition(FixedSchedule(value.kinds), value.coords)
+        assert again.coords == value.coords
+        for table in value.coords:
+            for _, payload in table:
+                _revalidate(payload)
+    else:
+        for i in value.support:
+            _revalidate(value.coordinate(i))
+
+
+def test_built_values_pass_the_public_constructors():
+    built = 0
+    trees = enumerate_trees(2, 2)
+    for tree in trees:
+        _revalidate(tree)
+        for d in range(tree.depth, tree.depth + 2):
+            _revalidate(tree.deepen(d))
+        _revalidate(tree.deepen(tree.depth + 1).canonical())
+        for sigma in bitstrings_upto(3):
+            _revalidate(tree.restrict_cell(sigma))
+        for n in range(3):
+            for sigma in all_bitstrings(n):
+                for b in all_bitstrings(1):
+                    graft = tree.restrict_cell(sigma + b)
+                    _revalidate(amalgamate(tree, sigma, graft))
+                    built += 1
+    # the iteration fixture of criterion 4
+    full = full_tree()
+    t_prime = make_tree(1, {"": "1", "0": "10", "1": "11"})
+    p = plain_iter([SINGLE, SINGLE], [full, t_prime])
+    q = plain_iter([SINGLE, SINGLE],
+                   [full.restrict_cell(bits("00")), make_tree(0, {"": "100"})])
+    for mode in (COLUMN, PAIRWISE):
+        for sigma in bitstrings_upto(4):
+            _revalidate(iter_restrict(p, sigma, mode))
+            built += 1
+    r = iter_amalgamate(p, bits("00"), q, PAIRWISE)
+    _revalidate(r)
+    for sigma in bitstrings_upto(4):
+        _revalidate(iter_restrict(r, sigma, PAIRWISE))
+    # the product fixtures of criterion 5
+    small = list({t.canonical(): None for t in enumerate_trees(1, 1)})
+    for support in ((0,), (0, 1)):
+        sbar = list(support)
+        for assign in product(small, repeat=len(support)):
+            p = ProductCondition({i: plain_iter([SINGLE], [t])
+                                  for i, t in zip(support, assign)})
+            for sigma in bitstrings_upto(2):
+                for ext in bitstrings_upto(1):
+                    if width(len(sigma + ext)) > len(sbar):
+                        continue
+                    q = prod_restrict(p, sigma + ext, sbar)
+                    _revalidate(q)
+                    _revalidate(prod_amalgamate(p, sigma, sbar, q))
+                    built += 1
+    assert built > 1000
