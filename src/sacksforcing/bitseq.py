@@ -20,19 +20,18 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 
 Bits = tuple[int, ...]
 
 
 def bits(text: str) -> Bits:
     """Parse a string over {0,1} into a bit tuple ("" gives the empty one)."""
-    out = []
-    for ch in text:
-        if ch not in "01":
-            raise PreconditionError(f"not a bit string: {text!r}")
-        out.append(int(ch))
-    return tuple(out)
+    if not isinstance(text, str):
+        raise InputError(f"not a bit string: {text!r}")
+    if text.strip("01"):
+        raise PreconditionError(f"not a bit string: {text!r}")
+    return tuple(map(int, text))
 
 
 def bits_str(b: Bits) -> str:

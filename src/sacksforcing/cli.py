@@ -7,23 +7,28 @@ degree poset as deterministic DOT.  Exit codes: 0 pass, 1 operation or
 property failure, 2 usage error.
 
 The payload schema of ``eval`` is data: the operation table ``_OPS``.
+The library's ``from_json`` decoders check the shape of each tree,
+condition, recipe, pattern and census field.  The parser is built once
+per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .bitseq import (bits_str, column, join_family, join_pair, pair_index,
                      pair_split, split_pair, width)
-from .conditions import (condition_from_json, iter_amalgamate, iter_equal,
-                         iter_leq, iter_leq_n, iter_restrict, prod_amalgamate,
-                         prod_extends, prod_leq, prod_restrict)
+from .conditions import (condition_from_json, index_from_json,
+                         iter_amalgamate, iter_equal, iter_leq, iter_leq_n,
+                         iter_restrict, prod_amalgamate, prod_extends,
+                         prod_leq, prod_restrict)
 from .degrees import (DegreePoset, Ordinal2, ScPattern, TowerCensus,
-                      TowerRecipe, census_decode, census_encode, poset_dot,
-                      sc_census_decode, sc_census_encode, sc_decode,
-                      sc_pattern, sc_schedule, tower_degrees)
+                      TowerRecipe, _naturals, census_decode, census_encode,
+                      poset_dot, sc_census_decode, sc_census_encode,
+                      sc_decode, sc_pattern, sc_schedule, tower_degrees)
 from .errors import EngineError, InputError
 from .implicit import (FinStructure, eval_formula, formula_size,
                        formula_text, free_vars, imp_levels, implicit_subsets,
@@ -66,34 +71,18 @@ def _ints(v, name):
     return v
 
 
-def _universe(v, name):
-    return FinStructure(_ints(v, name))
+# the library decoders take (JSON value, name) too and check the shape
+_tree, _condition = SkeletonTree.from_json, condition_from_json
 
 
-def _decoded(from_json, what):
-    def read(v, name):
-        try:
-            return from_json(v)
-        except EngineError:
-            raise
-        except (TypeError, ValueError, KeyError, AttributeError) as e:
-            raise InputError(f"{name}: not {what} ({e})")
-    return read
+def _pattern(v, name):      # the pattern object, or its bare level list
+    return ScPattern.from_json(v if isinstance(v, dict) else {"levels": v},
+                               name)
 
 
-_tree = _decoded(SkeletonTree.from_json, "a tree presentation")
-_condition = _decoded(condition_from_json, "a condition")
-_degree_poset = _decoded(lambda v: DegreePoset(v["nodes"], v["edges"]),
-                         "a poset")
-
-
-def _poset(v, name):
-    for field in ("nodes", "edges"):
-        if not isinstance(v[field], list):
-            raise InputError(f"{name}: {field}: expected a list")
-    if any(not isinstance(e, list) or len(e) != 2 for e in v["edges"]):
-        raise InputError(f"{name}: edges: expected [lower, upper] pairs")
-    return _degree_poset(v, name)
+def _census(v, name):       # the census object, or its bare entry list
+    return TowerCensus.from_json(
+        v if isinstance(v, dict) else {"entries": v}, name)
 
 
 def _mode(v, name):
@@ -102,18 +91,10 @@ def _mode(v, name):
     return v
 
 
-def _index(v, name):
-    if isinstance(v, bool) or not isinstance(v, (int, str, list)):
-        raise InputError(f"{name}: indices are integers, strings, or lists")
-    if isinstance(v, list):
-        return tuple(_index(c, name) for c in v)
-    return v
-
-
 def _sbar(v, name):
     if not isinstance(v, list):
         raise InputError(f"{name}: expected a list of indices")
-    return [_index(c, name) for c in v]
+    return [index_from_json(c, name) for c in v]
 
 
 def _formula(v, name):
@@ -122,45 +103,14 @@ def _formula(v, name):
     return parse_formula(v)
 
 
-def _recipe(v, name):
-    if not isinstance(v, list) or any(k not in ("single", "pair") for k in v):
-        raise InputError(f"{name}: expected a list of \"single\"/\"pair\"")
-    return TowerRecipe(tuple(v))
-
-
-def _pattern(v, name):
-    levels = v.get("levels") if isinstance(v, dict) else v
-    if not isinstance(levels, list) or any(
-            lv not in ("line", "diamond") for lv in levels):
-        raise InputError(f"{name}: expected a list of \"line\"/\"diamond\"")
-    return ScPattern(tuple(levels))
-
-
-def _census(v, name):
-    entries = v.get("entries") if isinstance(v, dict) else v
-    if not isinstance(entries, list):
-        raise InputError(f"{name}: expected an entry list")
-    out = {}
-    for i, entry in enumerate(entries):
-        try:
-            (a, b), verdict = entry
-            out[Ordinal2(a, b)] = verdict
-        except (TypeError, ValueError):
-            raise InputError(f"{name}[{i}]: expected [[a, b], verdict]")
-    return TowerCensus(out)
-
-
 def _bit_function(v, name):
     if not isinstance(v, list):
         raise InputError(f"{name}: expected a list of [a, n, bit] triples")
-    out = {}
     for i, entry in enumerate(v):
-        try:
-            a, n, bit = entry
-            out[Ordinal2(a, n)] = bit
-        except (TypeError, ValueError):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and _naturals(entry[:2], 2)):
             raise InputError(f"{name}[{i}]: expected [a, n, bit]")
-    return out
+    return {Ordinal2(a, n): bit for a, n, bit in v}
 
 
 def _verdicts(v, name):
@@ -176,11 +126,6 @@ def _verdicts(v, name):
 
 def _pair_split(k):
     return list(pair_split(k))      # _encode prints a 0/1 tuple as bits
-
-
-def _tower_degrees(recipe):
-    poset = tower_degrees(recipe)
-    return {"nodes": list(poset.nodes), "edges": list(poset.edges)}
 
 
 def _sc_decode(pattern):
@@ -202,7 +147,9 @@ def _parse(f):
 # a field is (name, reader) or (name, reader, default) when it is optional
 _SIGMA, _N, _TREE = ("sigma", _bits), ("n", _nat), ("tree", _tree)
 _Q, _P, _SBAR = ("q", _condition), ("p", _condition), ("sbar", _sbar)
-_FORMULA, _UNIVERSE = ("formula", _formula), ("universe", _universe)
+_FORMULA = ("formula", _formula)
+_UNIVERSE = ("universe", lambda v, name: FinStructure(_ints(v, name)))
+_KINDS = ("kinds", lambda v, name: TowerRecipe.from_json({"kinds": v}, name))
 _MODE, _PARAMS = ("mode", _mode, "column"), ("params", _ints, ())
 
 _OPS = {
@@ -231,9 +178,9 @@ _OPS = {
     "prod_extends": (prod_extends, [_Q, _P]),
     "prod_leq": (prod_leq, [_Q, _P, _N, _SBAR]),
     "prod_amalgamate": (prod_amalgamate, [_P, _SIGMA, _SBAR, _Q]),
-    "tower_degrees": (_tower_degrees, [("kinds", _recipe)]),
+    "tower_degrees": (tower_degrees, [_KINDS]),
     "sc_schedule": (sc_schedule, [_N, ("g", _bits), ("length", _pos)]),
-    "sc_pattern": (sc_pattern, [("kinds", _recipe)]),
+    "sc_pattern": (sc_pattern, [_KINDS]),
     "sc_decode": (_sc_decode, [("pattern", _pattern)]),
     "census_encode": (census_encode, [("x", _bit_function),
                                       ("limit_bound", _pos),
@@ -287,11 +234,22 @@ def _apply(op, payload):
 
 # -- subcommands --------------------------------------------------------------
 
-def _load_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _run(path, work):
+    """(0, work(the JSON at path)), or (1, None) after printing why not."""
+    try:
+        if path == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return 1, None
+    try:
+        return 0, work(obj)
+    except EngineError as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return 1, None
 
 
 def cmd_verify(args):
@@ -315,44 +273,30 @@ def cmd_eval(args, parser):
     if args.op not in _OPS:
         parser.error(f"unknown operation {args.op!r}; "
                      f"known: {', '.join(sorted(_OPS))}")
-    try:
-        payload = _load_json(args.input)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 1
-    try:
-        result = _apply(args.op, payload)
-    except EngineError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    print(json.dumps(result, sort_keys=True))
-    return 0
+    code, result = _run(args.input, lambda payload: _apply(args.op, payload))
+    if code == 0:
+        print(json.dumps(result, sort_keys=True))
+    return code
+
+
+def _dot(obj, parser):
+    if isinstance(obj, dict) and "skeleton" in obj:
+        return tree_dot(SkeletonTree.from_json(obj))
+    if isinstance(obj, dict) and "kinds" in obj:
+        return poset_dot(tower_degrees(TowerRecipe.from_json(obj)))
+    if isinstance(obj, dict) and "nodes" in obj and "edges" in obj:
+        return poset_dot(DegreePoset(obj["nodes"], obj["edges"]))
+    parser.error("object is neither a tree, a recipe, nor a poset")
 
 
 def cmd_dot(args, parser):
-    try:
-        obj = _load_json(args.object)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 1
-    try:
-        if isinstance(obj, dict) and "skeleton" in obj:
-            text = tree_dot(_tree(obj, "tree"))
-        elif isinstance(obj, dict) and "kinds" in obj:
-            text = poset_dot(tower_degrees(_recipe(obj["kinds"], "kinds")))
-        elif isinstance(obj, dict) and "nodes" in obj and "edges" in obj:
-            text = poset_dot(_poset(obj, "poset"))
-        else:
-            parser.error("object is neither a tree, a recipe, nor a poset")
-    except EngineError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    if args.out == "-":
+    code, text = _run(args.object, lambda obj: _dot(obj, parser))
+    if code == 0 and args.out == "-":
         sys.stdout.write(text)
-    else:
+    elif code == 0:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return 0
+    return code
 
 
 def _seed(text):
@@ -362,6 +306,7 @@ def _seed(text):
     return value
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sacksforcing",

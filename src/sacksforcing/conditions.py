@@ -28,9 +28,9 @@ from itertools import product
 
 from .bitseq import (bits, bits_str, check_bits, column, pair_split,
                      split_pair, width)
-from .errors import (AmalgamationError, IncompatibleError, PreconditionError,
-                     ResourceError)
-from .trees import (MAX_SKELETON_ENTRIES, SkeletonTree, _is_prefix, _strings,
+from .errors import (AmalgamationError, IncompatibleError, InputError,
+                     PreconditionError, json_fields)
+from .trees import (SkeletonTree, _check_cells, _is_prefix, _strings,
                     amalgamate, full_tree, subtree_leq)
 
 SINGLE = "single"
@@ -52,9 +52,10 @@ class PairCondition:
                 "right": self.right.to_json()}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(SkeletonTree.from_json(data["left"]),
-                   SkeletonTree.from_json(data["right"]))
+    def from_json(cls, data, name="condition"):
+        left, right = json_fields(data, name, "left", "right")
+        return cls(SkeletonTree.from_json(left, f"{name}.left"),
+                   SkeletonTree.from_json(right, f"{name}.right"))
 
 
 def full_pair() -> PairCondition:
@@ -86,15 +87,6 @@ def pair_amalgamate(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
     left_addr, right_addr = split_pair(sigma)
     return PairCondition(amalgamate(p.left, left_addr, q.left),
                          amalgamate(p.right, right_addr, q.right))
-
-
-def _check_cells(op, n):
-    """The graded orders compare 2^n pairs of restrictions; past the
-    bound amalgamate uses for skeleton entries, refuse before looping."""
-    if n > MAX_SKELETON_ENTRIES.bit_length() - 1:
-        raise ResourceError(
-            f"{op} would compare 2^{n} pairs of restrictions; the bound is "
-            f"{MAX_SKELETON_ENTRIES}")
 
 
 # -- schedules and generic contexts ------------------------------------------
@@ -169,16 +161,28 @@ class GenericContext:
     def to_json(self):
         return {str(k): bits_str(v) for k, v in sorted(self.commitments.items())}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({int(k): bits(v) for k, v in data.items()})
+
+def _int_keyed(data, name):
+    """A JSON object of bit strings keyed by integers, decoded."""
+    json_fields(data, name)
+    try:
+        keys = [int(k) for k in data]
+    except ValueError:
+        raise InputError(f"{name}: keys must be integers") from None
+    return {k: bits(v) for k, v in zip(keys, data.values())}
 
 
-def schedule_from_json(data):
+def schedule_from_json(data, name="schedule"):
+    json_fields(data, name)
     if "kinds" in data:
+        if not isinstance(data["kinds"], list):
+            raise InputError(f"{name}.kinds: expected a list")
         return FixedSchedule(data["kinds"])
     if "sc" in data:
-        return ScSchedule(data["sc"], data["length"])
+        n, length = json_fields(data, name, "sc", "length")
+        if type(n) is not int or type(length) is not int:
+            raise InputError(f"{name}: sc and length must be integers")
+        return ScSchedule(n, length)
     raise PreconditionError("schedule JSON needs 'kinds' or 'sc'")
 
 
@@ -260,22 +264,28 @@ class IterCondition:
     """A finite iteration condition: one guarded table per coordinate."""
 
     def __init__(self, schedule, coords, context: GenericContext | None = None):
+        # the coordinate count comes first: it bounds the schedule's length
+        coords = [list(table) for table in coords]
+        if len(coords) != schedule.length:
+            raise PreconditionError(
+                f"expected {schedule.length} coordinates, got {len(coords)}")
         self.schedule = schedule
         ctx = context or GenericContext()
         self.context = ctx
         self.kinds = tuple(
             schedule.kind(beta, ctx.view_below(beta))
             for beta in range(schedule.length))
-        coords = [list(table) for table in coords]
-        if len(coords) != schedule.length:
-            raise PreconditionError(
-                f"expected {schedule.length} coordinates, got {len(coords)}")
         cooked = []
         for beta, table in enumerate(coords):
             rows = []
             for guard, payload in table:
                 guard = _check_guard(guard, beta)
-                self._check_payload(payload, self.kinds[beta], beta)
+                want = SkeletonTree if self.kinds[beta] == SINGLE \
+                    else PairCondition
+                if not isinstance(payload, want):
+                    raise PreconditionError(
+                        f"coordinate {beta} is {self.kinds[beta]} but "
+                        f"payload is {type(payload).__name__}")
                 rows.append((guard, payload))
             _table_is_partition(rows, beta)
             cooked.append(tuple(rows))
@@ -296,14 +306,6 @@ class IterCondition:
         cond.kinds = kinds
         cond.coords = tuple(tuple(rows) for rows in coords)
         return cond
-
-    @staticmethod
-    def _check_payload(payload, kind, beta):
-        want = SkeletonTree if kind == SINGLE else PairCondition
-        if not isinstance(payload, want):
-            raise PreconditionError(
-                f"coordinate {beta} is {kind} but payload is "
-                f"{type(payload).__name__}")
 
     def _check_context(self, context):
         for beta, committed in context.commitments.items():
@@ -334,37 +336,37 @@ class IterCondition:
         return table[0][1]
 
     def to_json(self):
-        def payload_json(payload):
-            return payload.to_json()
-
         return {
             "kind": "iter",
             "schedule": self.schedule.to_json(),
             "context": self.context.to_json(),
             "coords": [
                 [{"guard": {str(k): bits_str(v) for k, v in g.items()},
-                  "payload": payload_json(pay)}
+                  "payload": pay.to_json()}
                  for g, pay in table]
                 for table in self.coords],
         }
 
     @classmethod
-    def from_json(cls, data):
-        schedule = schedule_from_json(data["schedule"])
-        context = GenericContext.from_json(data.get("context", {}))
-        coords = []
-        for table in data["coords"]:
-            rows = []
-            for row in table:
-                guard = {int(k): bits(v) for k, v in row["guard"].items()}
-                pj = row["payload"]
-                if isinstance(pj, dict) and pj.get("kind") == "pair":
-                    payload = PairCondition.from_json(pj)
-                else:
-                    payload = SkeletonTree.from_json(pj)
-                rows.append((guard, payload))
-            coords.append(rows)
-        return cls(schedule, coords, context)
+    def from_json(cls, data, name="condition"):
+        sched, tables = json_fields(data, name, "schedule", "coords")
+        schedule = schedule_from_json(sched, f"{name}.schedule")
+        context = _int_keyed(data.get("context", {}), f"{name}.context")
+        if not isinstance(tables, list) or not all(
+                isinstance(table, list) for table in tables):
+            raise InputError(f"{name}.coords: expected a list of row lists")
+        coords = [[_row_from_json(row, f"{name}.coords[{beta}][{j}]")
+                   for j, row in enumerate(table)]
+                  for beta, table in enumerate(tables)]
+        return cls(schedule, coords, GenericContext(context))
+
+
+def _row_from_json(row, name):
+    guard, payload = json_fields(row, name, "guard", "payload")
+    pair = isinstance(payload, dict) and payload.get("kind") == "pair"
+    decode = PairCondition.from_json if pair else SkeletonTree.from_json
+    return _int_keyed(guard, f"{name}.guard"), decode(payload,
+                                                       f"{name}.payload")
 
 
 def plain_iter(kinds, payloads) -> IterCondition:
@@ -378,14 +380,9 @@ def full_iter(kinds) -> IterCondition:
 
 
 def is_full_iter(p: IterCondition) -> bool:
-    for beta, table in enumerate(p.coords):
-        for _, payload in table:
-            if p.kinds[beta] == SINGLE:
-                if payload != full_tree():
-                    return False
-            elif payload != full_pair():
-                return False
-    return True
+    full = {SINGLE: full_tree(), PAIR: full_pair()}
+    return all(payload == full[p.kinds[beta]]
+               for beta, table in enumerate(p.coords) for _, payload in table)
 
 
 def _addresses(sigma, mode, length):
@@ -524,6 +521,15 @@ def _index_sort_key(i):
     return (3, "", repr(i))
 
 
+def index_from_json(v, name="index"):
+    """A product index: an integer, a string, or a list of indices."""
+    if isinstance(v, bool) or not isinstance(v, (int, str, list)):
+        raise InputError(f"{name}: indices are integers, strings, or lists")
+    if isinstance(v, list):
+        return tuple(index_from_json(c, name) for c in v)
+    return v
+
+
 def _sorted_indices(indices):
     return tuple(sorted(indices, key=_index_sort_key))
 
@@ -553,23 +559,24 @@ class ProductCondition:
         return self._coords[i]
 
     def to_json(self):
-        def index_json(i):
-            return list(i) if isinstance(i, tuple) else i
-
         return {
             "kind": "product",
-            "coords": [{"index": index_json(i), "cond": self._coords[i].to_json()}
+            "coords": [{"index": list(i) if isinstance(i, tuple) else i,
+                        "cond": self._coords[i].to_json()}
                        for i in self.support],
         }
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, name="condition"):
+        (items,) = json_fields(data, name, "coords")
+        if not isinstance(items, list):
+            raise InputError(f"{name}.coords: expected a list")
         coords = {}
-        for item in data["coords"]:
-            idx = item["index"]
-            if isinstance(idx, list):
-                idx = tuple(idx)
-            coords[idx] = IterCondition.from_json(item["cond"])
+        for j, item in enumerate(items):
+            at = f"{name}.coords[{j}]"
+            idx, cond = json_fields(item, at, "index", "cond")
+            coords[index_from_json(idx, f"{at}.index")] = \
+                IterCondition.from_json(cond, f"{at}.cond")
         return cls(coords)
 
 
@@ -652,12 +659,15 @@ def permute_indices(p: ProductCondition, mapping) -> ProductCondition:
     return ProductCondition(out)
 
 
-def condition_from_json(data):
+def condition_from_json(data, name="condition"):
+    """Decode any condition's to_json object; name labels InputError
+    messages with the path of data in the input."""
+    json_fields(data, name)
     kind = data.get("kind")
     if kind == "pair":
-        return PairCondition.from_json(data)
+        return PairCondition.from_json(data, name)
     if kind == "iter":
-        return IterCondition.from_json(data)
+        return IterCondition.from_json(data, name)
     if kind == "product":
-        return ProductCondition.from_json(data)
+        return ProductCondition.from_json(data, name)
     raise PreconditionError(f"unknown condition kind {kind!r}")

@@ -20,16 +20,23 @@ half of an unbounded family leaves it unbounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .bitseq import Bits, check_bits
 from .conditions import PAIR, SINGLE
-from .errors import DecodeError, PreconditionError
+from .errors import DecodeError, InputError, PreconditionError, json_fields
 
 ONE = "one"
 MANY = "many"
 
 LINE = "line"
 DIAMOND = "diamond"
+
+
+def _naturals(data, k):
+    """Whether data is a JSON list of k naturals (booleans excluded)."""
+    return isinstance(data, list) and len(data) == k and all(
+        type(x) is int and x >= 0 for x in data)
 
 
 @dataclass(frozen=True, order=True)
@@ -58,8 +65,10 @@ class Ordinal2:
         return [self.a, self.b]
 
     @classmethod
-    def from_json(cls, data):
-        return cls(int(data[0]), int(data[1]))
+    def from_json(cls, data, name="ordinal"):
+        if not _naturals(data, 2):
+            raise InputError(f"{name}: expected [a, b] with naturals a, b")
+        return cls(*data)
 
 
 @dataclass(frozen=True)
@@ -82,8 +91,13 @@ class TowerRecipe:
         return {"kinds": list(self.kinds)}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data["kinds"]))
+    def from_json(cls, data, name="kinds"):
+        json_fields(data, name)
+        kinds = data.get("kinds")
+        if not isinstance(kinds, list) or any(
+                k not in (SINGLE, PAIR) for k in kinds):
+            raise InputError(f"{name}: expected a list of \"single\"/\"pair\"")
+        return cls(tuple(kinds))
 
 
 class DegreePoset:
@@ -91,8 +105,14 @@ class DegreePoset:
     minimal node."""
 
     def __init__(self, nodes, edges):
-        self.nodes = tuple(nodes)
-        self.edges = tuple((lo, hi) for lo, hi in edges)
+        for field, value in (("nodes", nodes), ("edges", edges)):
+            if not isinstance(value, (list, tuple)):
+                raise InputError(f"poset: {field}: expected a list")
+        if any(not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges):
+            raise InputError("poset: edges: expected [lower, upper] pairs")
+        self.nodes, self.edges = tuple(nodes), tuple(map(tuple, edges))
+        if not all(isinstance(v, str) for v in chain(self.nodes, *self.edges)):
+            raise InputError("poset: node labels must be strings")
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise PreconditionError("duplicate node labels")
@@ -125,6 +145,10 @@ class DegreePoset:
             for w in succ[v]:
                 up |= self._up[w] | 1 << self._index[w]
             self._up[v] = up
+
+    def to_json(self):
+        return {"nodes": list(self.nodes),
+                "edges": [list(e) for e in self.edges]}
 
     def leq(self, x, y) -> bool:
         return x == y or (y in self._index
@@ -207,9 +231,16 @@ class TowerCensus:
         return {"entries": [[h.to_json(), v] for h, v in self.entries]}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(tuple((Ordinal2.from_json(h), v)
-                         for h, v in data["entries"]))
+    def from_json(cls, data, name="census"):
+        json_fields(data, name)
+        entries = data.get("entries")
+        if not isinstance(entries, list):
+            raise InputError(f"{name}: expected an entry list")
+        for i, entry in enumerate(entries):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and _naturals(entry[0], 2)):
+                raise InputError(f"{name}[{i}]: expected [[a, b], verdict]")
+        return cls(tuple({Ordinal2(*h): v for h, v in entries}.items()))
 
 
 def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
@@ -279,8 +310,14 @@ class ScPattern:
         return {"levels": list(self.levels)}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data["levels"]))
+    def from_json(cls, data, name="pattern"):
+        json_fields(data, name)
+        levels = data.get("levels")
+        if not isinstance(levels, list) or any(
+                lv not in (LINE, DIAMOND) for lv in levels):
+            raise InputError(
+                f"{name}: expected a list of \"line\"/\"diamond\"")
+        return cls(tuple(levels))
 
 
 def sc_schedule(n: int, g, K: int) -> TowerRecipe:

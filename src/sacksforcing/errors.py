@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the object check the JSON decoders share.
 
 Everything raised intentionally by this package derives from EngineError,
 so callers (the CLI in particular) can distinguish a failed operation from
@@ -43,4 +43,15 @@ class ResourceError(EngineError):
 
 
 class InputError(EngineError, ValueError):
-    """CLI input JSON does not match the expected schema for an operation."""
+    """Input JSON does not have the shape its decoder expects."""
+
+
+def json_fields(data, name, *keys):
+    """The values at keys of the JSON object data, or InputError opening
+    with name, the path of data in the input."""
+    if not isinstance(data, dict):
+        raise InputError(f"{name}: expected a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise InputError(f"{name}: missing {', '.join(missing)}")
+    return [data[k] for k in keys]

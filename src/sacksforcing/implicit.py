@@ -51,14 +51,7 @@ def set_members(code: int):
     """Member codes of the set coded by ``code``, ascending."""
     if code < 0:
         raise PreconditionError("set codes are naturals")
-    out = []
-    i = 0
-    while code:
-        if code & 1:
-            out.append(i)
-        code >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i for i in range(code.bit_length()) if code >> i & 1)
 
 
 def set_of(members) -> int:
@@ -185,13 +178,9 @@ def formula_size(f) -> int:
         return 1
     if isinstance(f, Pred):
         return 1 + formula_size(f.term)
-    if isinstance(f, (Member, Eq)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    if isinstance(f, Not):
+    if isinstance(f, (Not, Forall, Exists)):
         return 1 + formula_size(f.body)
-    if isinstance(f, (Forall, Exists)):
-        return 1 + formula_size(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
+    if isinstance(f, (Member, Eq, And, Or, Implies, Iff)):
         return 1 + formula_size(f.left) + formula_size(f.right)
     raise PreconditionError(f"not a formula node: {f!r}")
 

@@ -42,12 +42,14 @@ from __future__ import annotations
 
 from itertools import product
 
-from .bitseq import Bits, bits_str, check_bits
-from .errors import (AmalgamationError, FusionError, PreconditionError,
-                     ResourceError)
+from .bitseq import Bits, bits, bits_str, check_bits
+from .errors import (AmalgamationError, FusionError, InputError,
+                     PreconditionError, ResourceError)
 
-# amalgamate refuses to build a skeleton with more entries than this
+# amalgamate refuses to build a skeleton with more entries than this, and
+# the level-n queries refuse to list more than this many cells
 MAX_SKELETON_ENTRIES = 1 << 16
+_MAX_LEVEL = MAX_SKELETON_ENTRIES.bit_length() - 1
 
 # index strings of at most this length are built once and shared
 _CACHED_LENGTH = 10
@@ -77,6 +79,16 @@ def _upto(n: int):
         if n <= _CACHED_LENGTH:
             _UPTO[n] = out
     return out
+
+
+def _check_cells(op, n, work="compare 2^{} pairs of restrictions"):
+    """Refuse a level-n query, which handles 2^n cells, at a negative n or
+    past the bound amalgamate uses for skeleton entries, before it loops."""
+    if n < 0:
+        raise PreconditionError("level must be a natural")
+    if n > _MAX_LEVEL:
+        raise ResourceError(f"{op} would {work.format(n)}; the bound is "
+                            f"{MAX_SKELETON_ENTRIES}")
 
 
 def all_bitstrings(n: int):
@@ -240,8 +252,7 @@ class SkeletonTree:
         return self._skel[sigma[: self.depth]] + sigma[self.depth:]
 
     def splitting_level(self, n: int) -> frozenset:
-        if n < 0:
-            raise PreconditionError("level must be a natural")
+        _check_cells("splitting_level", n, "build 2^{} splitting nodes")
         return frozenset(self._rt(sigma) for sigma in _strings(n))
 
     def restrict_cell(self, sigma) -> "SkeletonTree":
@@ -281,12 +292,15 @@ class SkeletonTree:
         }
 
     @classmethod
-    def from_json(cls, data) -> "SkeletonTree":
-        from .bitseq import bits
+    def from_json(cls, data, name="tree") -> "SkeletonTree":
+        """Decode to_json's object; name labels InputError messages."""
         if not isinstance(data, dict) or "depth" not in data or "skeleton" not in data:
             raise PreconditionError("tree JSON needs 'depth' and 'skeleton'")
-        skel = {bits(k): bits(v) for k, v in data["skeleton"].items()}
-        return cls(data["depth"], skel)
+        depth, skel = data["depth"], data["skeleton"]
+        if type(depth) is not int or not isinstance(skel, dict):
+            raise InputError(f"{name}: expected an integer depth and an "
+                             f"object skeleton")
+        return cls(depth, {bits(k): bits(v) for k, v in skel.items()})
 
 
 def full_tree() -> SkeletonTree:
@@ -347,8 +361,7 @@ def leq_n_cellwise(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:
     """Equivalent formulation of leq_n: cellwise subtree containment at
     every index of length n.  Kept separate so the two can be checked
     against each other."""
-    if n < 0:
-        raise PreconditionError("level must be a natural")
+    _check_cells("leq_n_cellwise", n)
     return all(
         subtree_leq(sub._restrict_cell(sigma), sup._restrict_cell(sigma))
         for sigma in _strings(n))

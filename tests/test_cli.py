@@ -7,7 +7,7 @@ import time
 import pytest
 
 import sacksforcing
-from sacksforcing.cli import _OPS, main
+from sacksforcing.cli import _OPS, build_parser, main
 
 
 def write_json(tmp_path, payload, name="payload.json"):
@@ -55,6 +55,41 @@ def test_unknown_flag_rejected(capsys):
 
 
 # -- eval -----------------------------------------------------------------
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    good = write_json(tmp_path, {"m": 2, "n": 3}, "good.json")
+    bad = write_json(tmp_path, {"m": "x", "n": 3}, "bad.json")
+    build_parser.cache_clear()
+
+    def valid():
+        assert main(["eval", "pair_index", good]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        return out.out
+
+    first = valid()
+    assert json.loads(first) == 17
+    helps = []
+    for argv, code in ((["eval", "no_such_op", good], 2),
+                       (["eval", "pair_index", good, "--frobnicate"], 2),
+                       (["eval", "--help"], 0),
+                       (["eval", "pair_index", bad], 1),
+                       (["eval", "--help"], 0)):
+        if code == 1:
+            assert main(argv) == 1
+        else:
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == code
+        out = capsys.readouterr()
+        if argv[1] == "--help":
+            helps.append(out.out)
+        else:
+            assert out.out == "" and out.err
+        assert valid() == first
+    assert helps[0] == helps[1] and "INPUT" in helps[0]
+    assert build_parser.cache_info().misses == 1
+
 
 def test_eval_rt(tmp_path, capsys):
     code, out, _ = run_eval(
@@ -311,6 +346,7 @@ def test_dot_long_chain_poset(tmp_path, capsys):
     ({"nodes": ["a", "b"], "edges": "ab"}, "poset: edges"),
     ({"nodes": ["a", "b"], "edges": [["a", "b", "a"]]}, "poset: edges"),
     ({"nodes": ["a", "b"], "edges": [["a"]]}, "poset: edges"),
+    ({"nodes": [0, 1], "edges": [[0, 1]]}, "poset"),
 ])
 def test_dot_malformed_object(tmp_path, capsys, obj, field):
     assert main(["dot", write_json(tmp_path, obj), "-"]) == 1

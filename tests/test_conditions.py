@@ -1,10 +1,12 @@
 import math
+import time
 
 import pytest
 
 from sacksforcing.bitseq import bits, column, join_family, join_pair, width
 from sacksforcing.errors import (
-    AmalgamationError, IncompatibleError, PreconditionError, ResourceError,
+    AmalgamationError, EngineError, IncompatibleError, InputError,
+    PreconditionError, ResourceError,
 )
 from sacksforcing.conditions import (
     COLUMN, PAIR, PAIRWISE, SINGLE,
@@ -484,3 +486,90 @@ def test_graded_orders_refuse_past_the_bound():
             call(17)
         with pytest.raises(ResourceError, match="2\\^1000000 pairs"):
             call(10 ** 6)
+
+
+
+# -- the JSON boundary --------------------------------------------------------
+
+def _iter_json(**change):
+    data = {"kind": "iter", "schedule": {"kinds": ["single"]}, "context": {},
+            "coords": [[{"guard": {}, "payload": {"depth": 0,
+                                                  "skeleton": {"": ""}}}]]}
+    data.update(change)
+    return data
+
+
+def _row_json(guard, payload):
+    return [[{"guard": guard, "payload": payload}]]
+
+
+@pytest.mark.parametrize("data, where", [
+    (5, "condition"),
+    ([], "condition"),
+    ({"kind": "pair"}, "condition"),
+    ({"kind": "pair", "left": {"depth": "x", "skeleton": {}},
+      "right": {"depth": 0, "skeleton": {"": ""}}}, "condition.left"),
+    ({"kind": "iter"}, "condition"),
+    (_iter_json(schedule=5), "condition.schedule"),
+    (_iter_json(schedule={"kinds": "single"}), "condition.schedule.kinds"),
+    (_iter_json(schedule={"sc": 0}), "condition.schedule"),
+    (_iter_json(schedule={"sc": "0", "length": 1}), "condition.schedule"),
+    (_iter_json(schedule={"sc": True, "length": 1}), "condition.schedule"),
+    (_iter_json(context=[]), "condition.context"),
+    (_iter_json(context={"x": "1"}), "condition.context"),
+    (_iter_json(coords=5), "condition.coords"),
+    (_iter_json(coords={}), "condition.coords"),
+    (_iter_json(coords=[5]), "condition.coords"),
+    (_iter_json(coords=[[5]]), "condition.coords[0][0]"),
+    (_iter_json(coords=_row_json(5, {"depth": 0, "skeleton": {"": ""}})),
+     "condition.coords[0][0].guard"),
+    (_iter_json(coords=_row_json({"a": "1"}, {"depth": 0,
+                                              "skeleton": {"": ""}})),
+     "condition.coords[0][0].guard"),
+    (_iter_json(coords=_row_json({}, {"depth": [], "skeleton": {}})),
+     "condition.coords[0][0].payload"),
+    ({"kind": "product", "coords": 5}, "condition.coords"),
+    ({"kind": "product", "coords": [5]}, "condition.coords[0]"),
+    ({"kind": "product", "coords": [{"index": 0}]}, "condition.coords[0]"),
+    ({"kind": "product", "coords": [{"index": {}, "cond": _iter_json()}]},
+     "condition.coords[0].index"),
+    ({"kind": "product", "coords": [{"index": None, "cond": _iter_json()}]},
+     "condition.coords[0].index"),
+    ({"kind": "product", "coords": [{"index": 0, "cond": 5}]},
+     "condition.coords[0].cond"),
+])
+def test_condition_from_json_rejects_malformed_shapes(data, where):
+    with pytest.raises(InputError) as e:
+        condition_from_json(data)
+    assert str(e.value).startswith(where + ": ")
+
+
+def test_condition_from_json_keeps_content_errors():
+    for data in ({}, {"kind": "mystery"},
+                 _iter_json(schedule={"weird": 1}),
+                 _iter_json(schedule={"kinds": ["pair"]}),
+                 _iter_json(coords=[])):
+        with pytest.raises(PreconditionError):
+            condition_from_json(data)
+    # guard values that are not bit strings
+    with pytest.raises(EngineError):
+        condition_from_json(_iter_json(coords=_row_json(
+            {"0": 1}, {"depth": 0, "skeleton": {"": ""}})))
+
+
+def test_product_indices_decode_like_sbar():
+    cond = _iter_json()
+    p = condition_from_json({"kind": "product", "coords": [
+        {"index": 0, "cond": cond}, {"index": "a", "cond": cond},
+        {"index": [1, [2, "b"]], "cond": cond}]})
+    assert set(p.support) == {0, "a", (1, (2, "b"))}
+
+
+def test_long_schedule_is_refused_by_the_coordinate_count():
+    # the schedule's length is checked against the coordinates given
+    # before a kind is computed for any coordinate
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="expected 10{18} "):
+        condition_from_json(_iter_json(
+            schedule={"sc": 10 ** 18, "length": 10 ** 18}))
+    assert time.perf_counter() - start < 2

@@ -11,7 +11,7 @@ from sacksforcing.degrees import (
     census_decode, census_encode, poset_dot, sc_census_decode,
     sc_census_encode, sc_decode, sc_pattern, sc_schedule, tower_degrees,
 )
-from sacksforcing.errors import DecodeError, PreconditionError
+from sacksforcing.errors import DecodeError, InputError, PreconditionError
 from sacksforcing.trees import all_bitstrings, bitstrings_upto
 
 
@@ -336,3 +336,66 @@ def test_poset_dot_snapshot():
         '  "d1.1" -> "d2";\n'
         "}\n"
     )
+
+
+# -- the JSON boundary ---------------------------------------------------------
+
+@pytest.mark.parametrize("decode, data", [
+    (TowerRecipe.from_json, {"kinds": 5}),
+    (TowerRecipe.from_json, {"kinds": ["single", "triple"]}),
+    (TowerRecipe.from_json, ["single"]),
+    (TowerCensus.from_json, []),
+    (TowerCensus.from_json, {"entries": 5}),
+    (TowerCensus.from_json, {"entries": [5]}),
+    (TowerCensus.from_json, {"entries": [[[0, 1]]]}),
+    (TowerCensus.from_json, {"entries": [[[0, True], "one"]]}),
+    (TowerCensus.from_json, {"entries": [[[0, -1], "one"]]}),
+    (TowerCensus.from_json, {"entries": [[["0", 1], "one"]]}),
+    (ScPattern.from_json, {}),
+    (ScPattern.from_json, ["line"]),
+    (ScPattern.from_json, {"levels": ["line", "square"]}),
+    (Ordinal2.from_json, ["3", True]),
+    (Ordinal2.from_json, [1.0, 0]),
+    (Ordinal2.from_json, [1, -1]),
+    (Ordinal2.from_json, [1, 2, 3]),
+    (Ordinal2.from_json, {"a": 1, "b": 2}),
+])
+def test_from_json_rejects_malformed_shapes(decode, data):
+    with pytest.raises(InputError):
+        decode(data)
+
+
+def test_from_json_names_the_field():
+    with pytest.raises(InputError, match=r"^census\[1\]: "):
+        TowerCensus.from_json({"entries": [[[0, 1], ONE], [[0], MANY]]})
+    with pytest.raises(InputError, match="^h: "):
+        Ordinal2.from_json(["3", True], "h")
+    # content errors keep their class
+    with pytest.raises(PreconditionError):
+        TowerRecipe.from_json({"kinds": ["pair"]})
+    with pytest.raises(PreconditionError):
+        TowerCensus.from_json({"entries": [[[0, 1], "few"]]})
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    ([0], [[0]]),
+    (["a", "b"], [["a", "b", "a"]]),
+    (["a", "b"], ["ab"]),
+    ("ab", [["a", "b"]]),
+    (["a", "b"], "ab"),
+    ([0, 1], [[0, 1]]),
+    ([["a"]], []),
+    (["a"], [[["a"], "a"]]),
+])
+def test_poset_rejects_malformed_shapes(nodes, edges):
+    with pytest.raises(InputError, match="^poset: "):
+        DegreePoset(nodes, edges)
+
+
+def test_poset_json():
+    poset = tower_degrees(TowerRecipe((SINGLE, PAIR)))
+    data = poset.to_json()
+    assert data["nodes"] == list(poset.nodes)
+    assert data["edges"] == [list(e) for e in poset.edges]
+    back = DegreePoset(data["nodes"], data["edges"])
+    assert (back.nodes, back.edges) == (poset.nodes, poset.edges)

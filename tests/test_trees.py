@@ -14,7 +14,8 @@ from sacksforcing.conditions import (
     prod_amalgamate, prod_restrict,
 )
 from sacksforcing.errors import (
-    AmalgamationError, FusionError, PreconditionError,
+    AmalgamationError, FusionError, InputError, PreconditionError,
+    ResourceError,
 )
 from sacksforcing.trees import (
     SkeletonTree, all_bitstrings, amalgamate, bitstrings_upto, enumerate_trees,
@@ -562,3 +563,41 @@ def test_built_values_pass_the_public_constructors():
                     _revalidate(prod_amalgamate(p, sigma, sbar, q))
                     built += 1
     assert built > 1000
+
+
+# -- the JSON boundary and the level bound ----------------------------------
+
+@pytest.mark.parametrize("data", [
+    {"depth": "x", "skeleton": {}},
+    {"depth": 0, "skeleton": []},
+    {"depth": True, "skeleton": {"": ""}},
+    {"depth": 1.0, "skeleton": {"": "", "0": "0", "1": "1"}},
+    {"depth": 0, "skeleton": {"": 5}},
+    {"depth": 0, "skeleton": {"": ["0"]}},
+    {"depth": 0, "skeleton": {"": None}},
+])
+def test_from_json_rejects_malformed_shapes(data):
+    with pytest.raises(InputError, match="^tree: |^not a bit string"):
+        SkeletonTree.from_json(data)
+
+
+def test_from_json_names_the_field():
+    with pytest.raises(InputError, match="^graft: "):
+        SkeletonTree.from_json({"depth": "x", "skeleton": {}}, "graft")
+    # content errors keep their class
+    with pytest.raises(PreconditionError):
+        SkeletonTree.from_json({"depth": 0})
+    with pytest.raises(PreconditionError):
+        SkeletonTree.from_json({"depth": 0, "skeleton": {"": "2"}})
+
+
+def test_splitting_level_refuses_past_the_bound():
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=r"2\^40 .*65536"):
+        full_tree().splitting_level(40)
+    assert time.perf_counter() - start < 2
+    with pytest.raises(ResourceError, match=r"2\^17 "):
+        T1.splitting_level(17)
+    assert len(full_tree().splitting_level(16)) == 1 << 16
+    with pytest.raises(PreconditionError):
+        full_tree().splitting_level(-1)
