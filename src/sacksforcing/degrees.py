@@ -247,8 +247,11 @@ def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
     """Turn a bit function on limit-plus-natural indices into the tower
     census it forces: at height base+2n+1 a unique tower survives exactly
     when the bit at base+n is 0, and heights base+2n+2 always keep many."""
-    want = {Ordinal2(a, n) for a in range(limit_bound) for n in range(n_bound)}
-    if set(x) != want:
+    # the count first: the keys of huge bounds could not all be built,
+    # and past it there are only len(x) of them
+    count = max(limit_bound, 0) * max(n_bound, 0)
+    if len(x) != count or count and set(x) != {
+            Ordinal2(a, n) for a in range(limit_bound) for n in range(n_bound)}:
         raise PreconditionError(
             f"x must be defined on exactly {limit_bound} limits x "
             f"{n_bound} offsets")

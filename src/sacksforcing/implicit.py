@@ -23,18 +23,27 @@ every assignment's block of 2**u bits equals the first one, which one
 multiply and one compare decide.  Each class also carries the free-slot
 mask of the formula that first gave it: mask 0 proves it closed, and a
 quantifier on a slot outside the mask would give the same table back,
-so it is not tried.  The defined family only grows with the size, so
-the enumeration stops as soon as every subset is defined, and its
-answers are remembered per (universe, budget).  implicitly_defined_by
-computes the same tables for one given formula, which decides all
-subsets in a single pass over it.
+so it is not tried.  A class first given by a negation is never an
+operand: each use of !a has an equivalent of the same or smaller size
+built from the others (!!a = a, all x.!a = !ex x.a, !a & b = !(b -> a),
+!a | b = a -> b, !a -> b = a | b, b -> !a = !(b & a), !a <-> b =
+!(a <-> b)).  The last size is only asked whether a closed table
+defines one new subset, and its *family*, the first block, costs no
+full table: the family of t1 op t2 is f1 op f2, a negation flips it,
+and a quantifier ANDs or ORs the blocks along its slot.  So operands are
+grouped by family, and a full table is built only for an operation
+whose family is a single subset not yet defined.  The defined family
+only grows with the size, so the enumeration stops as soon as every
+subset is defined, and its answers are remembered per (universe,
+budget).  implicitly_defined_by computes the same tables for one given
+formula, which decides all subsets in a single pass over it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import ParseError, PreconditionError, ResourceError
 
@@ -174,29 +183,31 @@ _QUANT = {Forall: "all", Exists: "ex"}
 
 def formula_size(f) -> int:
     """AST node count; terms count as one node each."""
-    if isinstance(f, (Var, Param)):
+    kind = type(f)
+    if kind is Var or kind is Param:
         return 1
-    if isinstance(f, Pred):
+    if kind is Pred:
         return 1 + formula_size(f.term)
-    if isinstance(f, (Not, Forall, Exists)):
+    if kind is Not or kind is Forall or kind is Exists:
         return 1 + formula_size(f.body)
-    if isinstance(f, (Member, Eq, And, Or, Implies, Iff)):
+    if kind is Member or kind is Eq or kind in _BINARY:
         return 1 + formula_size(f.left) + formula_size(f.right)
     raise PreconditionError(f"not a formula node: {f!r}")
 
 
 def free_vars(f, bound=frozenset()):
-    if isinstance(f, Var):
+    kind = type(f)
+    if kind is Var:
         return set() if f.name in bound else {f.name}
-    if isinstance(f, Param):
+    if kind is Param:
         return set()
-    if isinstance(f, Pred):
+    if kind is Pred:
         return free_vars(f.term, bound)
-    if isinstance(f, (Member, Eq, And, Or, Implies, Iff)):
+    if kind is Member or kind is Eq or kind in _BINARY:
         return free_vars(f.left, bound) | free_vars(f.right, bound)
-    if isinstance(f, Not):
+    if kind is Not:
         return free_vars(f.body, bound)
-    if isinstance(f, (Forall, Exists)):
+    if kind is Forall or kind is Exists:
         return free_vars(f.body, bound | {f.var})
     raise PreconditionError(f"not a formula node: {f!r}")
 
@@ -616,7 +627,12 @@ def _enumerate(structure, budget):
     # a table is closed when every assignment's block equals block 0
     every = sum(1 << (a * nsub) for a in range(u ** _var_pool(budget)))
     found = 0       # bit s: the subset with position mask s is defined
-    for t, free in _tables(structure, budget):
+
+    def wanted(family):
+        # one subset, not defined yet
+        return family & (family - 1) == 0 and family & ~found
+
+    for t, free in _tables(structure, budget, wanted):
         family = t & submask
         if family & (family - 1) == 0 and family \
                 and (not free or t == family * every):
@@ -627,7 +643,16 @@ def _enumerate(structure, budget):
                      for s in range(nsub) if (found >> s) & 1)
 
 
-def _tables(structure, budget):
+# the binary connectives on tables whose bits all lie in ``ones``: and,
+# or, both implications and iff (the stored sizes inline them per pair)
+_CONNECTIVES = (lambda a, b, ones: a & b,
+                lambda a, b, ones: a | b,
+                lambda a, b, ones: a ^ ones | b,
+                lambda a, b, ones: b ^ ones | a,
+                lambda a, b, ones: a ^ b ^ ones)
+
+
+def _tables(structure, budget, wanted=lambda family: True):
     """(table, free-slot mask) for each formula class of size at most
     ``budget`` over a nonempty structure, smallest size first.
 
@@ -635,13 +660,28 @@ def _tables(structure, budget):
     that first gave it.  The mask is syntactic, so it may hold slots the
     table ignores: mask 0 proves a table closed, and a quantifier on a
     slot outside the mask gives back its operand, so it is skipped.
+
+    The negations of a size are tried first, and a class they give, the
+    negation of a class a one size smaller, is yielded but never used as
+    an operand.  No class is lost, nor reached later: each use of !a has
+    an equivalent of the same or smaller size built from the others, as
+    !!a = a, Q!a = !Q'a (Q' the other quantifier), !a & b = !(b -> a),
+    !a | b = a -> b, !a -> b = a | b, b -> !a = !(b & a) and
+    !a <-> b = !(a <-> b).
+
     Nothing is built from the last size, so its tables are not stored
-    and may repeat a class.
+    and may repeat a class.  Each is decided on its family first, block
+    0 of its table, which costs no full table: the family of t1 op t2 is
+    f1 op f2, a negation flips its operand's, and a quantifier ANDs (all)
+    or ORs (ex) the blocks along its slot.  The operands of a binary
+    connective are grouped by family, and a table is built only where
+    ``wanted(family)`` holds; without ``wanted``, every family is.
     """
     universe = structure.universe
     u = len(universe)
     nvars = _var_pool(budget)
     nsub = 1 << u
+    submask = (1 << nsub) - 1
     nasg = u ** nvars
     full = (1 << (nasg * nsub)) - 1
 
@@ -657,11 +697,20 @@ def _tables(structure, budget):
         copies = sum(1 << (k * stride) for k in range(u))
         folds.append((1 << i, range(stride, period, stride), first, copies))
 
+    def fold(t, shifts):
+        # the tables of all and ex over the slot, before their copying
+        all_k = any_k = t
+        for k in shifts:
+            shifted = t >> k
+            all_k &= shifted
+            any_k |= shifted
+        return all_k, any_k
+
     # term -> free-slot mask: slot numbers, then complemented codes
     terms = {**{i: 1 << i for i in range(nvars)}, **{~c: 0 for c in universe}}
-    by_size = {}    # size -> [(table, free-slot mask)]
+    by_size = {}    # size -> [(table, free-slot mask)], negations left out
 
-    def candidates(size):
+    def atoms(size):
         if size == 2:
             for tm, free in terms.items():
                 yield _atom_table(structure, (nvars, Pred, tm, None)), free
@@ -671,14 +720,14 @@ def _tables(structure, budget):
                     for kind in (Member, Eq):
                         yield (_atom_table(structure, (nvars, kind, t1, t2)),
                                free1 | free2)
+
+    def candidates(size):
+        # every class of the size but the negations
+        yield from atoms(size)
         for t, free in by_size.get(size - 1, ()):
-            yield t ^ full, free
             for bit, shifts, first, copies in folds:
                 if free & bit:
-                    all_k = any_k = t
-                    for k in shifts:
-                        all_k &= t >> k
-                        any_k |= t >> k
+                    all_k, any_k = fold(t, shifts)
                     yield (all_k & first) * copies, free ^ bit
                     yield (any_k & first) * copies, free ^ bit
         for s1 in range(2, (size - 1) // 2 + 1):
@@ -698,24 +747,77 @@ def _tables(structure, budget):
 
     seen = set()
     for size in range(2, budget):
+        for t, free in by_size.get(size - 1, ()):
+            t ^= full
+            if t not in seen:
+                seen.add(t)
+                yield t, free
         level = by_size[size] = []
         for t, free in candidates(size):
             if t not in seen:
                 seen.add(t)
                 level.append((t, free))
                 yield t, free
-    if budget >= 2:
-        yield from candidates(budget)
+    if budget < 2:
+        return
+    # the last size, each operation decided on its family first
+    for t, free in atoms(budget):
+        if wanted(t & submask):
+            yield t, free
+    for t, free in by_size.get(budget - 1, ()):
+        family = t & submask
+        if wanted(family ^ submask):
+            yield t ^ full, free
+        for bit, shifts, first, copies in folds:
+            if free & bit:
+                all_f = any_f = family
+                for k in shifts:
+                    block = t >> k & submask
+                    all_f &= block
+                    any_f |= block
+                want_all, want_any = wanted(all_f), wanted(any_f)
+                if want_all or want_any:
+                    all_k, any_k = fold(t, shifts)
+                    if want_all:
+                        yield (all_k & first) * copies, free ^ bit
+                    if want_any:
+                        yield (any_k & first) * copies, free ^ bit
+    groups = {}     # size -> [(family, [(table, free-slot mask)])]
+    for size in range(2, budget - 2):
+        by_family = {}
+        for t, free in by_size[size]:
+            by_family.setdefault(t & submask, []).append((t, free))
+        groups[size] = list(by_family.items())
+    for s1 in range(2, (budget - 1) // 2 + 1):
+        left, right = groups[s1], groups[budget - 1 - s1]
+        for n, (f1, g1) in enumerate(left):
+            for f2, g2 in right[n:] if left is right else right:
+                for op in _CONNECTIVES:
+                    if wanted(op(f1, f2, submask)):
+                        for (t1, free1), (t2, free2) in (
+                                combinations(g1, 2) if g1 is g2
+                                else product(g1, g2)):
+                            yield op(t1, t2, full), free1 | free2
 
 
 # -- hierarchies ---------------------------------------------------------------------
 
 MAX_LEVEL_UNIVERSE = 4
+# imp_levels builds at most MAX_LEVELS levels, and no set code of more
+# than MAX_LEVEL_CODE_BITS bits, so every code prints (Python refuses to
+# print an int of more than 4300 digits).  From budget 2 on, the codes
+# grow as a tower and meet one of the bounds by level 7; budgets 0 and
+# 1 alternate between the empty level and {0} for ever.
+MAX_LEVELS = 64
+MAX_LEVEL_CODE_BITS = 1 << 12
 
 
 def imp_levels(n: int, budget: int):
     """Levels 0..n of the iterated implicitly-definable powerset, each a
     set of set codes; level 0 is empty."""
+    if n > MAX_LEVELS:
+        raise ResourceError(f"n = {n} levels exceeds {MAX_LEVELS}, the "
+                            f"supported maximum")
     levels = [frozenset()]
     for k in range(1, n + 1):
         carrier = sorted(levels[-1])
@@ -723,6 +825,12 @@ def imp_levels(n: int, budget: int):
             raise ResourceError(
                 f"level {k} would enumerate formulas over {len(carrier)} "
                 f"sets; {MAX_LEVEL_UNIVERSE} is the supported maximum")
+        # the widest code of level k has one bit per code up to the
+        # largest member
+        if carrier and carrier[-1] >= MAX_LEVEL_CODE_BITS:
+            raise ResourceError(
+                f"level {k} would hold set codes of {carrier[-1] + 1} bits; "
+                f"{MAX_LEVEL_CODE_BITS} is the supported maximum")
         family = implicit_subsets(FinStructure(carrier), budget)
         levels.append(frozenset(set_of(s) for s in family))
     return levels

@@ -122,6 +122,45 @@ def test_eval_imp_levels(tmp_path, capsys):
     assert json.loads(out) == [[], [0], [0, 1], [0, 1, 2, 3]]
 
 
+@pytest.mark.parametrize("budget, message", [
+    # budget 0 alternates between [] and [0] for ever; budget 2 climbs
+    # a tower of codes, 2**65536 at level 7
+    (0, "n = 18446744073709551616 levels exceeds 64"),
+    (2, "n = 18446744073709551616 levels exceeds 64"),
+])
+def test_eval_imp_levels_refuses_a_huge_n(tmp_path, capsys, budget, message):
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "imp_levels",
+                              {"n": 2 ** 64, "budget": budget}, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ResourceError: {message}")
+
+
+def test_eval_imp_levels_refuses_a_code_past_the_bound(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "imp_levels", {"n": 7, "budget": 2},
+                              capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("ResourceError: level 7 would hold set codes of "
+                          "65537 bits; 4096 ")
+
+
+@pytest.mark.parametrize("bounds", [(2 ** 64, 2 ** 64), (2 ** 64, 1),
+                                    (1, 2 ** 64)])
+def test_eval_census_encode_with_huge_bounds(tmp_path, capsys, bounds):
+    limit_bound, n_bound = bounds
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "census_encode",
+                              {"x": [[0, 0, 0]], "limit_bound": limit_bound,
+                               "n_bound": n_bound}, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith(f"PreconditionError: x must be defined on exactly "
+                          f"{limit_bound} limits x {n_bound} offsets")
+
+
 def test_eval_amalgamate_domain_error(tmp_path, capsys):
     code, _, err = run_eval(
         tmp_path, "amalgamate",

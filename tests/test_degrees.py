@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -166,6 +167,18 @@ def test_census_encode_domain_errors():
         census_encode(x, 1, 1)  # stray key
     with pytest.raises(PreconditionError):
         census_encode({Ordinal2(0, 0): 2}, 1, 1)
+
+
+def test_census_encode_compares_the_count_first():
+    # an equal count still needs the same keys
+    with pytest.raises(PreconditionError):
+        census_encode({Ordinal2(0, 0): 0, Ordinal2(0, 5): 0}, 1, 2)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError):
+        census_encode({Ordinal2(0, 0): 0}, 2 ** 64, 2 ** 64)
+    assert census_encode({}, 2 ** 64, 0).as_dict() == {}
+    assert census_encode({}, -1, -1).as_dict() == {}
+    assert time.perf_counter() - start < 2
 
 
 def test_malformed_census_rejection():

@@ -552,6 +552,38 @@ def test_enumerator_classes_match_reference():
                         assert forall(t, i) == t, (universe, budget, free)
 
 
+def test_enumerator_pool_of_three_matches_reference():
+    # budget 9 brings in the third variable: there a third of the classes
+    # are negations that are never operands, and most last-size tables
+    # are never built because their family is not wanted
+    def single(family):
+        return family and family & (family - 1) == 0
+
+    def third(family):
+        return family % 3 == 0
+
+    for universe, budgets in (((0, 1, 2), (9, 10)), ((0, 2, 3), (9, 10)),
+                              ((0, 1, 2, 3), (9,))):
+        structure = FinStructure(universe)
+        submask = (1 << (1 << len(universe))) - 1
+        for budget in budgets:
+            classes, forall = _reference_classes(structure, budget)
+            got = list(implicit._tables(structure, budget))
+            assert {t for t, _ in got} == set(classes), (universe, budget)
+            for t, free in got:
+                for i in range(implicit._var_pool(budget)):
+                    if not (free >> i) & 1:
+                        assert forall(t, i) == t, (universe, budget, free)
+            # a family filter lets exactly its last-size classes through
+            for wanted in (single, third):
+                want = {t for t, size in classes.items()
+                        if size < budget or wanted(t & submask)}
+                assert {t for t, _ in implicit._tables(
+                    structure, budget, wanted)} == want, (universe, budget)
+            assert _fresh_subsets(structure, budget) == \
+                _reference_subsets(structure, budget), (universe, budget)
+
+
 def test_enumerator_saturates_on_v3():
     v3 = FinStructure([0, 1, 2, 3])
     powerset = frozenset(frozenset(c for c in range(4) if (s >> c) & 1)
@@ -620,6 +652,24 @@ def test_level_universe_cap():
     with pytest.raises(ResourceError) as e:
         imp_levels(5, 11)
     assert "level 5" in str(e.value)
+
+
+def test_level_count_and_code_caps():
+    start = time.perf_counter()
+    for budget in (0, 2):
+        with pytest.raises(ResourceError) as e:
+            imp_levels(2 ** 64, budget)
+        assert "n = 18446744073709551616" in str(e.value)
+        assert str(implicit.MAX_LEVELS) in str(e.value)
+    # budgets 0 and 1 alternate, up to the cap
+    assert imp_levels(implicit.MAX_LEVELS, 0)[-2:] == [frozenset({0}),
+                                                       frozenset()]
+    # budget 2 climbs a tower: {0}, {1}, {2}, {4}, {16}, {65536}, ...
+    assert imp_levels(6, 2)[-1] == {65536}
+    with pytest.raises(ResourceError) as e:
+        imp_levels(7, 2)
+    assert "level 7 would hold set codes of 65537 bits" in str(e.value)
+    assert time.perf_counter() - start < 2
 
 
 def test_vn_levels():
