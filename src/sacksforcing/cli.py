@@ -29,7 +29,7 @@ from .degrees import (DegreePoset, Ordinal2, ScPattern, TowerCensus,
                       TowerRecipe, _naturals, census_decode, census_encode,
                       poset_dot, sc_census_decode, sc_census_encode,
                       sc_decode, sc_pattern, sc_schedule, tower_degrees)
-from .errors import EngineError, InputError
+from .errors import EngineError, InputError, ResourceError
 from .implicit import (FinStructure, eval_formula, formula_size,
                        formula_text, free_vars, imp_levels, implicit_subsets,
                        implicitly_defined_by, parse_formula, vn_levels)
@@ -199,7 +199,13 @@ _OPS = {
 }
 
 
+_UNPRINTABLE = 10 ** 4300      # json.dumps prints no int this large
+
+
 def _encode(value):
+    if isinstance(value, int) and abs(value) >= _UNPRINTABLE:
+        raise ResourceError(f"a result of {value.bit_length()} bits has "
+                            f"more than 4300 digits, Python's print limit")
     if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, tuple) and all(v in (0, 1) for v in value):
@@ -242,7 +248,7 @@ def _run(path, work):
         else:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:     # bad JSON, text or number
         print(f"input error: {e}", file=sys.stderr)
         return 1, None
     try:

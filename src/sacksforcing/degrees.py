@@ -24,7 +24,8 @@ from itertools import chain
 
 from .bitseq import Bits, check_bits
 from .conditions import PAIR, SINGLE
-from .errors import DecodeError, InputError, PreconditionError, json_fields
+from .errors import (DecodeError, InputError, PreconditionError, ResourceError,
+                     json_fields)
 
 ONE = "one"
 MANY = "many"
@@ -323,12 +324,18 @@ class ScPattern:
         return cls(tuple(levels))
 
 
+MAX_SCHEDULE_STEPS = 1 << 16     # the longest schedule sc_schedule builds
+
+
 def sc_schedule(n: int, g, K: int) -> TowerRecipe:
     """Step kinds of the self-coding recipe with base n and data g,
     truncated to K steps."""
     g = check_bits(g)
     if n < 0 or K < 0:
         raise PreconditionError("n and K must be naturals")
+    if K > MAX_SCHEDULE_STEPS:
+        raise ResourceError(f"K={K} exceeds {MAX_SCHEDULE_STEPS} steps, the "
+                            f"supported maximum")
     if K > n + 2 + len(g):
         raise PreconditionError(
             f"K={K} needs {K - n - 2} data bits, g has {len(g)}")

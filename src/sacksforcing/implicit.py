@@ -177,7 +177,13 @@ class Exists:
     body: object
 
 
-_BINARY = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+# the binary connectives, loosest first: node type -> (token, operation
+# on tables whose bits all lie in ``ones``); only -> is right-associative
+_BINARY = {Iff: ("<->", lambda a, b, ones: a ^ b ^ ones),
+           Implies: ("->", lambda a, b, ones: a ^ ones | b),
+           Or: ("|", lambda a, b, ones: a | b),
+           And: ("&", lambda a, b, ones: a & b)}
+_LEVELS = tuple((kind, token) for kind, (token, _) in _BINARY.items())
 _QUANT = {Forall: "all", Exists: "ex"}
 
 
@@ -220,18 +226,17 @@ def formula_text(f) -> str:
     """Parseable rendering; binary connectives are parenthesized."""
     if isinstance(f, Pred):
         return f"S({_term_text(f.term)})"
-    if isinstance(f, Member):
-        return f"{_term_text(f.left)} in {_term_text(f.right)}"
-    if isinstance(f, Eq):
-        return f"{_term_text(f.left)} = {_term_text(f.right)}"
+    if isinstance(f, (Member, Eq)):
+        op = "in" if isinstance(f, Member) else "="
+        return f"{_term_text(f.left)} {op} {_term_text(f.right)}"
     if isinstance(f, Not):
         return "!" + formula_text(f.body)
     if isinstance(f, (Forall, Exists)):
         # parenthesized so it survives as the left operand of a binary:
         # the parser gives quantifiers the widest possible scope
         return f"({_QUANT[type(f)]} {f.var}. {formula_text(f.body)})"
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return (f"({formula_text(f.left)} {_BINARY[type(f)]} "
+    if type(f) in _BINARY:
+        return (f"({formula_text(f.left)} {_BINARY[type(f)][0]} "
                 f"{formula_text(f.right)})")
     raise PreconditionError(f"not a formula node: {f!r}")
 
@@ -245,25 +250,17 @@ def formula_text(f) -> str:
 # is the deepest that always parses back.
 MAX_NESTING = 64
 
-_TOKEN = re.compile(r"\s*(?:(<->|->|[()=.&|!])|(#\d+)|([A-Za-z_][A-Za-z0-9_]*))")
+_TOKEN = re.compile(
+    r"\s*(?:(<->|->|[()=.&|!]|#\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
 _KEYWORDS = {"all", "ex", "in", "S"}
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"bad character {stripped[0]!r}", at)
-        sym, hash_, name = m.groups()
-        start = m.end() - len(sym or hash_ or name)
-        tokens.append((sym or hash_ or name, start))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m[2]:
+            raise ParseError(f"bad character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
     tokens.append(("", len(text)))
     return tokens
 
@@ -299,40 +296,19 @@ class _Parser:
         self.depth -= 1
         return out
 
-    def formula(self):
+    def formula(self, level=0):
+        """A chain of connectives from _LEVELS[level] on.  Each nests its
+        right operand one level deeper until the chain ends."""
+        if level == len(_LEVELS):
+            return self.unary()
+        kind, token = _LEVELS[level]
         top = self.depth
-        left = self.implication()
-        while self.peek() == "<->":
+        left = self.formula(level + 1)
+        while self.peek() == token:
             self.take()
             self.deeper()
-            left = Iff(left, self.implication())
-        self.depth = top
-        return left
-
-    def implication(self):
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.nested(self.implication))
-        return left
-
-    def disjunction(self):
-        top = self.depth
-        left = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            self.deeper()
-            left = Or(left, self.conjunction())
-        self.depth = top
-        return left
-
-    def conjunction(self):
-        top = self.depth
-        left = self.unary()
-        while self.peek() == "&":
-            self.take()
-            self.deeper()
-            left = And(left, self.unary())
+            left = kind(left, self.formula(
+                level if kind is Implies else level + 1))
         self.depth = top
         return left
 
@@ -372,22 +348,17 @@ class _Parser:
             return Eq(left, self.term())
         raise ParseError(f"expected 'in' or '=', found {op!r}", self.pos())
 
-    def variable(self):
+    def variable(self, what="a variable"):
         tok, pos = self.tokens[self.k]
         if not tok or not tok[0].isalpha() or tok in _KEYWORDS:
-            raise ParseError(f"expected a variable, found {tok!r}", pos)
+            raise ParseError(f"expected {what}, found {tok!r}", pos)
         self.k += 1
         return tok
 
     def term(self):
-        tok, pos = self.tokens[self.k]
-        if tok.startswith("#"):
-            self.k += 1
-            return Param(int(tok[1:]))
-        if tok and tok[0].isalpha() and tok not in _KEYWORDS:
-            self.k += 1
-            return Var(tok)
-        raise ParseError(f"expected a term, found {tok!r}", pos)
+        if self.peek().startswith("#"):
+            return Param(int(self.take()[1:]))
+        return Var(self.variable("a term"))
 
 
 def parse_formula(text: str):
@@ -489,6 +460,25 @@ def _atom_table(structure, key):
     return table
 
 
+# implicitly_defined_by builds no table wider than MAX_TABLE_BITS, and
+# eval_formula visits at most MAX_ASSIGNMENTS assignments around an atom
+MAX_TABLE_BITS = 1 << 18
+MAX_ASSIGNMENTS = 1 << 16
+
+
+def _refuse(cost, what, depth, n, bound):
+    raise ResourceError(f"{cost} {what} under {depth} quantifiers over "
+                        f"{n} elements exceed the bound {bound}")
+
+
+def _counted_atom(structure, key):
+    """The check-only walk's atom: it counts its assignments, n**depth."""
+    n, depth = structure.size, key[0]
+    if n ** depth > MAX_ASSIGNMENTS:
+        _refuse(n ** depth, "assignments", depth, n, MAX_ASSIGNMENTS)
+    return 0
+
+
 def _formula_table(structure, f, params, atom):
     """Check f against the contract of eval_formula and
     implicitly_defined_by, and return its table over the structure.
@@ -497,22 +487,25 @@ def _formula_table(structure, f, params, atom):
     skip: every parameter lies in the universe, every ``#k`` names one
     of them, every variable is bound, and every node is a formula with
     terms in term positions.  The first violation, left to right, raises
-    PreconditionError.
+    PreconditionError, or ResourceError where the cost bound is passed.
 
     The table semantics is that of implicit_subsets: a subformula under
     d quantifiers becomes a table of u**d * 2**u bits, and a quantifier
     folds its variable's slot, always the last, away; atoms get their
-    tables from ``atom``, which is _atom_table.  With ``atom`` None the
-    walk only checks: it runs with u = 0, where a table has at most one
-    bit and no atom is evaluated.
+    tables from ``atom``, which is _atom_table.  No table wider than
+    MAX_TABLE_BITS is built.  With ``atom`` None the walk only checks: it
+    runs with u = 0, where a table has at most one bit, and counts each
+    atom's assignments against MAX_ASSIGNMENTS.
     """
     for c in params:
         if c not in structure:
             raise PreconditionError(f"parameter {c} outside the universe")
     if atom is None:
-        u, atom = 0, lambda _structure, _key: 0
+        u, atom = 0, _counted_atom
     else:
         u = structure.size
+        if 1 << u > MAX_TABLE_BITS:
+            _refuse(1 << u, "table bits", 0, u, MAX_TABLE_BITS)
 
     def term(t, scope):
         if type(t) is Var:
@@ -533,6 +526,8 @@ def _formula_table(structure, f, params, atom):
             return atom(structure, (depth, kind, term(g.left, scope),
                                     term(g.right, scope)))
         if kind is Forall or kind is Exists:
+            if bits * u > MAX_TABLE_BITS:
+                _refuse(bits * u, "table bits", depth + 1, u, MAX_TABLE_BITS)
             body = table(g.body, {**scope, g.var: depth}, depth + 1,
                          bits * u)
             if kind is Forall:
@@ -547,15 +542,9 @@ def _formula_table(structure, f, params, atom):
         if kind is Not:
             return table(g.body, scope, depth, bits) ^ ((1 << bits) - 1)
         if kind in _BINARY:
-            left = table(g.left, scope, depth, bits)
-            right = table(g.right, scope, depth, bits)
-            if kind is And:
-                return left & right
-            if kind is Or:
-                return left | right
-            if kind is Implies:
-                return (left ^ ((1 << bits) - 1)) | right
-            return left ^ right ^ ((1 << bits) - 1)
+            return _BINARY[kind][1](table(g.left, scope, depth, bits),
+                                    table(g.right, scope, depth, bits),
+                                    (1 << bits) - 1)
         raise PreconditionError(f"not a formula node: {g!r}")
 
     return table(f, {}, 0, 1 << u)
@@ -643,13 +632,9 @@ def _enumerate(structure, budget):
                      for s in range(nsub) if (found >> s) & 1)
 
 
-# the binary connectives on tables whose bits all lie in ``ones``: and,
-# or, both implications and iff (the stored sizes inline them per pair)
-_CONNECTIVES = (lambda a, b, ones: a & b,
-                lambda a, b, ones: a | b,
-                lambda a, b, ones: a ^ ones | b,
-                lambda a, b, ones: b ^ ones | a,
-                lambda a, b, ones: a ^ b ^ ones)
+# _BINARY's operations and the converse one (the stored sizes inline them)
+_CONNECTIVES = (*(op for _, op in _BINARY.values()),
+                lambda a, b, ones: b ^ ones | a)
 
 
 def _tables(structure, budget, wanted=lambda family: True):

@@ -319,6 +319,74 @@ def test_eval_bad_json_file(tmp_path, capsys):
     assert main(["eval", "rt", str(path)]) == 1
 
 
+def test_eval_integer_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"k": ' + "7" * 5000 + "}")
+    start = time.perf_counter()
+    assert main(["eval", "width", str(path)]) == 1
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("input error: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("command", ["eval", "dot"])
+def test_undecodable_input_bytes(tmp_path, capsys, command):
+    path = str(tmp_path / "bytes.json")
+    (tmp_path / "bytes.json").write_bytes(b'{"k": 1\xff}')
+    argv = ["eval", "width", path] if command == "eval" else ["dot", path, "-"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("input error: 'utf-8' codec can't decode byte")
+
+
+def test_eval_unprintable_result(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "pair_index",
+                              {"m": 1, "n": 10 ** 3999}, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("ResourceError: a result of 26568 bits has more "
+                          "than 4300 digits")
+
+
+def test_eval_sc_schedule_past_the_step_bound(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "sc_schedule",
+                              {"n": 10 ** 8, "g": "", "length": 10 ** 8},
+                              capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("ResourceError: K=100000000 exceeds 65536 steps")
+
+
+DEEP = "all x. " + "".join(f"all v{i}. " for i in range(20)) + "S(x)"
+
+
+@pytest.mark.parametrize("op, payload, message", [
+    ("implicitly_defined_by", {"universe": [0, 1, 2, 3], "formula": DEEP},
+     "1048576 table bits under 8 quantifiers over 4 elements exceed the "
+     "bound 262144"),
+    ("eval", {"formula": DEEP, "universe": [0, 1, 2, 3], "subset": [0]},
+     "4398046511104 assignments under 21 quantifiers over 4 elements "
+     "exceed the bound 65536"),
+    ("implicitly_defined_by",
+     {"universe": list(range(40)), "formula": "S(#0)", "params": [0]},
+     "1099511627776 table bits under 0 quantifiers over 40 elements "
+     "exceed the bound 262144"),
+], ids=["deep table", "deep evaluation", "wide universe"])
+def test_eval_formula_past_the_cost_bound(tmp_path, capsys, op, payload,
+                                          message):
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, op, payload, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err == f"ResourceError: {message}\n"
+
+
 # -- dot ------------------------------------------------------------------
 
 def dot_lines(text):

@@ -7,12 +7,13 @@ import pytest
 from sacksforcing.bitseq import bits
 from sacksforcing.conditions import PAIR, SINGLE
 from sacksforcing.degrees import (
-    DIAMOND, LINE, MANY, ONE,
+    DIAMOND, LINE, MANY, MAX_SCHEDULE_STEPS, ONE,
     DegreePoset, Ordinal2, ScPattern, TowerCensus, TowerRecipe,
     census_decode, census_encode, poset_dot, sc_census_decode,
     sc_census_encode, sc_decode, sc_pattern, sc_schedule, tower_degrees,
 )
-from sacksforcing.errors import DecodeError, InputError, PreconditionError
+from sacksforcing.errors import (DecodeError, InputError, PreconditionError,
+                                 ResourceError)
 from sacksforcing.trees import all_bitstrings, bitstrings_upto
 
 
@@ -247,6 +248,17 @@ def test_sc_schedule_cases():
     assert sc_schedule(2, bits(""), 2).kinds == (SINGLE, SINGLE)
     with pytest.raises(PreconditionError):
         sc_schedule(1, bits("1"), 5)  # needs two data bits
+
+
+def test_sc_schedule_length_bound():
+    start = time.perf_counter()
+    K = MAX_SCHEDULE_STEPS
+    assert len(sc_schedule(K - 2, bits(""), K).kinds) == K
+    with pytest.raises(ResourceError, match=f"^K={K + 1} exceeds {K} steps"):
+        sc_schedule(K - 1, bits(""), K + 1)
+    with pytest.raises(ResourceError):
+        sc_schedule(10 ** 8, bits(""), 10 ** 8)
+    assert time.perf_counter() - start < 2
 
 
 def test_sc_pattern_values():

@@ -82,6 +82,20 @@ def test_parse_precedence():
                                                 Pred(Var("z"))))
     f = parse_formula("S(x) -> S(y) <-> S(z)")
     assert f == Iff(Implies(Pred(Var("x")), Pred(Var("y"))), Pred(Var("z")))
+    x, y, z = Pred(Var("x")), Pred(Var("y")), Pred(Var("z"))
+    # every other connective nests to the left
+    for token, kind in [("&", And), ("|", Or), ("<->", Iff)]:
+        f = parse_formula(f"S(x) {token} S(y) {token} S(z)")
+        assert f == kind(kind(x, y), z)
+        f = parse_formula(f"S(x) {token} S(y) {token} S(z) {token} S(x)")
+        assert f == kind(kind(kind(x, y), z), x)
+    f = parse_formula("S(x) | S(y) & S(z) | S(x)")
+    assert f == Or(Or(x, And(y, z)), x)
+    f = parse_formula("S(x) & S(y) | S(z) -> S(x) <-> S(y) -> S(z) -> S(x)"
+                      " <-> S(y) & S(z) & S(x)")
+    assert f == Iff(Iff(Implies(Or(And(x, y), z), x),
+                        Implies(y, Implies(z, x))),
+                    And(And(y, z), x))
 
 
 def test_quantifier_takes_widest_scope():
@@ -108,6 +122,20 @@ def test_parse_error_positions():
         parse_formula("S(#0) S(#0)")
     with pytest.raises(ParseError):
         parse_formula("")
+    with pytest.raises(ParseError, match="bad character '%'") as e:
+        parse_formula("S(x)\t% S(y)")
+    assert e.value.position == 5
+    with pytest.raises(ParseError, match="bad character '#'") as e:
+        parse_formula("S(x) & S(#)")
+    assert e.value.position == 9
+    with pytest.raises(ParseError, match="bad character '#'") as e:
+        parse_formula("#")
+    assert e.value.position == 0
+    # trailing whitespace is skipped, and the end of the text is its end
+    assert parse_formula("S(x) \t\n") == Pred(Var("x"))
+    with pytest.raises(ParseError, match="expected a term, found ''") as e:
+        parse_formula("S(x) & \t ")
+    assert e.value.position == 9
 
 
 def test_parse_nesting_cap():
@@ -243,6 +271,34 @@ def test_implicitly_defined_by_checks_the_whole_formula():
                                      Var("x")))
     with pytest.raises(PreconditionError, match="not a term"):
         implicitly_defined_by(S1, Forall("x", Pred(Pred(Var("x")))))
+
+
+def test_formula_cost_bounds(monkeypatch):
+    def nested(d):
+        return parse_formula("".join(f"all v{i}. " for i in range(d))
+                             + "S(#0)")
+    # a table under d quantifiers over {0, 1} has 2**d * 4 bits
+    monkeypatch.setattr(implicit, "MAX_TABLE_BITS", 64)
+    assert implicitly_defined_by(S2, nested(4), (0,)) is None
+    with pytest.raises(ResourceError, match="^128 table bits under 5 "
+                       "quantifiers over 2 elements exceed the bound 64$"):
+        implicitly_defined_by(S2, nested(5), (0,))
+    # a table of 2**u bits is bounded too
+    assert implicitly_defined_by(FinStructure(range(6)), nested(0), (0,)) \
+        is None
+    with pytest.raises(ResourceError, match="^128 table bits under 0 "):
+        implicitly_defined_by(FinStructure(range(7)), nested(0), (0,))
+    # eval_formula visits 2**d assignments under d quantifiers
+    monkeypatch.setattr(implicit, "MAX_ASSIGNMENTS", 16)
+    assert eval_formula(nested(4), S2, {0}, (0,))
+    with pytest.raises(ResourceError, match="^32 assignments under 5 "
+                       "quantifiers over 2 elements exceed the bound 16$"):
+        eval_formula(nested(5), S2, {0}, (0,))
+    # the first violation left to right raises
+    with pytest.raises(PreconditionError, match="no parameter #3"):
+        eval_formula(Or(Pred(Param(3)), nested(5)), S2, {0}, (0,))
+    with pytest.raises(ResourceError):
+        eval_formula(Or(nested(5), Pred(Param(3))), S2, {0}, (0,))
 
 
 @pytest.mark.parametrize("universe, text, message", [
