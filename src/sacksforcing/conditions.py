@@ -19,17 +19,26 @@ Restriction specializes guards (dropping rows that die), and
 amalgamation creates them: grafting q onto the sigma-cell of p yields
 rows that use q's payloads inside the sigma-cells and keep p's payloads
 on the complementary cells.
+
+Schedules are recipes: a TowerRecipe, the validated step kinds a degree
+tower is built from, is also the fixed schedule of an iteration, and
+ScSchedule reads the data bits of the self-coding rule off the context
+and hands them to sc_schedule, so IterCondition takes its kinds from
+schedule.recipe(context).  What a coordinate does with its payload
+(type, full value, membership, restriction, order, amalgamation) is
+looked up by kind in one table, _PAYLOADS.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain
 
 from .bitseq import (bits, bits_str, check_bits, column, pair_split,
                      split_pair, width)
 from .errors import (AmalgamationError, IncompatibleError, InputError,
-                     PreconditionError, json_fields)
+                     PreconditionError, ResourceError, json_fields)
 from .trees import (SkeletonTree, _check_cells, _is_prefix, _strings,
                     amalgamate, full_tree, subtree_leq)
 
@@ -38,6 +47,9 @@ PAIR = "pair"
 
 COLUMN = "column"
 PAIRWISE = "pairwise"
+
+MAX_CELL_ROWS = 1 << 16        # rows a graded order restricts, all cells
+MAX_COMPLEMENT_ROWS = 1 << 12  # complement rows iter_amalgamate builds
 
 
 # -- pair conditions ---------------------------------------------------------
@@ -89,35 +101,89 @@ def pair_amalgamate(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
                          amalgamate(p.right, right_addr, q.right))
 
 
-# -- schedules and generic contexts ------------------------------------------
+def _pair_contains(p: PairCondition, node) -> bool:
+    lhs, rhs = split_pair(node)
+    return p.left._contains(lhs) and p.right._contains(rhs)
 
-class FixedSchedule:
-    """A schedule with an explicit list of coordinate kinds."""
 
-    def __init__(self, kinds):
-        kinds = tuple(kinds)
-        if any(k not in (SINGLE, PAIR) for k in kinds):
+# what the condition layer does with a coordinate's payload, by its kind
+_Payload = namedtuple(
+    "_Payload", "type full contains restrict leq amalgamate")
+_PAYLOADS = {
+    SINGLE: _Payload(SkeletonTree, full_tree(), SkeletonTree._contains,
+                     SkeletonTree._restrict_cell, subtree_leq, amalgamate),
+    PAIR: _Payload(PairCondition, full_pair(), _pair_contains,
+                   pair_restrict, pair_leq, pair_amalgamate),
+}
+
+
+# -- recipes, schedules and generic contexts -----------------------------------
+
+@dataclass(frozen=True)
+class TowerRecipe:
+    """Step kinds, step 0 single: the steps of a degree tower, and the
+    fixed schedule of an iteration."""
+
+    kinds: tuple
+
+    def __post_init__(self):
+        kinds = tuple(self.kinds)
+        object.__setattr__(self, "kinds", kinds)
+        if kinds.count(SINGLE) + kinds.count(PAIR) != len(kinds):
             raise PreconditionError(f"bad kinds: {kinds!r}")
         if kinds and kinds[0] != SINGLE:
-            raise PreconditionError("coordinate 0 must be single")
-        self.kinds = kinds
-        self.length = len(kinds)
+            raise PreconditionError("step 0 must be single")
 
-    def kind(self, beta, context_view):
-        return self.kinds[beta]
+    @property
+    def length(self):
+        return len(self.kinds)
+
+    def recipe(self, context):
+        return self
 
     def to_json(self):
         return {"kinds": list(self.kinds)}
 
+    @classmethod
+    def from_json(cls, data, name="kinds"):
+        json_fields(data, name)
+        kinds = data.get("kinds")
+        if not isinstance(kinds, list) or any(
+                k not in (SINGLE, PAIR) for k in kinds):
+            raise InputError(f"{name}: expected a list of \"single\"/\"pair\"")
+        return cls(tuple(kinds))
+
+
+FixedSchedule = TowerRecipe
+
+MAX_SCHEDULE_STEPS = 1 << 16     # the longest schedule sc_schedule builds
+
+
+def sc_schedule(n: int, g, K: int) -> TowerRecipe:
+    """Step kinds of the self-coding recipe with base n and data g,
+    truncated to K steps: singles up to n, a pair at n+1, then one pair
+    or single per bit of g."""
+    g = check_bits(g)
+    if n < 0 or K < 0:
+        raise PreconditionError("n and K must be naturals")
+    if K > MAX_SCHEDULE_STEPS:
+        raise ResourceError(f"K={K} exceeds {MAX_SCHEDULE_STEPS} steps, the "
+                            f"supported maximum")
+    if K > n + 2 + len(g):
+        raise PreconditionError(
+            f"K={K} needs {K - n - 2} data bits, g has {len(g)}")
+    kinds = [SINGLE] * min(n + 1, K) + [PAIR] + [PAIR if b else SINGLE
+                                                 for b in g]
+    return TowerRecipe(tuple(kinds[:K]))
+
 
 class ScSchedule:
-    """The self-coding schedule with base n.
+    """The self-coding schedule with base n, truncated to length steps.
 
-    Coordinates up to n are single, coordinate n+1 is a pair, and
-    coordinate n+2+j is a pair exactly when bit j of the packed join of
-    the earlier generics is 1.  That bit lives at position (src, m) =
-    pair_split(j) of the family, i.e. it is bit m of the real committed
-    for coordinate src, which is strictly below the coordinate asking.
+    Its data g is read off the context: bit j of g is bit m of the real
+    committed for coordinate src, where (src, m) = pair_split(j).  Since
+    src <= j < n+2+j, that real belongs to a coordinate strictly below
+    the one bit j decides.
     """
 
     def __init__(self, n: int, length: int):
@@ -126,21 +192,17 @@ class ScSchedule:
         self.n = n
         self.length = length
 
-    def kind(self, beta, context_view):
-        if beta >= self.length:
-            raise PreconditionError("coordinate outside the schedule")
-        if beta <= self.n:
-            return SINGLE
-        if beta == self.n + 1:
-            return PAIR
-        j = beta - self.n - 2
-        src, m = pair_split(j)
-        committed = context_view.get(src)
-        if committed is None or len(committed) <= m:
-            raise PreconditionError(
-                f"schedule at coordinate {beta} needs bit {m} of the "
-                f"generic for coordinate {src}")
-        return PAIR if committed[m] else SINGLE
+    def recipe(self, context):
+        g = []
+        for j in range(self.length - self.n - 2):
+            src, m = pair_split(j)
+            committed = context.commitments.get(src, ())
+            if len(committed) <= m:
+                raise PreconditionError(
+                    f"schedule at coordinate {self.n + 2 + j} needs bit {m} "
+                    f"of the generic for coordinate {src}")
+            g.append(committed[m])
+        return sc_schedule(self.n, g, self.length)
 
     def to_json(self):
         return {"sc": self.n, "length": self.length}
@@ -154,9 +216,6 @@ class GenericContext:
     def __init__(self, commitments=None):
         self.commitments = {
             int(k): check_bits(v) for k, v in (commitments or {}).items()}
-
-    def view_below(self, beta: int):
-        return {k: v for k, v in self.commitments.items() if k < beta}
 
     def to_json(self):
         return {str(k): bits_str(v) for k, v in sorted(self.commitments.items())}
@@ -233,7 +292,9 @@ def _complement_guards(guard):
 
 def _table_is_partition(rows, beta):
     """Rows must be pairwise incompatible and jointly exhaustive over the
-    cells they mention."""
+    cells they mention.  Pairwise-incompatible guards are disjoint
+    cylinders, a guard with b address bits covering 2^-b of the space, so
+    they cover it exactly when their measures add up to 1."""
     if not rows:
         raise PreconditionError(f"coordinate {beta} has an empty table")
     for i, (g1, _) in enumerate(rows):
@@ -246,16 +307,11 @@ def _table_is_partition(rows, beta):
     for g, _ in rows:
         for k, addr in g.items():
             mention[k] = max(mention.get(k, 0), len(addr))
-    keys = sorted(mention)
-    for combo in product(*(_strings(mention[k]) for k in keys)):
-        assignment = dict(zip(keys, combo))
-        hits = sum(
-            all(_is_prefix(addr, assignment[k]) for k, addr in g.items())
-            for g, _ in rows)
-        if hits != 1:
-            raise PreconditionError(
-                f"coordinate {beta}: guards are not exhaustive at "
-                f"{assignment} (matched {hits} rows)")
+    top = sum(mention.values())
+    covered = sum(1 << top - sum(map(len, g.values())) for g, _ in rows)
+    if covered != 1 << top:
+        raise PreconditionError(
+            f"coordinate {beta}: guards are not exhaustive")
 
 
 # -- iteration conditions ------------------------------------------------------
@@ -270,19 +326,14 @@ class IterCondition:
             raise PreconditionError(
                 f"expected {schedule.length} coordinates, got {len(coords)}")
         self.schedule = schedule
-        ctx = context or GenericContext()
-        self.context = ctx
-        self.kinds = tuple(
-            schedule.kind(beta, ctx.view_below(beta))
-            for beta in range(schedule.length))
+        self.context = context or GenericContext()
+        self.kinds = schedule.recipe(self.context).kinds
         cooked = []
         for beta, table in enumerate(coords):
             rows = []
             for guard, payload in table:
                 guard = _check_guard(guard, beta)
-                want = SkeletonTree if self.kinds[beta] == SINGLE \
-                    else PairCondition
-                if not isinstance(payload, want):
+                if not isinstance(payload, _PAYLOADS[self.kinds[beta]].type):
                     raise PreconditionError(
                         f"coordinate {beta} is {self.kinds[beta]} but "
                         f"payload is {type(payload).__name__}")
@@ -311,15 +362,9 @@ class IterCondition:
         for beta, committed in context.commitments.items():
             if not 0 <= beta < self.length or not committed:
                 continue
-            ok = False
-            for _, payload in self.coords[beta]:
-                if self.kinds[beta] == SINGLE:
-                    ok = ok or payload._contains(committed)
-                else:
-                    lhs, rhs = split_pair(committed)
-                    ok = ok or (payload.left._contains(lhs)
-                                and payload.right._contains(rhs))
-            if not ok:
+            contains = _PAYLOADS[self.kinds[beta]].contains
+            if not any(contains(payload, committed)
+                       for _, payload in self.coords[beta]):
                 raise PreconditionError(
                     f"context commitment for coordinate {beta} is not a "
                     f"branch of any payload")
@@ -375,14 +420,13 @@ def plain_iter(kinds, payloads) -> IterCondition:
 
 
 def full_iter(kinds) -> IterCondition:
-    return plain_iter(kinds, [
-        full_tree() if k == SINGLE else full_pair() for k in kinds])
+    kinds = TowerRecipe(kinds).kinds
+    return plain_iter(kinds, [_PAYLOADS[k].full for k in kinds])
 
 
 def is_full_iter(p: IterCondition) -> bool:
-    full = {SINGLE: full_tree(), PAIR: full_pair()}
-    return all(payload == full[p.kinds[beta]]
-               for beta, table in enumerate(p.coords) for _, payload in table)
+    return all(payload == _PAYLOADS[kind].full
+               for kind, table in zip(p.kinds, p.coords) for _, payload in table)
 
 
 def _addresses(sigma, mode, length):
@@ -401,24 +445,6 @@ def _addresses(sigma, mode, length):
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
-def _restrict_payload(payload, addr, kind):
-    if kind == SINGLE:
-        return payload._restrict_cell(addr)
-    return pair_restrict(payload, addr)
-
-
-def _payload_leq(q_pay, p_pay, kind):
-    if kind == SINGLE:
-        return subtree_leq(q_pay, p_pay)
-    return pair_leq(q_pay, p_pay)
-
-
-def _amalg_payload(p_pay, addr, q_pay, kind):
-    if kind == SINGLE:
-        return amalgamate(p_pay, addr, q_pay)
-    return pair_amalgamate(p_pay, addr, q_pay)
-
-
 def iter_restrict(p: IterCondition, sigma, mode=COLUMN) -> IterCondition:
     """Restrict every coordinate by its share of sigma, specializing
     guards: implied guard entries drop, refined ones keep their residual
@@ -426,6 +452,7 @@ def iter_restrict(p: IterCondition, sigma, mode=COLUMN) -> IterCondition:
     addrs = _addresses(sigma, mode, p.length)
     new_coords = []
     for m, table in enumerate(p.coords):
+        restrict = _PAYLOADS[p.kinds[m]].restrict
         rows = []
         for guard, payload in table:
             residual = {}
@@ -440,8 +467,7 @@ def iter_restrict(p: IterCondition, sigma, mode=COLUMN) -> IterCondition:
                     dead = True
                     break
             if not dead:
-                rows.append((residual,
-                             _restrict_payload(payload, addrs[m], p.kinds[m])))
+                rows.append((residual, restrict(payload, addrs[m])))
         new_coords.append(rows)
     return IterCondition._trusted(p.kinds, new_coords)
 
@@ -452,12 +478,12 @@ def iter_leq(q: IterCondition, p: IterCondition) -> bool:
     if q.kinds != p.kinds:
         raise IncompatibleError(
             f"kind mismatch: {q.kinds} vs {p.kinds}")
-    for m in range(p.length):
-        for gq, pay_q in q.coords[m]:
-            for gp, pay_p in p.coords[m]:
-                if _guards_compatible(gq, gp):
-                    if not _payload_leq(pay_q, pay_p, p.kinds[m]):
-                        return False
+    for kind, q_table, p_table in zip(p.kinds, q.coords, p.coords):
+        leq = _PAYLOADS[kind].leq
+        for gq, pay_q in q_table:
+            for gp, pay_p in p_table:
+                if _guards_compatible(gq, gp) and not leq(pay_q, pay_p):
+                    return False
     return True
 
 
@@ -465,8 +491,19 @@ def iter_equal(q: IterCondition, p: IterCondition) -> bool:
     return iter_leq(q, p) and iter_leq(p, q)
 
 
+def _check_cell_rows(op, n, conds, extra=0, what="rows"):
+    """Refuse a level-n order that would handle the rows of conds (and
+    extra entries) in each of 2^n cells, past MAX_CELL_ROWS in all."""
+    _check_cells(op, n)
+    rows = extra + sum(len(table) for cond in conds for table in cond.coords)
+    if rows << n > MAX_CELL_ROWS:
+        raise ResourceError(
+            f"{op} would handle {rows} {what} in each of 2^{n} cells, "
+            f"{rows << n} in all; the bound is {MAX_CELL_ROWS}")
+
+
 def iter_leq_n(q: IterCondition, p: IterCondition, n: int, mode=COLUMN) -> bool:
-    _check_cells("iter_leq_n", n)
+    _check_cell_rows("iter_leq_n", n, (q, p))
     return all(
         iter_leq(iter_restrict(q, sigma, mode), iter_restrict(p, sigma, mode))
         for sigma in _strings(n))
@@ -485,8 +522,18 @@ def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
     addrs = _addresses(sigma, mode, p.length)
     if not iter_leq(q, iter_restrict(p, sigma, mode)):
         raise AmalgamationError("q does not extend the sigma cell of p")
+    # coordinate m's rows meet 2^|addr_k| - 1 complement guards per k < m
+    count = guards = 0
+    for table, addr in zip(p.coords, addrs):
+        count += len(table) * guards
+        guards += (1 << len(addr)) - 1
+    if count > MAX_COMPLEMENT_ROWS:
+        raise ResourceError(
+            f"iter_amalgamate would build {count} complement rows; the "
+            f"bound is {MAX_COMPLEMENT_ROWS}")
     new_coords = []
     for m, table in enumerate(p.coords):
+        amalg = _PAYLOADS[p.kinds[m]].amalgamate
         sguard = {k: addrs[k] for k in range(m) if addrs[k]}
         rows = []
         for guard, payload in table:
@@ -498,8 +545,7 @@ def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
                 lifted = {k: addrs[k] + b for k, b in gq.items()}
                 if _guards_compatible(inside, lifted):
                     rows.append((_guard_meet(inside, lifted),
-                                 _amalg_payload(payload, addrs[m], pay_q,
-                                                p.kinds[m])))
+                                 amalg(payload, addrs[m], pay_q)))
             for comp in _complement_guards(sguard):
                 if _guards_compatible(guard, comp):
                     rows.append((_guard_meet(guard, comp), payload))
@@ -621,7 +667,10 @@ def prod_equal(q: ProductCondition, p: ProductCondition) -> bool:
 def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     """The graded order: every length-n index, distributed over sbar,
     restricts q to an extension of the matching restriction of p."""
-    _check_cells("prod_leq", n)
+    sbar = list(sbar)
+    _check_cell_rows("prod_leq", n, chain(q._coords.values(),
+                                          p._coords.values()),
+                     len(sbar), "rows and sbar entries")
     return all(
         prod_extends(prod_restrict(q, sigma, sbar),
                      prod_restrict(p, sigma, sbar))

@@ -12,6 +12,10 @@ ride on them:
   n (the level of the first diamond, minus one) and a bit string g (one
   bit per level after the base block).
 
+Step recipes (TowerRecipe) and the self-coding rule (sc_schedule) live
+in the condition layer, where the same kinds schedule iterations; this
+module re-exports them.
+
 Uncountable multiplicities are collapsed to the symbolic count MANY:
 the codings only ever consume the one/many distinction, and removing
 half of an unbounded family leaves it unbounded.
@@ -23,9 +27,9 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .bitseq import Bits, check_bits
-from .conditions import PAIR, SINGLE
-from .errors import (DecodeError, InputError, PreconditionError, ResourceError,
-                     json_fields)
+from .conditions import (MAX_SCHEDULE_STEPS, PAIR, SINGLE, TowerRecipe,
+                         sc_schedule)
+from .errors import DecodeError, InputError, PreconditionError, json_fields
 
 ONE = "one"
 MANY = "many"
@@ -70,35 +74,6 @@ class Ordinal2:
         if not _naturals(data, 2):
             raise InputError(f"{name}: expected [a, b] with naturals a, b")
         return cls(*data)
-
-
-@dataclass(frozen=True)
-class TowerRecipe:
-    kinds: tuple
-
-    def __post_init__(self):
-        kinds = tuple(self.kinds)
-        object.__setattr__(self, "kinds", kinds)
-        if any(k not in (SINGLE, PAIR) for k in kinds):
-            raise PreconditionError(f"bad kinds: {kinds!r}")
-        if kinds and kinds[0] != SINGLE:
-            raise PreconditionError("step 0 must be single")
-
-    @property
-    def length(self):
-        return len(self.kinds)
-
-    def to_json(self):
-        return {"kinds": list(self.kinds)}
-
-    @classmethod
-    def from_json(cls, data, name="kinds"):
-        json_fields(data, name)
-        kinds = data.get("kinds")
-        if not isinstance(kinds, list) or any(
-                k not in (SINGLE, PAIR) for k in kinds):
-            raise InputError(f"{name}: expected a list of \"single\"/\"pair\"")
-        return cls(tuple(kinds))
 
 
 class DegreePoset:
@@ -322,32 +297,6 @@ class ScPattern:
             raise InputError(
                 f"{name}: expected a list of \"line\"/\"diamond\"")
         return cls(tuple(levels))
-
-
-MAX_SCHEDULE_STEPS = 1 << 16     # the longest schedule sc_schedule builds
-
-
-def sc_schedule(n: int, g, K: int) -> TowerRecipe:
-    """Step kinds of the self-coding recipe with base n and data g,
-    truncated to K steps."""
-    g = check_bits(g)
-    if n < 0 or K < 0:
-        raise PreconditionError("n and K must be naturals")
-    if K > MAX_SCHEDULE_STEPS:
-        raise ResourceError(f"K={K} exceeds {MAX_SCHEDULE_STEPS} steps, the "
-                            f"supported maximum")
-    if K > n + 2 + len(g):
-        raise PreconditionError(
-            f"K={K} needs {K - n - 2} data bits, g has {len(g)}")
-    kinds = []
-    for k in range(K):
-        if k <= n:
-            kinds.append(SINGLE)
-        elif k == n + 1:
-            kinds.append(PAIR)
-        else:
-            kinds.append(PAIR if g[k - n - 2] else SINGLE)
-    return TowerRecipe(tuple(kinds))
 
 
 def sc_pattern(recipe: TowerRecipe) -> ScPattern:

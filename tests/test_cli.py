@@ -8,6 +8,7 @@ import pytest
 
 import sacksforcing
 from sacksforcing.cli import _OPS, build_parser, main
+from sacksforcing.conditions import ProductCondition, full_iter, iter_restrict
 
 
 def write_json(tmp_path, payload, name="payload.json"):
@@ -361,6 +362,50 @@ def test_eval_sc_schedule_past_the_step_bound(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     assert (code, out) == (1, "")
     assert err.startswith("ResourceError: K=100000000 exceeds 65536 steps")
+
+
+def _iter_payloads():
+    """Small guard-table payloads with costly answers: a partition check
+    over 2^22 assignments, an amalgamation that would print 41.7 MB, and
+    graded orders that restrict every row in each of 2^n cells."""
+    full = {"depth": 0, "skeleton": {"": ""}}
+    single = {"kinds": ["single", "single"]}
+    q = {"kind": "iter", "schedule": single, "coords": [
+        [{"guard": {}, "payload": full}],
+        [{"guard": {"0": "0" * 22}, "payload": full}]]}
+    p = {"kind": "iter", "schedule": single,
+         "coords": [[{"guard": {}, "payload": full}]] * 2}
+    yield "iter_leq", {"q": q, "p": p}, "PreconditionError: coordinate 1: " \
+        "guards are not exhaustive"
+    p14 = full_iter(["single"] * 14)
+    sigma = (0,) * 105
+    yield "iter_amalgamate", {
+        "p": p14.to_json(), "sigma": "0" * 105,
+        "q": iter_restrict(p14, sigma).to_json()}, \
+        "ResourceError: iter_amalgamate would build 393129 complement rows"
+    p8 = full_iter(["single"] * 8).to_json()
+    yield "iter_leq_n", {"q": p8, "p": p8, "n": 16}, \
+        "ResourceError: iter_leq_n would handle 16 rows in each of 2^16 cells"
+    product = ProductCondition(
+        {i: full_iter(["single"] * 8) for i in range(8)}).to_json()
+    for n in (12, 16):
+        yield "prod_leq", {"q": product, "p": product, "n": n,
+                           "sbar": list(range(8))}, \
+            f"ResourceError: prod_leq would handle 136 rows and sbar " \
+            f"entries in each of 2^{n} cells"
+
+
+@pytest.mark.parametrize("op, payload, message", list(_iter_payloads()),
+                         ids=["partition", "amalgamate", "iter_leq_n",
+                              "prod_leq 12", "prod_leq 16"])
+def test_eval_guard_tables_within_bounds(tmp_path, capsys, op, payload,
+                                         message):
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, op, payload, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+    assert "Traceback" not in err
 
 
 DEEP = "all x. " + "".join(f"all v{i}. " for i in range(20)) + "S(x)"

@@ -1,7 +1,10 @@
 import math
 import time
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sacksforcing.bitseq import bits, column, join_family, join_pair, width
 from sacksforcing.errors import (
@@ -9,9 +12,9 @@ from sacksforcing.errors import (
     PreconditionError, ResourceError,
 )
 from sacksforcing.conditions import (
-    COLUMN, PAIR, PAIRWISE, SINGLE,
+    COLUMN, MAX_CELL_ROWS, MAX_COMPLEMENT_ROWS, PAIR, PAIRWISE, SINGLE,
     FixedSchedule, GenericContext, IterCondition, PairCondition,
-    ProductCondition, ScSchedule,
+    ProductCondition, ScSchedule, _guards_compatible, _table_is_partition,
     condition_from_json, full_iter, full_pair, full_tree, is_full_iter,
     iter_amalgamate, iter_equal, iter_leq, iter_leq_n, iter_restrict,
     pair_amalgamate, pair_leq, pair_leq_n, pair_restrict, permute_indices,
@@ -19,8 +22,8 @@ from sacksforcing.conditions import (
     prod_restrict, schedule_from_json,
 )
 from sacksforcing.trees import (
-    SkeletonTree, all_bitstrings, amalgamate, enumerate_trees, leq_n,
-    subtree_leq,
+    SkeletonTree, _is_prefix, _strings, all_bitstrings, amalgamate,
+    enumerate_trees, leq_n, subtree_leq,
 )
 
 
@@ -315,6 +318,117 @@ def test_context_consistency_checked():
                   GenericContext({0: bits("01")}))
 
 
+def test_pair_context_checks_both_halves():
+    # the right tree of coordinate 1 has stem 0; the commitment interleaves
+    # the two reals, so its odd positions belong to the right one
+    stem0 = make_tree(0, {"": "0"})
+    sched = FixedSchedule([SINGLE, PAIR])
+    coords = [[({}, F)], [({}, PairCondition(F, stem0))]]
+    with pytest.raises(PreconditionError, match="coordinate 1 is not a "
+                                                "branch of any payload"):
+        IterCondition(sched, coords, GenericContext({1: bits("01")}))
+    IterCondition(sched, coords, GenericContext({1: bits("00")}))
+    IterCondition(sched, coords, GenericContext({1: bits("10")}))
+
+
+def test_sc_schedule_without_data_bits():
+    for length in range(4):  # n = 2: coordinates 0-2 single, 3 the pair
+        cond = IterCondition(ScSchedule(2, length), [[({}, F)]] * length)
+        assert cond.kinds == (SINGLE,) * length
+    # bits j = 0, 1 of g are bits 0, 1 of coordinate 0's real, and bit
+    # j = 2 is bit 0 of coordinate 1's, which decides coordinate 2 + 2 + 2
+    payloads = [F, F, F, full_pair(), F, full_pair(), F]
+    with pytest.raises(PreconditionError) as e:
+        IterCondition(ScSchedule(2, 7), [[({}, p)] for p in payloads],
+                      GenericContext({0: bits("01")}))
+    assert str(e.value) == ("schedule at coordinate 6 needs bit 0 of the "
+                            "generic for coordinate 1")
+    cond = IterCondition(ScSchedule(2, 6), [[({}, p)] for p in payloads[:6]],
+                         GenericContext({0: bits("01")}))
+    assert cond.kinds == (SINGLE, SINGLE, SINGLE, PAIR, SINGLE, PAIR)
+
+
+def _reference_is_partition(rows, beta):
+    """The exhaustiveness check by enumeration: every assignment of the
+    mentioned addresses must match exactly one row."""
+    if not rows:
+        raise PreconditionError(f"coordinate {beta} has an empty table")
+    for i, (g1, _) in enumerate(rows):
+        for g2, _ in rows[i + 1:]:
+            if _guards_compatible(g1, g2):
+                raise PreconditionError(
+                    f"coordinate {beta}: rows with compatible guards "
+                    f"{g1} and {g2}")
+    mention = {}
+    for g, _ in rows:
+        for k, addr in g.items():
+            mention[k] = max(mention.get(k, 0), len(addr))
+    keys = sorted(mention)
+    for combo in product(*(_strings(mention[k]) for k in keys)):
+        assignment = dict(zip(keys, combo))
+        hits = sum(
+            all(_is_prefix(addr, assignment[k]) for k, addr in g.items())
+            for g, _ in rows)
+        if hits != 1:
+            raise PreconditionError(
+                f"coordinate {beta}: guards are not exhaustive at "
+                f"{assignment} (matched {hits} rows)")
+
+
+@st.composite
+def guard_tables(draw):
+    """A partition made by splitting rows on coordinates 0 and 1 (up to 3
+    address bits each), then kept, with one row dropped, or with one
+    address shortened."""
+    guards = [{}]
+    for _ in range(draw(st.integers(0, 10))):
+        i = draw(st.integers(0, len(guards) - 1))
+        k = draw(st.sampled_from((0, 1)))
+        addr = guards[i].get(k, ())
+        if len(addr) < 3:
+            guards[i:i + 1] = [{**guards[i], k: addr + (b,)} for b in (0, 1)]
+    change = draw(st.sampled_from(("keep", "drop", "shorten")))
+    i = draw(st.integers(0, len(guards) - 1))
+    if change == "drop":
+        del guards[i]
+    elif change == "shorten" and guards[i]:
+        k = draw(st.sampled_from(sorted(guards[i])))
+        shorter = {k: guards[i][k][:-1]}
+        guards[i] = {j: a for j, a in {**guards[i], **shorter}.items() if a}
+    return [(g, F) for g in draw(st.permutations(guards))]
+
+
+def _verdict(check, rows):
+    try:
+        check(rows, 2)
+    except PreconditionError:
+        return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(guard_tables())
+def test_partition_check_matches_enumeration(rows):
+    assert _verdict(_table_is_partition, rows) == \
+        _verdict(_reference_is_partition, rows)
+
+
+def test_partition_check_reads_long_addresses():
+    # an enumeration would list 2^22 and 2^40 assignments here
+    start = time.perf_counter()
+    one_cell = [[({}, F)], [({0: (0,) * 22}, F)]]
+    with pytest.raises(PreconditionError, match="not exhaustive"):
+        IterCondition(FixedSchedule([SINGLE, SINGLE]), one_cell)
+    # first point of difference from 0^40, then 0^40 itself
+    rows = [({0: (0,) * i + (1,)}, F) for i in range(40)]
+    cond = IterCondition(FixedSchedule([SINGLE, SINGLE]),
+                         [[({}, F)], rows + [({0: (0,) * 40}, F)]])
+    assert len(cond.coords[1]) == 41
+    with pytest.raises(PreconditionError, match="not exhaustive"):
+        IterCondition(FixedSchedule([SINGLE, SINGLE]), [[({}, F)], rows])
+    assert time.perf_counter() - start < 2
+
+
 # -- serialization --------------------------------------------------------------
 
 def test_iter_json_round_trip():
@@ -486,6 +600,53 @@ def test_graded_orders_refuse_past_the_bound():
             call(17)
         with pytest.raises(ResourceError, match="2\\^1000000 pairs"):
             call(10 ** 6)
+
+
+def test_graded_orders_charge_rows_per_cell():
+    # 8 + 8 rows in each of 2^12 cells is exactly the bound
+    eight = full_iter([SINGLE] * 8)
+    assert 16 << 12 == MAX_CELL_ROWS
+    assert iter_leq_n(eight, eight, 12)
+    with pytest.raises(ResourceError, match="iter_leq_n would handle 16 rows "
+                       "in each of 2\\^13 cells, 131072 in all; the bound "
+                       "is 65536"):
+        iter_leq_n(eight, eight, 13)
+    product = ProductCondition({i: eight for i in range(8)})
+    assert prod_leq(product, product, 8, range(8))
+    with pytest.raises(ResourceError, match="prod_leq would handle 136 rows "
+                       "and sbar entries in each of 2\\^9 cells, 69632 in "
+                       "all; the bound is 65536"):
+        prod_leq(product, product, 9, range(8))
+    # every sbar entry is visited in each cell, so a long sbar is charged
+    one = ProductCondition({0: iter_of(F)})
+    assert prod_leq(one, one, 0, range(MAX_CELL_ROWS - 2))
+    with pytest.raises(ResourceError, match="65538 in all"):
+        prod_leq(one, one, 0, range(MAX_CELL_ROWS))
+
+
+def test_amalgamation_counts_complement_rows_first():
+    # a PAIRWISE index with k left bits leaves 2^k - 1 complement guards
+    # for coordinate 1
+    p = full_iter([SINGLE, SINGLE])
+    for k, ok in ((12, True), (13, False)):
+        sigma = (0,) * (2 * k)
+        q = iter_restrict(p, sigma, PAIRWISE)
+        if ok:
+            r = iter_amalgamate(p, sigma, q, PAIRWISE)
+            assert len(r.coords[1]) == MAX_COMPLEMENT_ROWS
+            assert iter_equal(iter_restrict(r, sigma, PAIRWISE), q)
+        else:
+            with pytest.raises(ResourceError, match="iter_amalgamate would "
+                               "build 8191 complement rows; the bound is "
+                               "4096"):
+                iter_amalgamate(p, sigma, q, PAIRWISE)
+    # the rows of each coordinate multiply the guards of all earlier ones
+    p = full_iter([SINGLE] * 14)
+    sigma = (0,) * 105
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="393129 complement rows"):
+        iter_amalgamate(p, sigma, iter_restrict(p, sigma))
+    assert time.perf_counter() - start < 2
 
 
 
