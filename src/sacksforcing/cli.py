@@ -21,7 +21,8 @@ import sys
 
 from .bitseq import (bits_str, column, join_family, join_pair, pair_index,
                      pair_split, split_pair, width)
-from .conditions import (condition_from_json, index_from_json,
+from .conditions import (IterCondition, ProductCondition,
+                         condition_from_json, index_from_json,
                          iter_amalgamate, iter_equal, iter_leq, iter_leq_n,
                          iter_restrict, prod_amalgamate, prod_extends,
                          prod_leq, prod_restrict)
@@ -29,7 +30,7 @@ from .degrees import (DegreePoset, Ordinal2, ScPattern, TowerCensus,
                       TowerRecipe, _naturals, census_decode, census_encode,
                       poset_dot, sc_census_decode, sc_census_encode,
                       sc_decode, sc_pattern, sc_schedule, tower_degrees)
-from .errors import EngineError, InputError, ResourceError
+from .errors import EngineError, InputError, ResourceError, json_int_keys
 from .implicit import (FinStructure, eval_formula, formula_size,
                        formula_text, free_vars, imp_levels, implicit_subsets,
                        implicitly_defined_by, parse_formula, vn_levels)
@@ -72,17 +73,29 @@ def _ints(v, name):
 
 
 # the library decoders take (JSON value, name) too and check the shape
-_tree, _condition = SkeletonTree.from_json, condition_from_json
+_tree = SkeletonTree.from_json
 
 
-def _pattern(v, name):      # the pattern object, or its bare level list
-    return ScPattern.from_json(v if isinstance(v, dict) else {"levels": v},
-                               name)
+def _condition(cls, kind):  # any condition's JSON, decoded, of one kind
+    def read(v, name):
+        cond = condition_from_json(v, name)
+        if not isinstance(cond, cls):
+            raise InputError(f"{name}: expected a condition of kind {kind}")
+        return cond
+    return read
 
 
-def _census(v, name):       # the census object, or its bare entry list
-    return TowerCensus.from_json(
-        v if isinstance(v, dict) else {"entries": v}, name)
+_iter = _condition(IterCondition, "iter")
+_product = _condition(ProductCondition, "product")
+
+
+def _object_or_list(cls, key):  # cls's JSON object, or its bare key list
+    return lambda v, name: cls.from_json(
+        v if isinstance(v, dict) else {key: v}, name)
+
+
+_pattern = _object_or_list(ScPattern, "levels")
+_census = _object_or_list(TowerCensus, "entries")
 
 
 def _mode(v, name):
@@ -113,15 +126,6 @@ def _bit_function(v, name):
     return {Ordinal2(a, n): bit for a, n, bit in v}
 
 
-def _verdicts(v, name):
-    if not isinstance(v, dict):
-        raise InputError(f"{name}: expected an object of level -> verdict")
-    try:
-        return {int(k): verdict for k, verdict in v.items()}
-    except ValueError:
-        raise InputError(f"{name}: keys must be integer levels")
-
-
 # -- results whose JSON shape differs from the library's return value ---------
 
 def _pair_split(k):
@@ -146,7 +150,8 @@ def _parse(f):
 
 # a field is (name, reader) or (name, reader, default) when it is optional
 _SIGMA, _N, _TREE = ("sigma", _bits), ("n", _nat), ("tree", _tree)
-_Q, _P, _SBAR = ("q", _condition), ("p", _condition), ("sbar", _sbar)
+_Q, _P, _SBAR = ("q", _iter), ("p", _iter), ("sbar", _sbar)
+_PQ, _PP = ("q", _product), ("p", _product)
 _FORMULA = ("formula", _formula)
 _UNIVERSE = ("universe", lambda v, name: FinStructure(_ints(v, name)))
 _KINDS = ("kinds", lambda v, name: TowerRecipe.from_json({"kinds": v}, name))
@@ -168,16 +173,16 @@ _OPS = {
     "leq_n": (leq_n, [("sub", _tree), ("sup", _tree), _N]),
     "amalgamate": (amalgamate, [_TREE, _SIGMA, ("graft", _tree)]),
     "iter_restrict": (iter_restrict,
-                      [("condition", _condition), _SIGMA, _MODE]),
+                      [("condition", _iter), _SIGMA, _MODE]),
     "iter_leq": (iter_leq, [_Q, _P]),
     "iter_leq_n": (iter_leq_n, [_Q, _P, _N, _MODE]),
     "iter_equal": (iter_equal, [_Q, _P]),
     "iter_amalgamate": (iter_amalgamate, [_P, _SIGMA, _Q, _MODE]),
     "prod_restrict": (prod_restrict,
-                      [("product", _condition), _SIGMA, _SBAR]),
-    "prod_extends": (prod_extends, [_Q, _P]),
-    "prod_leq": (prod_leq, [_Q, _P, _N, _SBAR]),
-    "prod_amalgamate": (prod_amalgamate, [_P, _SIGMA, _SBAR, _Q]),
+                      [("product", _product), _SIGMA, _SBAR]),
+    "prod_extends": (prod_extends, [_PQ, _PP]),
+    "prod_leq": (prod_leq, [_PQ, _PP, _N, _SBAR]),
+    "prod_amalgamate": (prod_amalgamate, [_PP, _SIGMA, _SBAR, _PQ]),
     "tower_degrees": (tower_degrees, [_KINDS]),
     "sc_schedule": (sc_schedule, [_N, ("g", _bits), ("length", _pos)]),
     "sc_pattern": (sc_pattern, [_KINDS]),
@@ -188,7 +193,7 @@ _OPS = {
     "census_decode": (_census_decode, [("census", _census)]),
     "sc_census_encode": (sc_census_encode,
                          [("h", _bits), ("alpha_bound", _int_at_least(2))]),
-    "sc_census_decode": (sc_census_decode, [("census", _verdicts)]),
+    "sc_census_decode": (sc_census_decode, [("census", json_int_keys)]),
     "parse": (_parse, [_FORMULA]),
     "eval": (eval_formula, [_FORMULA, _UNIVERSE, ("subset", _ints), _PARAMS]),
     "implicitly_defined_by": (implicitly_defined_by,

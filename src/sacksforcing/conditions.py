@@ -38,7 +38,8 @@ from itertools import chain
 from .bitseq import (bits, bits_str, check_bits, column, pair_split,
                      split_pair, width)
 from .errors import (AmalgamationError, IncompatibleError, InputError,
-                     PreconditionError, ResourceError, json_fields)
+                     PreconditionError, ResourceError, json_fields,
+                     json_int_keys)
 from .trees import (SkeletonTree, _check_cells, _is_prefix, _strings,
                     amalgamate, full_tree, subtree_leq)
 
@@ -48,7 +49,7 @@ PAIR = "pair"
 COLUMN = "column"
 PAIRWISE = "pairwise"
 
-MAX_CELL_ROWS = 1 << 16        # rows a graded order restricts, all cells
+MAX_CELL_ROWS = 1 << 16        # skeleton entries a graded order restricts
 MAX_COMPLEMENT_ROWS = 1 << 12  # complement rows iter_amalgamate builds
 
 
@@ -108,12 +109,14 @@ def _pair_contains(p: PairCondition, node) -> bool:
 
 # what the condition layer does with a coordinate's payload, by its kind
 _Payload = namedtuple(
-    "_Payload", "type full contains restrict leq amalgamate")
+    "_Payload", "type full entries contains restrict leq amalgamate")
 _PAYLOADS = {
-    SINGLE: _Payload(SkeletonTree, full_tree(), SkeletonTree._contains,
-                     SkeletonTree._restrict_cell, subtree_leq, amalgamate),
-    PAIR: _Payload(PairCondition, full_pair(), _pair_contains,
-                   pair_restrict, pair_leq, pair_amalgamate),
+    SINGLE: _Payload(SkeletonTree, full_tree(), lambda t: len(t._skel),
+                     SkeletonTree._contains, SkeletonTree._restrict_cell,
+                     subtree_leq, amalgamate),
+    PAIR: _Payload(PairCondition, full_pair(),
+                   lambda p: len(p.left._skel) + len(p.right._skel),
+                   _pair_contains, pair_restrict, pair_leq, pair_amalgamate),
 }
 
 
@@ -223,20 +226,13 @@ class GenericContext:
 
 def _int_keyed(data, name):
     """A JSON object of bit strings keyed by integers, decoded."""
-    json_fields(data, name)
-    try:
-        keys = [int(k) for k in data]
-    except ValueError:
-        raise InputError(f"{name}: keys must be integers") from None
-    return {k: bits(v) for k, v in zip(keys, data.values())}
+    return {k: bits(v) for k, v in json_int_keys(data, name).items()}
 
 
 def schedule_from_json(data, name="schedule"):
     json_fields(data, name)
     if "kinds" in data:
-        if not isinstance(data["kinds"], list):
-            raise InputError(f"{name}.kinds: expected a list")
-        return FixedSchedule(data["kinds"])
+        return TowerRecipe.from_json(data, f"{name}.kinds")
     if "sc" in data:
         n, length = json_fields(data, name, "sc", "length")
         if type(n) is not int or type(length) is not int:
@@ -492,14 +488,18 @@ def iter_equal(q: IterCondition, p: IterCondition) -> bool:
 
 
 def _check_cell_rows(op, n, conds, extra=0, what="rows"):
-    """Refuse a level-n order that would handle the rows of conds (and
-    extra entries) in each of 2^n cells, past MAX_CELL_ROWS in all."""
+    """Refuse a level-n order that would restrict the payloads of conds
+    (and handle extra entries) in each of 2^n cells, past MAX_CELL_ROWS
+    skeleton entries in all; a pair payload counts both its trees."""
     _check_cells(op, n)
-    rows = extra + sum(len(table) for cond in conds for table in cond.coords)
-    if rows << n > MAX_CELL_ROWS:
+    charge = extra + sum(_PAYLOADS[kind].entries(payload) for cond in conds
+                         for kind, table in zip(cond.kinds, cond.coords)
+                         for _, payload in table)
+    if charge << n > MAX_CELL_ROWS:
         raise ResourceError(
-            f"{op} would handle {rows} {what} in each of 2^{n} cells, "
-            f"{rows << n} in all; the bound is {MAX_CELL_ROWS}")
+            f"{op} would handle {charge} {what} in each of 2^{n} cells, "
+            f"{charge << n} in all; the bound is {MAX_CELL_ROWS}, a row "
+            f"counting the skeleton entries of its payload")
 
 
 def iter_leq_n(q: IterCondition, p: IterCondition, n: int, mode=COLUMN) -> bool:
@@ -651,13 +651,8 @@ def prod_restrict(p: ProductCondition, sigma, sbar) -> ProductCondition:
 def prod_extends(q: ProductCondition, p: ProductCondition) -> bool:
     """Plain coordinatewise extension; a coordinate missing from q stands
     for the weakest condition."""
-    for i, cond in p.coords.items():
-        if i in q.coords:
-            if not iter_leq(q.coords[i], cond):
-                return False
-        elif not is_full_iter(cond):
-            return False
-    return True
+    return all(iter_leq(q._coords[i], cond) if i in q._coords
+               else is_full_iter(cond) for i, cond in p._coords.items())
 
 
 def prod_equal(q: ProductCondition, p: ProductCondition) -> bool:
@@ -686,12 +681,11 @@ def prod_amalgamate(p: ProductCondition, sigma, sbar,
     if not prod_extends(q, restricted):
         raise AmalgamationError("q does not extend the restriction of p")
     coords = q.coords
-    p_coords = p.coords
     for k, i in enumerate(list(sbar)):
-        addr = column(sigma, k)
-        if i in p_coords:
-            qi = coords.get(i, iter_restrict(p_coords[i], addr, COLUMN))
-            coords[i] = iter_amalgamate(p_coords[i], addr, qi, COLUMN)
+        addr, pi = column(sigma, k), p._coords.get(i)
+        if pi is not None:
+            qi = coords[i] if i in coords else iter_restrict(pi, addr, COLUMN)
+            coords[i] = iter_amalgamate(pi, addr, qi, COLUMN)
     return ProductCondition(coords)
 
 

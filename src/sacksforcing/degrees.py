@@ -12,6 +12,9 @@ ride on them:
   n (the level of the first diamond, minus one) and a bit string g (one
   bit per level after the base block).
 
+Decoders are checked inverses: each encodes its answer again and returns
+it only when that gives back the input, and raises DecodeError otherwise.
+
 Step recipes (TowerRecipe) and the self-coding rule (sc_schedule) live
 in the condition layer, where the same kinds schedule iterations; this
 module re-exports them.
@@ -89,13 +92,12 @@ class DegreePoset:
         self.nodes, self.edges = tuple(nodes), tuple(map(tuple, edges))
         if not all(isinstance(v, str) for v in chain(self.nodes, *self.edges)):
             raise InputError("poset: node labels must be strings")
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
+        self._bit = {v: 1 << i for i, v in enumerate(self.nodes)}
+        if len(self._bit) != len(self.nodes):
             raise PreconditionError("duplicate node labels")
         for lo, hi in self.edges:
-            if lo not in node_set or hi not in node_set:
+            if lo not in self._bit or hi not in self._bit:
                 raise PreconditionError(f"edge ({lo}, {hi}) off the node set")
-        self._index = {v: i for i, v in enumerate(self.nodes)}
         succ = {v: [] for v in self.nodes}
         indegree = dict.fromkeys(self.nodes, 0)
         for lo, hi in self.edges:
@@ -114,36 +116,40 @@ class DegreePoset:
         if len(minimal) != 1:
             raise PreconditionError(f"expected a unique bottom, got {minimal}")
         self.bottom = minimal[0]
-        # bit i of _up[v] is set when nodes[i] lies strictly above v
-        self._up = {}
+        # _up[v] (_down[v]) ORs the bits of v and the nodes above (below)
+        # it; no two nodes of a poset share an up-set, nor a down-set
+        self._up, self._down = dict(self._bit), dict(self._bit)
         for v in reversed(order):
-            up = 0
             for w in succ[v]:
-                up |= self._up[w] | 1 << self._index[w]
-            self._up[v] = up
+                self._up[v] |= self._up[w]
+        for v in order:             # v's down-set is complete here
+            for w in succ[v]:
+                self._down[w] |= self._down[v]
+        self._with_up = {m: v for v, m in self._up.items()}
+        self._with_down = {m: v for v, m in self._down.items()}
+
+    def _check(self, *labels):
+        for v in labels:
+            if not isinstance(v, str) or v not in self._bit:
+                raise PreconditionError(f"{v!r} is not a node of the poset")
 
     def to_json(self):
         return {"nodes": list(self.nodes),
                 "edges": [list(e) for e in self.edges]}
 
     def leq(self, x, y) -> bool:
-        return x == y or (y in self._index
-                          and bool(self._up[x] >> self._index[y] & 1))
-
-    def _unique_extreme(self, candidates, prefer_high):
-        picked = [c for c in candidates
-                  if not any(d != c
-                             and (self.leq(c, d) if prefer_high else self.leq(d, c))
-                             for d in candidates)]
-        return picked[0] if len(picked) == 1 else None
+        self._check(x, y)
+        return bool(self._up[x] & self._bit[y])
 
     def meet(self, x, y):
-        lower = [z for z in self.nodes if self.leq(z, x) and self.leq(z, y)]
-        return self._unique_extreme(lower, prefer_high=True)
+        """The node whose down-set is the AND of x's and y's, or None."""
+        self._check(x, y)
+        return self._with_down.get(self._down[x] & self._down[y])
 
     def join(self, x, y):
-        upper = [z for z in self.nodes if self.leq(x, z) and self.leq(y, z)]
-        return self._unique_extreme(upper, prefer_high=False)
+        """The node whose up-set is the AND of x's and y's, or None."""
+        self._check(x, y)
+        return self._with_up.get(self._up[x] & self._up[y])
 
 
 def tower_degrees(recipe: TowerRecipe) -> DegreePoset:
@@ -241,33 +247,17 @@ def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
 
 
 def census_decode(census: TowerCensus):
-    """Inverse of census_encode on its range; anything else is rejected."""
-    table = census.as_dict()
-    x = {}
-    for height, verdict in table.items():
-        if height.b % 2 == 0:
-            if verdict != MANY:
-                raise DecodeError(
-                    f"height {height} must report many towers")
-            partner = Ordinal2(height.a, height.b - 1)
-            if partner not in table:
-                raise DecodeError(f"height {height} has no odd partner")
-        else:
-            n = (height.b - 1) // 2
-            if Ordinal2(height.a, height.b + 1) not in table:
-                raise DecodeError(f"height {height} has no even partner")
-            x[Ordinal2(height.a, n)] = 0 if verdict == ONE else 1
-    if not x:
-        raise DecodeError("empty census")
-    n_bounds = {key.b for key in x}
-    per_limit = {}
-    for key in x:
-        per_limit.setdefault(key.a, set()).add(key.b)
-    shape = {frozenset(v) for v in per_limit.values()}
-    if len(shape) != 1 or shape.pop() != set(range(max(n_bounds) + 1)):
-        raise DecodeError("census heights do not form a full grid")
-    if set(per_limit) != set(range(max(per_limit) + 1)):
-        raise DecodeError("census limits do not form an initial segment")
+    """Inverse of census_encode on its range, checked by encoding the
+    answer again; anything else is rejected."""
+    # bit n at limit a is read off height w*a + 2n + 1
+    x = {Ordinal2(h.a, h.b // 2): 0 if verdict == ONE else 1
+         for h, verdict in census.entries if h.b % 2}
+    limits = 1 + max((key.a for key in x), default=-1)
+    offsets = 1 + max((key.b for key in x), default=-1)
+    # the count first: a grid that x cannot fill is never built
+    if not x or len(x) != limits * offsets or census_encode(
+            x, limits, offsets) != census:
+        raise DecodeError("census is not the encoding of a bit function")
     return x
 
 
@@ -329,10 +319,9 @@ def sc_census_encode(h, alpha_bound: int):
 
 
 def sc_census_decode(census) -> Bits:
-    keys = sorted(census)
-    if keys != list(range(len(keys))):
-        raise DecodeError("bases must form an initial segment of naturals")
-    for v in census.values():
-        if v not in (ONE, MANY):
-            raise DecodeError(f"bad verdict {v!r}")
-    return tuple(1 if census[n] == ONE else 0 for n in keys)
+    """Inverse of sc_census_encode, checked by encoding the answer
+    again."""
+    h = tuple(1 if census.get(n) == ONE else 0 for n in range(len(census)))
+    if sc_census_encode(h, 2) != census:
+        raise DecodeError("census is not the encoding of a bit string")
+    return h

@@ -1,4 +1,5 @@
-"""Shared exception types, and the object check the JSON decoders share.
+"""Shared exception types, and the object readers the JSON decoders
+share: json_fields for named fields, json_int_keys for integer keys.
 
 Everything raised intentionally by this package derives from EngineError,
 so callers (the CLI in particular) can distinguish a failed operation from
@@ -55,3 +56,12 @@ def json_fields(data, name, *keys):
     if missing:
         raise InputError(f"{name}: missing {', '.join(missing)}")
     return [data[k] for k in keys]
+
+
+def json_int_keys(data, name):
+    """The JSON object data, its keys read as integers, or InputError."""
+    json_fields(data, name)
+    try:
+        return {int(k): v for k, v in data.items()}
+    except ValueError:
+        raise InputError(f"{name}: keys must be integers") from None

@@ -8,7 +8,8 @@ import pytest
 
 import sacksforcing
 from sacksforcing.cli import _OPS, build_parser, main
-from sacksforcing.conditions import ProductCondition, full_iter, iter_restrict
+from sacksforcing.conditions import (SINGLE, ProductCondition, full_iter,
+                                     full_tree, iter_restrict, plain_iter)
 
 
 def write_json(tmp_path, payload, name="payload.json"):
@@ -406,6 +407,64 @@ def test_eval_guard_tables_within_bounds(tmp_path, capsys, op, payload,
     assert (code, out) == (1, "")
     assert err.startswith(message)
     assert "Traceback" not in err
+
+
+def test_eval_graded_order_charges_skeleton_entries(tmp_path, capsys):
+    # eight coordinates, each the full tree presented at depth 6
+    p = plain_iter([SINGLE] * 8, [full_tree().deepen(6)] * 8).to_json()
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "iter_leq_n",
+                              {"q": p, "p": p, "n": 12}, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("ResourceError: iter_leq_n would handle 2032 rows "
+                          "in each of 2^12 cells")
+
+
+@pytest.mark.parametrize("op, payload, message", [
+    ("census_decode", {"census": [[[1, 0], "many"]]},
+     "DecodeError: census is not the encoding of a bit function"),
+    ("census_decode", {"census": [[[10 ** 18, 1], "one"],
+                                  [[10 ** 18, 2], "many"]]},
+     "DecodeError: "),
+    ("sc_census_decode", {"census": {"0": "one", "x": "many"}},
+     "InputError: census: keys must be integers"),
+    ("sc_census_decode", {"census": {"0": "one", "2": "many"}},
+     "DecodeError: census is not the encoding of a bit string"),
+    ("iter_restrict", {"condition": {**ITER, "schedule": {
+        "kinds": ["single", "x"]}}, "sigma": ""},
+     "InputError: condition.schedule.kinds: "),
+    ("iter_restrict", {"condition": {**ITER, "schedule": {
+        "kinds": ["pair"]}}, "sigma": ""},
+     "PreconditionError: step 0 must be single"),
+    ("iter_restrict", {"condition": {**ITER, "context": {"a": "0"}},
+                       "sigma": ""},
+     "InputError: condition.context: keys must be integers"),
+])
+def test_eval_decodes_each_shape_once(tmp_path, capsys, op, payload,
+                                      message):
+    code, out, err = run_eval(tmp_path, op, payload, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+
+
+PAIR = {"kind": "pair", "left": LEAF, "right": LEAF}
+
+
+@pytest.mark.parametrize("op, payload, message", [
+    ("iter_leq", {"q": PAIR, "p": ITER}, "q: expected a condition of kind iter"),
+    ("iter_restrict", {"condition": PRODUCT, "sigma": ""},
+     "condition: expected a condition of kind iter"),
+    ("prod_extends", {"q": ITER, "p": PRODUCT},
+     "q: expected a condition of kind product"),
+    ("prod_leq", {"q": PRODUCT, "p": PAIR, "n": 0, "sbar": []},
+     "p: expected a condition of kind product"),
+])
+def test_eval_rejects_a_condition_of_the_wrong_kind(tmp_path, capsys, op,
+                                                     payload, message):
+    code, out, err = run_eval(tmp_path, op, payload, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InputError: {message}")
 
 
 DEEP = "all x. " + "".join(f"all v{i}. " for i in range(20)) + "S(x)"

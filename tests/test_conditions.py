@@ -624,6 +624,47 @@ def test_graded_orders_charge_rows_per_cell():
         prod_leq(one, one, 0, range(MAX_CELL_ROWS))
 
 
+def test_graded_orders_charge_skeleton_entries():
+    # every cell restricts whole payloads: a depth-6 tree has 127 entries
+    deep = plain_iter([SINGLE] * 8, [F.deepen(6)] * 8)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="iter_leq_n would handle 2032 "
+                       "rows in each of 2\\^12 cells, 8323072 in all"):
+        iter_leq_n(deep, deep, 12)
+    assert time.perf_counter() - start < 2
+    # a pair counts both its trees: 1 + 2 + 2 + 2 + 1 entries per side
+    mixed = full_iter([SINGLE, PAIR, PAIR, PAIR, SINGLE])
+    assert iter_leq_n(mixed, mixed, 12)
+    with pytest.raises(ResourceError, match="handle 16 rows in each of "
+                       "2\\^13 cells"):
+        iter_leq_n(mixed, mixed, 13)
+    pair = plain_iter([SINGLE, PAIR], [F, PairCondition(F.deepen(1), F)])
+    with pytest.raises(ResourceError, match="handle 10 rows in each of "
+                       "2\\^14 cells"):
+        iter_leq_n(pair, pair, 14)
+    # products charge their coordinates' entries and sbar: 2 * 4 * 8 * 3
+    # entries of depth-1 trees and 4 sbar entries
+    eights = plain_iter([SINGLE] * 8, [F.deepen(1)] * 8)
+    product = ProductCondition({i: eights for i in range(4)})
+    assert prod_leq(product, product, 8, range(4))
+    with pytest.raises(ResourceError, match="prod_leq would handle 196 rows "
+                       "and sbar entries in each of 2\\^9 cells"):
+        prod_leq(product, product, 9, range(4))
+
+
+def test_prod_amalgamate_where_q_lacks_an_sbar_coordinate():
+    # q lacks coordinate 1, whose restriction of p is full, and 2, off sbar
+    p = ProductCondition({0: iter_of(T1), 1: iter_of(F), 2: iter_of(F)})
+    sigma, sbar = bits("10"), [0, 1]
+    q0 = iter_restrict(prod_restrict(p, sigma, sbar).coordinate(0), bits("0"))
+    out = prod_amalgamate(p, sigma, sbar, ProductCondition({0: q0}))
+    assert out.support == (0, 1)
+    assert iter_equal(out.coordinate(0),
+                      iter_amalgamate(p.coordinate(0), column(sigma, 0), q0))
+    assert iter_equal(out.coordinate(1), p.coordinate(1))
+    assert prod_extends(out, p) and not prod_extends(p, out)
+
+
 def test_amalgamation_counts_complement_rows_first():
     # a PAIRWISE index with k left bits leaves 2^k - 1 complement guards
     # for coordinate 1

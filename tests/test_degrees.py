@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from itertools import product
 
@@ -129,6 +130,62 @@ def test_poset_order_matches_a_search():
                     + [("c2999", "c1")])
 
 
+def _reference_meet_join(poset, x, y):
+    """Meet and join as the unique maximal common lower bound and the
+    unique minimal common upper bound, found by scanning every node."""
+    def extreme(candidates, above):
+        picked = [c for c in candidates if not any(
+            d != c and (poset.leq(c, d) if above else poset.leq(d, c))
+            for d in candidates)]
+        return picked[0] if len(picked) == 1 else None
+    nodes = poset.nodes
+    lower = [z for z in nodes if poset.leq(z, x) and poset.leq(z, y)]
+    upper = [z for z in nodes if poset.leq(x, z) and poset.leq(y, z)]
+    return extreme(lower, True), extreme(upper, False)
+
+
+def _random_posets(seed, count):
+    """Random DAGs above node 0, with labels in a random order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 12)
+        edges = {(rng.randrange(hi), hi) for hi in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2)))
+                  for _ in range(rng.randrange(n + 1)) if n > 1}
+        labels = [f"v{i}" for i in rng.sample(range(n), n)]
+        yield DegreePoset(labels, [(labels[a], labels[b])
+                                   for a, b in sorted(edges)])
+
+
+def test_meet_and_join_match_a_scan():
+    posets = [tower_degrees(r) for r in all_recipes(6)]
+    posets += list(_random_posets(3, 200))
+    # a poset without some meets and joins: two bottoms of a pair of
+    # tops, under a common bottom
+    posets.append(DegreePoset(
+        ["0", "a", "b", "c", "d"],
+        [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+         ("b", "d")]))
+    missing = 0
+    for poset in posets:
+        for x in poset.nodes:
+            for y in poset.nodes:
+                expected = _reference_meet_join(poset, x, y)
+                assert (poset.meet(x, y), poset.join(x, y)) == expected
+                missing += None in expected
+    assert missing > 0
+
+
+@pytest.mark.parametrize("call", ["leq", "meet", "join"])
+@pytest.mark.parametrize("args", [("zz", "d0"), ("d0", "zz"), (0, "d0"),
+                                  ("d0", ["d1"])])
+def test_poset_answers_only_about_its_nodes(call, args):
+    poset = tower_degrees(TowerRecipe((SINGLE, PAIR)))
+    bad = args[0] if args[1] in poset.nodes else args[1]
+    with pytest.raises(PreconditionError, match="^" + re.escape(repr(bad))):
+        getattr(poset, call)(*args)
+
+
 # -- tower censuses ---------------------------------------------------------------
 
 def grid(limit_bound, n_bound):
@@ -215,6 +272,76 @@ def test_malformed_census_rejection():
         TowerCensus(((Ordinal2(0, 0), ONE),))  # zero height
     with pytest.raises(PreconditionError):
         TowerCensus(((Ordinal2(0, 1), "几"),))
+
+
+def _reference_census_decode(census):
+    """census_decode as it stood with hand checks of the encoder's range."""
+    table = census.as_dict()
+    x = {}
+    for height, verdict in table.items():
+        if height.b % 2 == 0:
+            if verdict != MANY:
+                raise DecodeError(
+                    f"height {height} must report many towers")
+            partner = Ordinal2(height.a, height.b - 1)
+            if partner not in table:
+                raise DecodeError(f"height {height} has no odd partner")
+        else:
+            n = (height.b - 1) // 2
+            if Ordinal2(height.a, height.b + 1) not in table:
+                raise DecodeError(f"height {height} has no even partner")
+            x[Ordinal2(height.a, n)] = 0 if verdict == ONE else 1
+    if not x:
+        raise DecodeError("empty census")
+    n_bounds = {key.b for key in x}
+    per_limit = {}
+    for key in x:
+        per_limit.setdefault(key.a, set()).add(key.b)
+    shape = {frozenset(v) for v in per_limit.values()}
+    if len(shape) != 1 or shape.pop() != set(range(max(n_bounds) + 1)):
+        raise DecodeError("census heights do not form a full grid")
+    if set(per_limit) != set(range(max(per_limit) + 1)):
+        raise DecodeError("census limits do not form an initial segment")
+    return x
+
+
+def _outcome(decode, census):
+    try:
+        return decode(census)
+    except (DecodeError, PreconditionError, TypeError) as e:
+        return type(e)
+
+
+def test_census_decode_matches_the_reference():
+    """Every census over the nonzero heights w*a + b with a < 2, b < 5,
+    each height absent, one or many: the answers agree, and where the
+    reference raised, census_decode raises DecodeError."""
+    heights = [h for h in grid(2, 5) if not h.is_zero]
+    answers = 0
+    for verdicts in product((None, ONE, MANY), repeat=len(heights)):
+        census = TowerCensus(tuple((h, v) for h, v in zip(heights, verdicts)
+                                   if v is not None))
+        expected = _outcome(_reference_census_decode, census)
+        got = _outcome(census_decode, census)
+        if isinstance(expected, dict):
+            assert got == expected
+            answers += 1
+        else:
+            assert got is DecodeError, (census, expected, got)
+    # the grids 1x1 and 1x2 at limit 0 and 2x1 and 2x2, four bit
+    # functions each size
+    assert answers == 2 + 4 + 4 + 16
+
+
+def test_census_decode_rejects_limit_and_huge_heights():
+    with pytest.raises(DecodeError):
+        census_decode(TowerCensus(((Ordinal2(1, 0), MANY),)))
+    huge = TowerCensus(((Ordinal2(10 ** 18, 1), ONE),
+                        (Ordinal2(10 ** 18, 2), MANY)))
+    start = time.perf_counter()
+    with pytest.raises(DecodeError):
+        census_decode(huge)
+    assert time.perf_counter() - start < 1
 
 
 def test_census_reindex_identity():
@@ -331,6 +458,43 @@ def test_sc_census_decode_errors():
         sc_census_decode({0: ONE, 2: MANY})
     with pytest.raises(DecodeError):
         sc_census_decode({0: "some"})
+
+
+def _reference_sc_census_decode(census):
+    """sc_census_decode as it stood with hand checks of the encoder's
+    range."""
+    keys = sorted(census)
+    if keys != list(range(len(keys))):
+        raise DecodeError("bases must form an initial segment of naturals")
+    for v in census.values():
+        if v not in (ONE, MANY):
+            raise DecodeError(f"bad verdict {v!r}")
+    return tuple(1 if census[n] == ONE else 0 for n in keys)
+
+
+def _sc_censuses():
+    """1,364 maps: one to five entries, entry j one of four (key,
+    verdict) choices, so keys may skip, repeat, or be strings."""
+    for k in range(1, 6):
+        for picks in product(range(4), repeat=k):
+            yield dict([(j, ONE), (j, MANY), (j + 1, ONE), (str(j), MANY)][c]
+                       for j, c in enumerate(picks))
+
+
+def test_sc_census_decode_matches_the_reference():
+    censuses = list(_sc_censuses())
+    assert len(censuses) == 1364
+    outcomes = {DecodeError: 0, TypeError: 0, tuple: 0}
+    for census in censuses:
+        expected = _outcome(_reference_sc_census_decode, census)
+        got = _outcome(sc_census_decode, census)
+        if isinstance(expected, tuple):
+            assert got == expected
+            outcomes[tuple] += 1
+        else:
+            assert got is DecodeError, (census, expected, got)
+            outcomes[expected] += 1
+    assert all(outcomes.values()), outcomes
 
 
 # -- rendering ------------------------------------------------------------------------
