@@ -59,9 +59,15 @@ def json_fields(data, name, *keys):
 
 
 def json_int_keys(data, name):
-    """The JSON object data, its keys read as integers, or InputError."""
+    """The JSON object data, its keys read as integers, or InputError.
+    Each key must be written as str writes its integer, so no two keys
+    name one integer."""
     json_fields(data, name)
     try:
-        return {int(k): v for k, v in data.items()}
+        out = {int(k): v for k, v in data.items()}
     except ValueError:
-        raise InputError(f"{name}: keys must be integers") from None
+        out = {}
+    if list(map(str, out)) != list(data):
+        raise InputError(f"{name}: keys must be integers, written without "
+                         f"a plus sign, spaces or leading zeros")
+    return out

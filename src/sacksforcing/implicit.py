@@ -35,7 +35,8 @@ grouped by family, and a full table is built only for an operation
 whose family is a single subset not yet defined.  The defined family
 only grows with the size, so the enumeration stops as soon as every
 subset is defined, and its answers are remembered per (universe,
-budget).  implicitly_defined_by computes the same tables for one given
+budget), an answer of every subset serving every larger budget too.
+implicitly_defined_by computes the same tables for one given
 formula, which decides all subsets in a single pass over it.
 """
 
@@ -571,9 +572,22 @@ def implicitly_defined_by(structure: FinStructure, f, params=()):
 # -- the budgeted enumerator --------------------------------------------------------
 
 def _var_pool(budget: int) -> int:
-    # a second variable first matters in a closed formula at size 5
-    # (two quantifiers around a relating atom), a third at size 9
-    return 1 + (budget >= 5) + (budget >= 9)
+    # a second variable first matters in a closed formula at size 5 (two
+    # quantifiers around a relating atom), a third at size 10.  Up to
+    # size 9 two slots define the same subsets as three:
+    # 1. when no subformula has three free variables, renaming the bound
+    #    ones puts the formula on two slots at the same size;
+    # 2. three free variables need two atoms and a connective, at least
+    #    S(v) op R(y, z) with R in {in, =}, six nodes, and closing them
+    #    takes three quantifiers, so the one sentence of size <= 9 that
+    #    needs three slots is Q Q Q (S(v) op R(y, z)), in any order;
+    # 3. an open formula with a closed table keeps its family when each
+    #    free variable becomes a parameter, which also costs one node;
+    # 4. v occurs in that sentence only in S(v), so its truth is the
+    #    same for S and for pi[S], pi any permutation of the universe,
+    #    and a family of one subset is {empty} or {X}, both defined by
+    #    size 4.
+    return 1 + (budget >= 5) + (budget >= 10)
 
 
 # implicit_subsets keeps its answers for this many (universe, budget)
@@ -589,16 +603,26 @@ def implicit_subsets(structure: FinStructure, budget: int):
     The empty structure is special-cased: it has exactly one subset, and
     that subset is returned at every budget rather than making the
     answer depend on which vacuously-true formula first fits the budget.
-    Answers are remembered per (universe, budget).
+    Answers are remembered per (universe, budget), and a smaller budget
+    whose answer is already every subset answers a larger one.
     """
     if budget > MAX_BUDGET:
         raise ResourceError(
             f"budget {budget} exceeds {MAX_BUDGET}, the range where the "
             f"three-variable enumeration is provably complete")
-    key = (structure.universe, budget)
+    universe = structure.universe
+    key = (universe, budget)
     out = _memo.get(key)
     if out is None:
-        out = _enumerate(structure, budget)
+        # the answer only grows with the budget, so a smaller budget
+        # that defines every subset answers this one
+        powerset = 1 << len(universe)
+        for smaller in range(budget):
+            out = _memo.get((universe, smaller))
+            if out is not None and len(out) == powerset:
+                break
+        else:
+            out = _enumerate(structure, budget)
         if len(_memo) >= _MEMO_ENTRIES:
             del _memo[next(iter(_memo))]
         _memo[key] = out

@@ -10,6 +10,7 @@ import sacksforcing
 from sacksforcing.cli import _OPS, build_parser, main
 from sacksforcing.conditions import (SINGLE, ProductCondition, full_iter,
                                      full_tree, iter_restrict, plain_iter)
+from sacksforcing.errors import InputError, json_int_keys
 
 
 def write_json(tmp_path, payload, name="payload.json"):
@@ -446,6 +447,28 @@ def test_eval_decodes_each_shape_once(tmp_path, capsys, op, payload,
     code, out, err = run_eval(tmp_path, op, payload, capsys)
     assert (code, out) == (1, "")
     assert err.startswith(message)
+
+
+@pytest.mark.parametrize("key", ["00", " 1", "1 ", "+2", "-0", "1_0",
+                                 "\u0663", "x", ""])
+def test_integer_keys_are_read_once(key):
+    assert json_int_keys({"-3": 1, "0": 2, "10": 3}, "m") == \
+        {-3: 1, 0: 2, 10: 3}
+    with pytest.raises(InputError, match="^m: keys must be integers"):
+        json_int_keys({"7": 0, key: 1}, "m")
+
+
+@pytest.mark.parametrize("op, payload, path", [
+    ("sc_census_decode", {"census": {"0": "one", "00": "many"}}, "census"),
+    ("sc_census_decode", {"census": {"0": "one", " 1": "many", "+2": "one"}},
+     "census"),
+    ("iter_restrict", {"condition": {**ITER, "context": {"01": "0"}},
+                       "sigma": ""}, "condition.context"),
+])
+def test_eval_refuses_keys_that_fold(tmp_path, capsys, op, payload, path):
+    code, out, err = run_eval(tmp_path, op, payload, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InputError: {path}: keys must be integers")
 
 
 PAIR = {"kind": "pair", "left": LEAF, "right": LEAF}

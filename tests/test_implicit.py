@@ -478,15 +478,17 @@ def test_enumerator_matches_syntactic_oracle():
                 _syntactic_defined(structure, budget)
 
 
-def _reference_classes(structure, budget):
+def _reference_classes(structure, budget, nvars=None):
     """The enumerator before free-slot masks, saturation and the memo:
     every formula class over a nonempty structure up to the budget,
     as a map from table to smallest size, and the table fold of a
     universal quantifier.  Kept as the reference that implicit_subsets
-    is tested against."""
+    is tested against.  nvars, the variable slots, defaults to the
+    enumerator's pool for the budget."""
     universe = structure.universe
     u = len(universe)
-    nvars = implicit._var_pool(budget)
+    if nvars is None:
+        nvars = implicit._var_pool(budget)
     nsub = 1 << u
     nasg = u ** nvars
     full = (1 << (nasg * nsub)) - 1
@@ -545,16 +547,17 @@ def _reference_classes(structure, budget):
     return classes, forall
 
 
-def _reference_subsets(structure, budget):
+def _reference_subsets(structure, budget, nvars=None):
     universe = structure.universe
     u = len(universe)
     if u == 0:
         return frozenset({frozenset()})
-    classes, forall = _reference_classes(structure, budget)
+    if nvars is None:
+        nvars = implicit._var_pool(budget)
+    classes, forall = _reference_classes(structure, budget, nvars)
     defined = set()
     for table in classes:
-        if any(forall(table, i) != table
-               for i in range(implicit._var_pool(budget))):
+        if any(forall(table, i) != table for i in range(nvars)):
             continue  # open formula; its closures were enumerated too
         family = table & ((1 << (1 << u)) - 1)
         if family and family & (family - 1) == 0:
@@ -609,9 +612,9 @@ def test_enumerator_classes_match_reference():
 
 
 def test_enumerator_pool_of_three_matches_reference():
-    # budget 9 brings in the third variable: there a third of the classes
-    # are negations that are never operands, and most last-size tables
-    # are never built because their family is not wanted
+    # budget 10 brings in the third variable: there a third of the
+    # classes are negations that are never operands, and most last-size
+    # tables are never built because their family is not wanted
     def single(family):
         return family and family & (family - 1) == 0
 
@@ -619,7 +622,7 @@ def test_enumerator_pool_of_three_matches_reference():
         return family % 3 == 0
 
     for universe, budgets in (((0, 1, 2), (9, 10)), ((0, 2, 3), (9, 10)),
-                              ((0, 1, 2, 3), (9,))):
+                              ((0, 1, 2, 3), (9, 10))):
         structure = FinStructure(universe)
         submask = (1 << (1 << len(universe))) - 1
         for budget in budgets:
@@ -638,6 +641,37 @@ def test_enumerator_pool_of_three_matches_reference():
                     structure, budget, wanted)} == want, (universe, budget)
             assert _fresh_subsets(structure, budget) == \
                 _reference_subsets(structure, budget), (universe, budget)
+
+
+def test_budget_nine_needs_no_third_slot():
+    # the proof at _var_pool: up to size 9 a third slot defines nothing new
+    assert implicit._var_pool(9) == 2
+    for r in range(5):
+        for universe in combinations(range(5), r):
+            structure = FinStructure(universe)
+            assert _fresh_subsets(structure, 9) == \
+                _reference_subsets(structure, 9, nvars=3), universe
+
+
+def test_saturated_budget_answers_a_larger_one(monkeypatch):
+    implicit._memo.clear()
+    powerset = implicit_subsets(S2, 6)
+    assert len(powerset) == 4
+    calls = []
+    enumerate_ = implicit._enumerate
+
+    def counted(structure, budget):
+        calls.append((structure.universe, budget))
+        return enumerate_(structure, budget)
+
+    monkeypatch.setattr(implicit, "_enumerate", counted)
+    assert implicit_subsets(S2, 9) is powerset
+    assert calls == []
+    # an answer short of every subset does not stand for a larger budget
+    v3 = FinStructure([0, 1, 2, 3])
+    assert len(implicit_subsets(v3, 8)) < 16
+    implicit_subsets(v3, 9)
+    assert calls == [(v3.universe, 8), (v3.universe, 9)]
 
 
 def test_enumerator_saturates_on_v3():
