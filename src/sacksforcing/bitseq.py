@@ -25,12 +25,15 @@ from .errors import InputError, PreconditionError
 Bits = tuple[int, ...]
 
 
-def bits(text: str) -> Bits:
-    """Parse a string over {0,1} into a bit tuple ("" gives the empty one)."""
+def bits(text: str, name="text") -> Bits:
+    """Parse a string over {0,1} into a bit tuple ("" gives the empty one).
+    This is the JSON reader of bit strings: name, the path of text in the
+    input, opens the message of the InputError a value that is not a
+    string raises, and of the PreconditionError a bad character raises."""
     if not isinstance(text, str):
-        raise InputError(f"not a bit string: {text!r}")
+        raise InputError(f"{name}: not a bit string: {text!r}")
     if text.strip("01"):
-        raise PreconditionError(f"not a bit string: {text!r}")
+        raise PreconditionError(f"{name}: not a bit string: {text!r}")
     return tuple(map(int, text))
 
 

@@ -7,30 +7,32 @@ degree poset as deterministic DOT.  Exit codes: 0 pass, 1 operation or
 property failure, 2 usage error.
 
 The payload schema of ``eval`` is data: the operation table ``_OPS``.
-The library's ``from_json`` decoders check the shape of each tree,
-condition, recipe, pattern and census field.  The parser is built once
-per process, on the first ``main`` call.
+Each field is read by the library: integers, lists and choices by the
+readers in ``errors``, bit strings by ``bitseq.bits``, and each tree,
+condition, recipe, pattern and census by its ``from_json`` decoder.
+The parser is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
+from functools import cache, partial
 
-from .bitseq import (bits_str, column, join_family, join_pair, pair_index,
-                     pair_split, split_pair, width)
-from .conditions import (IterCondition, ProductCondition,
+from .bitseq import (bits, bits_str, column, join_family, join_pair,
+                     pair_index, pair_split, split_pair, width)
+from .conditions import (COLUMN, PAIRWISE, IterCondition, ProductCondition,
                          condition_from_json, index_from_json,
                          iter_amalgamate, iter_equal, iter_leq, iter_leq_n,
                          iter_restrict, prod_amalgamate, prod_extends,
                          prod_leq, prod_restrict)
-from .degrees import (DegreePoset, Ordinal2, ScPattern, TowerCensus,
-                      TowerRecipe, _naturals, census_decode, census_encode,
+from .degrees import (DegreePoset, ScPattern, TowerCensus, TowerRecipe,
+                      bit_function_from_json, census_decode, census_encode,
                       poset_dot, sc_census_decode, sc_census_encode,
                       sc_decode, sc_pattern, sc_schedule, tower_degrees)
-from .errors import EngineError, InputError, ResourceError, json_int_keys
+from .errors import (EngineError, InputError, ResourceError, json_choice,
+                     json_int, json_int_keys, json_list)
 from .implicit import (FinStructure, eval_formula, formula_size,
                        formula_text, free_vars, imp_levels, implicit_subsets,
                        implicitly_defined_by, parse_formula, vn_levels)
@@ -40,39 +42,11 @@ from .trees import SkeletonTree, amalgamate, leq_n, subtree_leq, tree_dot
 
 # -- field readers: (JSON value, field name) -> argument ----------------------
 
-def _int_at_least(minimum):
-    def read(v, name):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InputError(f"{name}: expected an integer")
-        if v < minimum:
-            raise InputError(f"{name}: expected an integer >= {minimum}")
-        return v
-    return read
-
-
-_nat, _pos = _int_at_least(0), _int_at_least(1)
-
-
-def _bits(v, name):
-    if not isinstance(v, str) or any(c not in "01" for c in v):
-        raise InputError(f"{name}: expected a string of 0s and 1s")
-    return tuple(int(c) for c in v)
-
-
-def _columns(v, name):
-    if not isinstance(v, list):
-        raise InputError(f"{name}: expected a list of 0/1 strings")
-    return [_bits(c, name) for c in v]
-
-
-def _ints(v, name):
-    if not isinstance(v, list) or any(
-            not isinstance(c, int) or isinstance(c, bool) for c in v):
-        raise InputError(f"{name}: expected a list of integers")
-    return v
-
-
-# the library decoders take (JSON value, name) too and check the shape
+# the library's readers (errors.json_*, bitseq.bits) and decoders
+# (from_json) take (JSON value, name) too; the functions below are the
+# readers that have no library twin
+_nat, _pos = partial(json_int, minimum=0), partial(json_int, minimum=1)
+_int_list = partial(json_list, read=json_int)
 _tree = SkeletonTree.from_json
 
 
@@ -98,32 +72,10 @@ _pattern = _object_or_list(ScPattern, "levels")
 _census = _object_or_list(TowerCensus, "entries")
 
 
-def _mode(v, name):
-    if v not in ("column", "pairwise"):
-        raise InputError(f"{name}: expected \"column\" or \"pairwise\"")
-    return v
-
-
-def _sbar(v, name):
-    if not isinstance(v, list):
-        raise InputError(f"{name}: expected a list of indices")
-    return [index_from_json(c, name) for c in v]
-
-
 def _formula(v, name):
     if not isinstance(v, str):
         raise InputError(f"{name}: expected a formula string")
     return parse_formula(v)
-
-
-def _bit_function(v, name):
-    if not isinstance(v, list):
-        raise InputError(f"{name}: expected a list of [a, n, bit] triples")
-    for i, entry in enumerate(v):
-        if not (isinstance(entry, list) and len(entry) == 3
-                and _naturals(entry[:2], 2)):
-            raise InputError(f"{name}[{i}]: expected [a, n, bit]")
-    return {Ordinal2(a, n): bit for a, n, bit in v}
 
 
 # -- results whose JSON shape differs from the library's return value ---------
@@ -149,26 +101,29 @@ def _parse(f):
 # -- the operation table ------------------------------------------------------
 
 # a field is (name, reader) or (name, reader, default) when it is optional
-_SIGMA, _N, _TREE = ("sigma", _bits), ("n", _nat), ("tree", _tree)
-_Q, _P, _SBAR = ("q", _iter), ("p", _iter), ("sbar", _sbar)
+_SIGMA, _N, _TREE = ("sigma", bits), ("n", _nat), ("tree", _tree)
+_Q, _P = ("q", _iter), ("p", _iter)
+_SBAR = ("sbar", partial(json_list, read=index_from_json))
 _PQ, _PP = ("q", _product), ("p", _product)
 _FORMULA = ("formula", _formula)
-_UNIVERSE = ("universe", lambda v, name: FinStructure(_ints(v, name)))
+_UNIVERSE = ("universe", lambda v, name: FinStructure(_int_list(v, name)))
 _KINDS = ("kinds", lambda v, name: TowerRecipe.from_json({"kinds": v}, name))
-_MODE, _PARAMS = ("mode", _mode, "column"), ("params", _ints, ())
+_MODE = ("mode", partial(json_choice, options=(COLUMN, PAIRWISE)), COLUMN)
+_PARAMS = ("params", _int_list, ())
 
 _OPS = {
     "pair_index": (pair_index, [("m", _nat), _N]),
     "pair_split": (_pair_split, [("k", _nat)]),
-    "join_pair": (join_pair, [("x", _bits), ("y", _bits)]),
+    "join_pair": (join_pair, [("x", bits), ("y", bits)]),
     "split_pair": (split_pair, [_SIGMA]),
     "column": (column, [_SIGMA, _N]),
-    "join_family": (join_family, [("columns", _columns), ("length", _nat)]),
+    "join_family": (join_family, [("columns", partial(json_list, read=bits)),
+                                  ("length", _nat)]),
     "width": (width, [("k", _nat)]),
     "rt": (SkeletonTree.rt, [_TREE, _SIGMA]),
     "stem": (SkeletonTree.stem, [_TREE]),
     "restrict_cell": (SkeletonTree.restrict_cell, [_TREE, _SIGMA]),
-    "restrict_node": (SkeletonTree.restrict_node, [_TREE, ("tau", _bits)]),
+    "restrict_node": (SkeletonTree.restrict_node, [_TREE, ("tau", bits)]),
     "subtree_leq": (subtree_leq, [("sub", _tree), ("sup", _tree)]),
     "leq_n": (leq_n, [("sub", _tree), ("sup", _tree), _N]),
     "amalgamate": (amalgamate, [_TREE, _SIGMA, ("graft", _tree)]),
@@ -184,18 +139,20 @@ _OPS = {
     "prod_leq": (prod_leq, [_PQ, _PP, _N, _SBAR]),
     "prod_amalgamate": (prod_amalgamate, [_PP, _SIGMA, _SBAR, _PQ]),
     "tower_degrees": (tower_degrees, [_KINDS]),
-    "sc_schedule": (sc_schedule, [_N, ("g", _bits), ("length", _pos)]),
+    "sc_schedule": (sc_schedule, [_N, ("g", bits), ("length", _pos)]),
     "sc_pattern": (sc_pattern, [_KINDS]),
     "sc_decode": (_sc_decode, [("pattern", _pattern)]),
-    "census_encode": (census_encode, [("x", _bit_function),
+    "census_encode": (census_encode, [("x", bit_function_from_json),
                                       ("limit_bound", _pos),
                                       ("n_bound", _pos)]),
     "census_decode": (_census_decode, [("census", _census)]),
     "sc_census_encode": (sc_census_encode,
-                         [("h", _bits), ("alpha_bound", _int_at_least(2))]),
+                         [("h", bits),
+                          ("alpha_bound", partial(json_int, minimum=2))]),
     "sc_census_decode": (sc_census_decode, [("census", json_int_keys)]),
     "parse": (_parse, [_FORMULA]),
-    "eval": (eval_formula, [_FORMULA, _UNIVERSE, ("subset", _ints), _PARAMS]),
+    "eval": (eval_formula,
+             [_FORMULA, _UNIVERSE, ("subset", _int_list), _PARAMS]),
     "implicitly_defined_by": (implicitly_defined_by,
                               [_UNIVERSE, _FORMULA, _PARAMS]),
     "implicit_subsets": (implicit_subsets, [_UNIVERSE, ("budget", _nat)]),
@@ -317,7 +274,7 @@ def _seed(text):
     return value
 
 
-@functools.cache
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sacksforcing",

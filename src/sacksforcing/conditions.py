@@ -38,8 +38,8 @@ from itertools import chain
 from .bitseq import (bits, bits_str, check_bits, column, pair_split,
                      split_pair, width)
 from .errors import (AmalgamationError, IncompatibleError, InputError,
-                     PreconditionError, ResourceError, json_fields,
-                     json_int_keys)
+                     PreconditionError, ResourceError, json_choice,
+                     json_fields, json_int, json_int_keys, json_list)
 from .trees import (SkeletonTree, _check_cells, _is_prefix, _strings,
                     amalgamate, full_tree, subtree_leq)
 
@@ -150,11 +150,9 @@ class TowerRecipe:
     @classmethod
     def from_json(cls, data, name="kinds"):
         json_fields(data, name)
-        kinds = data.get("kinds")
-        if not isinstance(kinds, list) or any(
-                k not in (SINGLE, PAIR) for k in kinds):
-            raise InputError(f"{name}: expected a list of \"single\"/\"pair\"")
-        return cls(tuple(kinds))
+        # name is already the path of the list, and names a bad kind too
+        return cls(tuple(json_list(data.get("kinds"), name, lambda k, _:
+                                   json_choice(k, name, (SINGLE, PAIR)))))
 
 
 FixedSchedule = TowerRecipe
@@ -218,15 +216,24 @@ class GenericContext:
 
     def __init__(self, commitments=None):
         self.commitments = {
-            int(k): check_bits(v) for k, v in (commitments or {}).items()}
+            _coordinate(k): check_bits(v)
+            for k, v in (commitments or {}).items()}
 
     def to_json(self):
         return {str(k): bits_str(v) for k, v in sorted(self.commitments.items())}
 
 
+def _coordinate(k):
+    """A coordinate position: only an int, so no two keys name one."""
+    if type(k) is not int:
+        raise PreconditionError(f"coordinate {k!r} is not an integer")
+    return k
+
+
 def _int_keyed(data, name):
     """A JSON object of bit strings keyed by integers, decoded."""
-    return {k: bits(v) for k, v in json_int_keys(data, name).items()}
+    return {k: bits(v, f"{name}.{k}")
+            for k, v in json_int_keys(data, name).items()}
 
 
 def schedule_from_json(data, name="schedule"):
@@ -235,10 +242,9 @@ def schedule_from_json(data, name="schedule"):
         return TowerRecipe.from_json(data, f"{name}.kinds")
     if "sc" in data:
         n, length = json_fields(data, name, "sc", "length")
-        if type(n) is not int or type(length) is not int:
-            raise InputError(f"{name}: sc and length must be integers")
-        return ScSchedule(n, length)
-    raise PreconditionError("schedule JSON needs 'kinds' or 'sc'")
+        return ScSchedule(json_int(n, f"{name}: sc"),
+                          json_int(length, f"{name}: length"))
+    raise PreconditionError(f"{name}: schedule JSON needs 'kinds' or 'sc'")
 
 
 # -- guard calculus -----------------------------------------------------------
@@ -246,7 +252,7 @@ def schedule_from_json(data, name="schedule"):
 def _check_guard(guard, beta):
     out = {}
     for k, addr in guard.items():
-        k = int(k)
+        k = _coordinate(k)
         addr = check_bits(addr)
         if not 0 <= k < beta:
             raise PreconditionError(
@@ -393,11 +399,11 @@ class IterCondition:
         sched, tables = json_fields(data, name, "schedule", "coords")
         schedule = schedule_from_json(sched, f"{name}.schedule")
         context = _int_keyed(data.get("context", {}), f"{name}.context")
+        at = f"{name}.coords"
         if not isinstance(tables, list) or not all(
                 isinstance(table, list) for table in tables):
-            raise InputError(f"{name}.coords: expected a list of row lists")
-        coords = [[_row_from_json(row, f"{name}.coords[{beta}][{j}]")
-                   for j, row in enumerate(table)]
+            raise InputError(f"{at}: expected a list of row lists")
+        coords = [json_list(table, f"{at}[{beta}]", _row_from_json)
                   for beta, table in enumerate(tables)]
         return cls(schedule, coords, GenericContext(context))
 
@@ -572,7 +578,7 @@ def index_from_json(v, name="index"):
     if isinstance(v, bool) or not isinstance(v, (int, str, list)):
         raise InputError(f"{name}: indices are integers, strings, or lists")
     if isinstance(v, list):
-        return tuple(index_from_json(c, name) for c in v)
+        return tuple(json_list(v, name, index_from_json))
     return v
 
 
@@ -615,15 +621,13 @@ class ProductCondition:
     @classmethod
     def from_json(cls, data, name="condition"):
         (items,) = json_fields(data, name, "coords")
-        if not isinstance(items, list):
-            raise InputError(f"{name}.coords: expected a list")
-        coords = {}
-        for j, item in enumerate(items):
-            at = f"{name}.coords[{j}]"
-            idx, cond = json_fields(item, at, "index", "cond")
-            coords[index_from_json(idx, f"{at}.index")] = \
-                IterCondition.from_json(cond, f"{at}.cond")
-        return cls(coords)
+        return cls(dict(json_list(items, f"{name}.coords", _coord_from_json)))
+
+
+def _coord_from_json(item, name):
+    idx, cond = json_fields(item, name, "index", "cond")
+    return (index_from_json(idx, f"{name}.index"),
+            IterCondition.from_json(cond, f"{name}.cond"))
 
 
 def prod_restrict(p: ProductCondition, sigma, sbar) -> ProductCondition:
@@ -713,4 +717,4 @@ def condition_from_json(data, name="condition"):
         return IterCondition.from_json(data, name)
     if kind == "product":
         return ProductCondition.from_json(data, name)
-    raise PreconditionError(f"unknown condition kind {kind!r}")
+    raise PreconditionError(f"{name}: unknown condition kind {kind!r}")

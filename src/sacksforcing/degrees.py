@@ -32,19 +32,14 @@ from itertools import chain
 from .bitseq import Bits, check_bits
 from .conditions import (MAX_SCHEDULE_STEPS, PAIR, SINGLE, TowerRecipe,
                          sc_schedule)
-from .errors import DecodeError, InputError, PreconditionError, json_fields
+from .errors import (DecodeError, InputError, PreconditionError, json_choice,
+                     json_fields, json_int, json_list)
 
 ONE = "one"
 MANY = "many"
 
 LINE = "line"
 DIAMOND = "diamond"
-
-
-def _naturals(data, k):
-    """Whether data is a JSON list of k naturals (booleans excluded)."""
-    return isinstance(data, list) and len(data) == k and all(
-        type(x) is int and x >= 0 for x in data)
 
 
 @dataclass(frozen=True, order=True)
@@ -74,9 +69,9 @@ class Ordinal2:
 
     @classmethod
     def from_json(cls, data, name="ordinal"):
-        if not _naturals(data, 2):
+        if not isinstance(data, list) or len(data) != 2:
             raise InputError(f"{name}: expected [a, b] with naturals a, b")
-        return cls(*data)
+        return cls(json_int(data[0], name, 0), json_int(data[1], name, 0))
 
 
 class DegreePoset:
@@ -215,14 +210,24 @@ class TowerCensus:
     @classmethod
     def from_json(cls, data, name="census"):
         json_fields(data, name)
-        entries = data.get("entries")
-        if not isinstance(entries, list):
-            raise InputError(f"{name}: expected an entry list")
-        for i, entry in enumerate(entries):
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and _naturals(entry[0], 2)):
-                raise InputError(f"{name}[{i}]: expected [[a, b], verdict]")
-        return cls(tuple({Ordinal2(*h): v for h, v in entries}.items()))
+        return cls(tuple(json_list(data.get("entries"), name, _census_entry)))
+
+
+def _census_entry(entry, name):
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise InputError(f"{name}: expected [[a, b], verdict]")
+    return Ordinal2.from_json(entry[0], name), entry[1]
+
+
+def bit_function_from_json(data, name="x"):
+    """census_encode's argument from a JSON list of [a, n, bit] triples."""
+    return dict(json_list(data, name, _bit_entry))
+
+
+def _bit_entry(entry, name):
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise InputError(f"{name}: expected [a, n, bit]")
+    return Ordinal2.from_json(entry[:2], name), entry[2]
 
 
 def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
@@ -281,12 +286,8 @@ class ScPattern:
     @classmethod
     def from_json(cls, data, name="pattern"):
         json_fields(data, name)
-        levels = data.get("levels")
-        if not isinstance(levels, list) or any(
-                lv not in (LINE, DIAMOND) for lv in levels):
-            raise InputError(
-                f"{name}: expected a list of \"line\"/\"diamond\"")
-        return cls(tuple(levels))
+        return cls(tuple(json_list(data.get("levels"), name, lambda lv, at:
+                                   json_choice(lv, at, (LINE, DIAMOND)))))
 
 
 def sc_pattern(recipe: TowerRecipe) -> ScPattern:

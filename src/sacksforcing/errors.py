@@ -1,5 +1,8 @@
-"""Shared exception types, and the object readers the JSON decoders
-share: json_fields for named fields, json_int_keys for integer keys.
+"""Shared exception types, and the one reader of each JSON value kind:
+json_fields for named fields, json_int_keys for integer keys, json_int,
+json_list and json_choice; bitseq.bits reads bit strings.  Each reader
+takes the value and name, its path in the input, which opens every
+message, and raises InputError for a value of the wrong type.
 
 Everything raised intentionally by this package derives from EngineError,
 so callers (the CLI in particular) can distinguish a failed operation from
@@ -52,10 +55,11 @@ def json_fields(data, name, *keys):
     with name, the path of data in the input."""
     if not isinstance(data, dict):
         raise InputError(f"{name}: expected a JSON object")
-    missing = [k for k in keys if k not in data]
-    if missing:
-        raise InputError(f"{name}: missing {', '.join(missing)}")
-    return [data[k] for k in keys]
+    try:
+        return [data[k] for k in keys]
+    except KeyError:
+        missing = [k for k in keys if k not in data]
+        raise InputError(f"{name}: missing {', '.join(missing)}") from None
 
 
 def json_int_keys(data, name):
@@ -71,3 +75,28 @@ def json_int_keys(data, name):
         raise InputError(f"{name}: keys must be integers, written without "
                          f"a plus sign, spaces or leading zeros")
     return out
+
+
+def json_int(data, name, minimum=None):
+    """data, a JSON integer (not a boolean) of at least minimum, or
+    InputError."""
+    if type(data) is not int:
+        raise InputError(f"{name}: expected an integer")
+    if minimum is not None and data < minimum:
+        raise InputError(f"{name}: expected an integer >= {minimum}")
+    return data
+
+
+def json_list(data, name, read):
+    """The JSON list data, element i read by read(element, name[i])."""
+    if not isinstance(data, list):
+        raise InputError(f"{name}: expected a list")
+    return [read(x, f"{name}[{i}]") for i, x in enumerate(data)]
+
+
+def json_choice(data, name, options):
+    """data, one of the strings options, or InputError."""
+    if not isinstance(data, str) or data not in options:
+        raise InputError(f"{name}: expected "
+                         + " or ".join(f'"{o}"' for o in options))
+    return data

@@ -48,10 +48,10 @@ from itertools import combinations, product
 
 from .errors import ParseError, PreconditionError, ResourceError
 
-# budgets above this may need a fourth enumeration variable (four
-# mutually constrained variables take four quantifiers, three relating
-# atoms and two connectives, fifteen nodes in all), which the table
-# enumerator does not allocate
+# the largest budget the enumerator accepts.  Two variable slots are
+# proved to suffice up to budget 9 (see _var_pool); at 10-14 it runs on
+# three, with no proof that three suffice: Q^4((S(a) op a in b) op
+# c in d) already has four free variables in a 10-node subformula
 MAX_BUDGET = 14
 
 
@@ -608,8 +608,9 @@ def implicit_subsets(structure: FinStructure, budget: int):
     """
     if budget > MAX_BUDGET:
         raise ResourceError(
-            f"budget {budget} exceeds {MAX_BUDGET}, the range where the "
-            f"three-variable enumeration is provably complete")
+            f"budget {budget} exceeds {MAX_BUDGET}, the largest budget "
+            f"the enumerator runs (its two variable slots are proved "
+            f"complete up to 9, its three at 10-14 are not)")
     universe = structure.universe
     key = (universe, budget)
     out = _memo.get(key)

@@ -43,8 +43,8 @@ from __future__ import annotations
 from itertools import product
 
 from .bitseq import Bits, bits, bits_str, check_bits
-from .errors import (AmalgamationError, FusionError, InputError,
-                     PreconditionError, ResourceError)
+from .errors import (AmalgamationError, FusionError, PreconditionError,
+                     ResourceError, json_fields, json_int)
 
 # amalgamate refuses to build a skeleton with more entries than this, and
 # the level-n queries refuse to list more than this many cells
@@ -293,14 +293,16 @@ class SkeletonTree:
 
     @classmethod
     def from_json(cls, data, name="tree") -> "SkeletonTree":
-        """Decode to_json's object; name labels InputError messages."""
+        """Decode to_json's object; name, its path in the input, opens
+        every message, followed by the field at fault."""
         if not isinstance(data, dict) or "depth" not in data or "skeleton" not in data:
-            raise PreconditionError("tree JSON needs 'depth' and 'skeleton'")
-        depth, skel = data["depth"], data["skeleton"]
-        if type(depth) is not int or not isinstance(skel, dict):
-            raise InputError(f"{name}: expected an integer depth and an "
-                             f"object skeleton")
-        return cls(depth, {bits(k): bits(v) for k, v in skel.items()})
+            raise PreconditionError(f"{name}: tree JSON needs 'depth' and "
+                                    f"'skeleton'")
+        depth = json_int(data["depth"], f"{name}: depth")
+        at = f"{name}: skeleton"
+        json_fields(data["skeleton"], at)
+        return cls(depth, {bits(k, at): bits(v, at)
+                           for k, v in data["skeleton"].items()})
 
 
 def full_tree() -> SkeletonTree:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -606,3 +607,70 @@ def test_module_invocation_smoke():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+PINNED = json.loads((Path(__file__).parents[1] / "perfbench"
+                     / "pinned.json").read_text(encoding="utf-8"))
+MALFORMED = [(op, payload, token)
+             for op, payload, bad, token in PINNED["cli_eval"] if bad]
+
+
+def test_pinned_catalogue_has_51_malformed_payloads():
+    assert len(MALFORMED) == 51
+
+
+@pytest.mark.parametrize("op, payload, token", MALFORMED,
+                         ids=[f"{i}-{m[0]}" for i, m in enumerate(MALFORMED)])
+def test_eval_keeps_the_pinned_error_classes(tmp_path, capsys, op, payload,
+                                             token):
+    code, out, err = run_eval(tmp_path, op, payload, capsys)
+    assert out == ""
+    assert f"{code}:{err.split(':', 1)[0]}" == token
+
+
+GUARDED = {"kind": "iter", "schedule": {"kinds": ["single", "single"]},
+           "coords": [[{"guard": {}, "payload": LEAF}],
+                      [{"guard": {"0": "2"}, "payload": LEAF},
+                       {"guard": {"0": "1"}, "payload": LEAF}]]}
+
+
+@pytest.mark.parametrize("op, payload, path", [
+    ("column", {"sigma": "2", "n": 0}, "sigma"),
+    ("iter_restrict", {"condition": GUARDED, "sigma": ""},
+     "condition.coords[1][0].guard.0"),
+    ("iter_restrict", {"condition": {**ITER, "context": {"0": "2"}},
+                       "sigma": ""}, "condition.context.0"),
+    ("rt", {"tree": {"depth": 0, "skeleton": {"": "2"}}, "sigma": ""},
+     "tree: skeleton"),
+    ("join_family", {"columns": ["01", "2"], "length": 2}, "columns[1]"),
+])
+def test_eval_reads_every_bit_string_alike(tmp_path, capsys, op, payload,
+                                           path):
+    code, out, err = run_eval(tmp_path, op, payload, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"PreconditionError: {path}: not a bit string: '2'\n"
+
+
+@pytest.mark.parametrize("op, payload, message", [
+    ("join_family", {"columns": ["01", 3], "length": 2},
+     "columns[1]: not a bit string: 3"),
+    ("eval", {"formula": "S(#0)", "universe": [0, 1], "subset": [0, "1"]},
+     "subset[1]: expected an integer"),
+    ("prod_restrict", {"product": PRODUCT, "sigma": "", "sbar": [0, None]},
+     "sbar[1]: indices are integers"),
+    ("census_encode", {"x": [[0, 0, 1], [0, 1]], "limit_bound": 1,
+                       "n_bound": 2}, "x[1]: expected [a, n, bit]"),
+    ("census_encode", {"x": [[0, -1, 1]], "limit_bound": 1, "n_bound": 1},
+     "x[0]: expected an integer >= 0"),
+    ("sc_decode", {"pattern": ["line", "dot"]},
+     'pattern[1]: expected "line" or "diamond"'),
+    ("iter_restrict", {"condition": ITER, "sigma": "", "mode": "diagonal"},
+     'mode: expected "column" or "pairwise"'),
+    ("sc_census_encode", {"h": "1", "alpha_bound": 1},
+     "alpha_bound: expected an integer >= 2"),
+])
+def test_eval_list_and_scalar_readers_name_the_field(tmp_path, capsys, op,
+                                                     payload, message):
+    code, out, err = run_eval(tmp_path, op, payload, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InputError: {message}")

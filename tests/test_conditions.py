@@ -775,3 +775,17 @@ def test_long_schedule_is_refused_by_the_coordinate_count():
         condition_from_json(_iter_json(
             schedule={"sc": 10 ** 18, "length": 10 ** 18}))
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("key", ["0", "00", 0.5, 0.7, True])
+def test_coordinate_keys_are_ints(key):
+    # int(k) would read "00" and 0.5 both as 0, and a float as its floor
+    sched = FixedSchedule([SINGLE, SINGLE])
+    with pytest.raises(PreconditionError, match="is not an integer"):
+        GenericContext({key: bits("1")})
+    with pytest.raises(PreconditionError, match="is not an integer"):
+        IterCondition(sched, [[({}, F)], [({key: bits("0")}, F),
+                                          ({0: bits("1")}, F)]])
+    with pytest.raises(PreconditionError, match="is not an integer"):
+        GenericContext({"00": (1,), 0.5: (0,)})
+    assert GenericContext({0: bits("1")}).commitments == {0: (1,)}
