@@ -3,8 +3,8 @@
 Three subcommands: ``verify`` replays a module's invariant suite and
 reports per-property counts, ``eval`` applies one public operation to a
 JSON payload and prints the result as JSON, ``dot`` renders a tree or a
-degree poset as deterministic DOT.  Exit codes: 0 pass, 1 operation or
-property failure, 2 usage error.
+degree poset as deterministic DOT.  Exit codes: 0 pass, 1 operation,
+property or output failure, 2 usage error.
 
 The payload schema of ``eval`` is data: the operation table ``_OPS``.
 Each field is read by the library: integers, lists and choices by the
@@ -220,20 +220,28 @@ def _run(path, work):
         return 1, None
 
 
+def _write(path, text):
+    """0 after writing text to path, or 1 after printing why not."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_verify(args):
-    bounds = Bounds(seed=args.seed, depth=args.depth, budget=args.budget,
-                    n_bound=args.n_bound)
-    results = run_suite(args.suite, bounds)
+    results = run_suite(args.suite, Bounds(seed=args.seed))
     for r in results:
         line = f"{'pass' if r.passed else 'FAIL'}  {r.name} ({r.cases} cases)"
         if not r.passed:
             line += f": {r.failed} failed, e.g. {r.samples[0]}"
         print(line)
     report = suite_report(args.suite, results)
-    if args.json_report:
-        with open(args.json_report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.json_report and _write(args.json_report, text):
+        return 1
     return 0 if report["passed"] else 1
 
 
@@ -262,8 +270,7 @@ def cmd_dot(args, parser):
     if code == 0 and args.out == "-":
         sys.stdout.write(text)
     elif code == 0:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        code = _write(args.out, text)
     return code
 
 
@@ -286,12 +293,6 @@ def build_parser():
     v.add_argument("suite", choices=SUITE_NAMES + ("all",))
     v.add_argument("--seed", type=_seed, default=DEFAULT_SEED, metavar="N",
                    help="seed for the sampled checks")
-    v.add_argument("--depth", type=int, default=2, metavar="N",
-                   help="tree enumeration depth")
-    v.add_argument("--budget", type=int, default=11, metavar="N",
-                   help="formula size budget for the imp suite")
-    v.add_argument("--n-bound", type=int, default=4, metavar="N",
-                   dest="n_bound", help="base bound for self-coding sweeps")
     v.add_argument("--json-report", metavar="PATH",
                    help="also write the report as JSON")
 

@@ -86,13 +86,6 @@ def pair_leq(q: PairCondition, p: PairCondition) -> bool:
     return subtree_leq(q.left, p.left) and subtree_leq(q.right, p.right)
 
 
-def pair_leq_n(q: PairCondition, p: PairCondition, n: int) -> bool:
-    """Cellwise order at every interleaved index of length n."""
-    _check_cells("pair_leq_n", n)
-    return all(pair_leq(pair_restrict(q, sigma), pair_restrict(p, sigma))
-               for sigma in _strings(n))
-
-
 def pair_amalgamate(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
     sigma = check_bits(sigma)
     if not pair_leq(q, pair_restrict(p, sigma)):
@@ -691,19 +684,6 @@ def prod_amalgamate(p: ProductCondition, sigma, sbar,
             qi = coords[i] if i in coords else iter_restrict(pi, addr, COLUMN)
             coords[i] = iter_amalgamate(pi, addr, qi, COLUMN)
     return ProductCondition(coords)
-
-
-def permute_indices(p: ProductCondition, mapping) -> ProductCondition:
-    """Relabel coordinates along an injective mapping (identity where the
-    mapping is silent)."""
-    mapping = dict(mapping)
-    out = {}
-    for i, cond in p.coords.items():
-        j = mapping.get(i, i)
-        if j in out:
-            raise PreconditionError(f"mapping is not injective at {j!r}")
-        out[j] = cond
-    return ProductCondition(out)
 
 
 def condition_from_json(data, name="condition"):

@@ -57,13 +57,6 @@ class Ordinal2:
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
-    @property
-    def is_limit(self):
-        return self.b == 0 and self.a > 0
-
-    def plus(self, k: int) -> "Ordinal2":
-        return Ordinal2(self.a, self.b + k)
-
     def to_json(self):
         return [self.a, self.b]
 
@@ -227,7 +220,7 @@ def bit_function_from_json(data, name="x"):
 def _bit_entry(entry, name):
     if not isinstance(entry, list) or len(entry) != 3:
         raise InputError(f"{name}: expected [a, n, bit]")
-    return Ordinal2.from_json(entry[:2], name), entry[2]
+    return Ordinal2.from_json(entry[:2], name), json_int(entry[2], name)
 
 
 def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:

@@ -79,7 +79,7 @@ def set_contains(code: int, member: int) -> bool:
 
 class FinStructure:
     """A finite universe of set codes with the induced membership
-    relation.  Transitivity is reported, not required."""
+    relation.  It need not be transitive."""
 
     def __init__(self, universe):
         universe = tuple(sorted(universe))
@@ -95,11 +95,6 @@ class FinStructure:
     @property
     def size(self):
         return len(self.universe)
-
-    @property
-    def is_transitive(self):
-        have = set(self.universe)
-        return all(m in have for c in self.universe for m in set_members(c))
 
     def __contains__(self, code):
         return code in self._index
@@ -858,7 +853,3 @@ def vn_levels(n: int):
             set_of(prev[j] for j in range(len(prev)) if (mask >> j) & 1)
             for mask in range(1 << len(prev))))
     return levels
-
-
-def levels_to_json(levels):
-    return [sorted(level) for level in levels]

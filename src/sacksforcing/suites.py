@@ -1,9 +1,9 @@
 """Batch verification suites behind the command-line front end.
 
-Each suite replays a module's invariants at configurable bounds and
-reports per-property case counts, so a run can be checked by a script
-without a test framework.  Sweeps are exhaustive wherever the stated
-bound keeps them small; the seed feeds only the sampled extras.
+Each suite replays a module's invariants at fixed sizes and reports
+per-property case counts, so a run can be checked by a script without a
+test framework.  Sweeps are exhaustive wherever the sizes below keep
+them small; the seed feeds only the sampled extras.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .trees import (amalgamate, all_bitstrings, bitstrings_upto,
                     SkeletonTree)
 
 DEFAULT_SEED = 271828
+TREE_DEPTH = 2      # enumeration depth of the tree suite
+BUDGET = 11         # formula size budget of the imp suite
+N_BOUND = 4         # self-coding bases, and imp levels reaching full rank
 
 SUITE_NAMES = ("codec", "tree", "conditions", "degrees", "imp")
 
@@ -39,9 +42,6 @@ SUITE_NAMES = ("codec", "tree", "conditions", "degrees", "imp")
 @dataclass
 class Bounds:
     seed: int = DEFAULT_SEED
-    depth: int = 2
-    budget: int = 11
-    n_bound: int = 4
 
 
 @dataclass
@@ -132,13 +132,12 @@ def run_codec(bounds):
 # -- trees --------------------------------------------------------------------
 
 def run_tree(bounds):
-    trees = enumerate_trees(bounds.depth, 2)
-    depth = bounds.depth
+    trees = enumerate_trees(TREE_DEPTH, 2)
 
     antichain = PropertyResult("splitting levels are maximal antichains")
     partition = PropertyResult("cells partition the long nodes")
     for tree in trees:
-        for n in range(depth + 1):
+        for n in range(TREE_DEPTH + 1):
             level = tree.splitting_level(n)
             ok = len(level) == 2 ** n
             for a in level:
@@ -157,7 +156,7 @@ def run_tree(bounds):
             antichain.check(ok, f"level {n} of {tree.to_json()}")
 
     iso = PropertyResult("rt is an order isomorphism")
-    idx = bitstrings_upto(depth + 1)
+    idx = bitstrings_upto(TREE_DEPTH + 1)
     for tree in trees:
         for a in idx:
             for b in idx:
@@ -175,14 +174,14 @@ def run_tree(bounds):
         family = rng.sample(family, 40)
     for sub in family:
         for sup in family:
-            for n in range(depth + 1):
+            for n in range(TREE_DEPTH + 1):
                 graded.check(
                     leq_n(sub, sup, n) == leq_n_cellwise(sub, sup, n),
                     f"n={n}")
 
     glue = PropertyResult("amalgamation pins one cell, keeps the rest")
     for tree in trees:
-        for n in range(depth + 1):
+        for n in range(TREE_DEPTH + 1):
             for sigma in all_bitstrings(n):
                 for b in all_bitstrings(1):
                     graft = tree.restrict_cell(sigma + b)
@@ -291,7 +290,7 @@ def run_degrees(bounds):
     sc_round = PropertyResult("self-coding schedule round trip")
     injective = PropertyResult("self-coding patterns are injective")
     seen = {}
-    for n in range(bounds.n_bound):
+    for n in range(N_BOUND):
         for glen in range(7):
             for gcode in range(1 << glen):
                 g = tuple((gcode >> i) & 1 for i in range(glen))
@@ -368,13 +367,13 @@ def _closed_formulas(universe, max_size):
 
 def run_imp(bounds):
     first = PropertyResult("first level is the singleton of the empty set")
-    for budget in (0, 1, 3, 7, bounds.budget):
+    for budget in (0, 1, 3, 7, BUDGET):
         first.check(imp_levels(1, budget) == [frozenset(), frozenset({0})],
                     f"budget {budget}")
 
     contained = PropertyResult("levels sit inside the powerset hierarchy")
-    for budget in (0, 4, 8, bounds.budget):
-        levels = imp_levels(min(bounds.n_bound, 4), budget)
+    for budget in (0, 4, 8, BUDGET):
+        levels = imp_levels(N_BOUND, budget)
         for k in range(1, len(levels)):
             for code in levels[k]:
                 contained.check(set(set_members(code)) <= levels[k - 1],
@@ -382,9 +381,9 @@ def run_imp(bounds):
 
     reaches = PropertyResult("levels reach the full ranks at the fixture "
                              "budget")
-    for n in range(1, min(bounds.n_bound, 4) + 1):
-        reaches.check(imp_levels(n, bounds.budget) == vn_levels(n),
-                      f"n={n} budget {bounds.budget}")
+    for n in range(1, N_BOUND + 1):
+        reaches.check(imp_levels(n, BUDGET) == vn_levels(n),
+                      f"n={n} budget {BUDGET}")
 
     agree = PropertyResult("unique-subset search agrees with the double "
                            "loop")

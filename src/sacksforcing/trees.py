@@ -310,11 +310,6 @@ def full_tree() -> SkeletonTree:
     return SkeletonTree._trusted(0, {(): ()})
 
 
-def node_set(tree: SkeletonTree, max_len: int):
-    """All nodes of the tree up to the given length, as a set."""
-    return {nu for nu in _upto(max_len) if tree._contains(nu)}
-
-
 def subtree_leq(sub: SkeletonTree, sup: SkeletonTree) -> bool:
     """Whether sub is a subtree (i.e. a subset of nodes) of sup.
 

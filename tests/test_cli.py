@@ -41,9 +41,16 @@ def test_verify_codec_passes(tmp_path, capsys):
                for p in report["properties"])
 
 
-def test_verify_reduced_bound(capsys):
-    assert main(["verify", "degrees", "--n-bound", "2"]) == 0
-    assert "round trip" in capsys.readouterr().out
+@pytest.mark.parametrize("argv", [["tree", "--depth", "4"],
+                                  ["imp", "--budget", "15"],
+                                  ["degrees", "--n-bound", "2"]])
+def test_verify_sizes_are_not_options(capsys, argv):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as e:
+        main(["verify"] + argv)
+    assert e.value.code == 2
+    assert time.perf_counter() - start < 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -332,6 +339,17 @@ def test_eval_integer_past_the_digit_limit(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("input error: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("command", ["verify", "dot"])
+def test_output_path_that_cannot_be_written(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out"
+    argv = (["verify", "codec", "--json-report", str(out)]
+            if command == "verify" else
+            ["dot", write_json(tmp_path, {"kinds": ["single"]}), str(out)])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "dot"])
@@ -674,3 +692,17 @@ def test_eval_list_and_scalar_readers_name_the_field(tmp_path, capsys, op,
     code, out, err = run_eval(tmp_path, op, payload, capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"InputError: {message}")
+
+
+@pytest.mark.parametrize("bit, error", [
+    (True, "InputError: x[0]: expected an integer"),
+    (1.0, "InputError: x[0]: expected an integer"),
+    (2, "PreconditionError: bit function value 2"),
+])
+def test_eval_census_encode_reads_the_bit_as_an_integer(tmp_path, capsys,
+                                                       bit, error):
+    code, out, err = run_eval(tmp_path, "census_encode",
+                              {"x": [[0, 0, bit]], "limit_bound": 1,
+                               "n_bound": 1}, capsys)
+    assert (code, out) == (1, "")
+    assert err == error + "\n"

@@ -17,13 +17,12 @@ from sacksforcing.conditions import (
     ProductCondition, ScSchedule, _guards_compatible, _table_is_partition,
     condition_from_json, full_iter, full_pair, full_tree, is_full_iter,
     iter_amalgamate, iter_equal, iter_leq, iter_leq_n, iter_restrict,
-    pair_amalgamate, pair_leq, pair_leq_n, pair_restrict, permute_indices,
-    plain_iter, prod_amalgamate, prod_equal, prod_extends, prod_leq,
-    prod_restrict, schedule_from_json,
+    pair_amalgamate, pair_leq, pair_restrict, plain_iter, prod_amalgamate,
+    prod_equal, prod_extends, prod_leq, prod_restrict, schedule_from_json,
 )
 from sacksforcing.trees import (
     SkeletonTree, _is_prefix, _strings, all_bitstrings, amalgamate,
-    enumerate_trees, leq_n, subtree_leq,
+    enumerate_trees,
 )
 
 
@@ -63,26 +62,6 @@ def test_pair_restrict_examples():
     # an odd-length index sends nothing to the right component
     assert pair_restrict(p, bits("1")) == \
         PairCondition(T1.restrict_cell(bits("1")), F)
-
-
-def test_pair_leq_n_translated_levels():
-    trees = distinct_trees(1, 1)
-    leq_pairs = [(a, b) for a in trees for b in trees if subtree_leq(a, b)]
-    for la, lb in leq_pairs:
-        for ra, rb in leq_pairs:
-            q, p = PairCondition(la, ra), PairCondition(lb, rb)
-            for n in range(4):
-                expected = (leq_n(la, lb, math.ceil(n / 2))
-                            and leq_n(ra, rb, math.floor(n / 2)))
-                assert pair_leq_n(q, p, n) == expected
-
-
-def test_pair_leq_n_lost_cell():
-    p = PairCondition(F, F)
-    assert pair_leq_n(p, p, 3)
-    q = PairCondition(F.restrict_cell(bits("0")), F)
-    assert pair_leq(q, p)
-    assert not pair_leq_n(q, p, 1)
 
 
 def test_pair_amalgamate():
@@ -559,19 +538,6 @@ def test_prod_amalgamate_partial_equality():
                         prod_restrict(p, tau, sbar).coordinate(0))
 
 
-def test_permute_indices():
-    p = ProductCondition({0: iter_of(T1), (1, 2): iter_of(TP)})
-    assert prod_equal(permute_indices(p, {}), p)
-    swap = {0: (1, 2), (1, 2): 0}
-    assert prod_equal(permute_indices(permute_indices(p, swap), swap), p)
-    q = ProductCondition({0: iter_of(T1.restrict_cell(bits("0"))),
-                          (1, 2): iter_of(TP)})
-    assert prod_extends(q, p)
-    assert prod_extends(permute_indices(q, swap), permute_indices(p, swap))
-    with pytest.raises(PreconditionError):
-        permute_indices(p, {0: (1, 2)})
-
-
 def test_support_ordering():
     p = ProductCondition({(1, 0): iter_of(F), 3: iter_of(F), 0: iter_of(F)})
     assert p.support == (0, 3, (1, 0))
@@ -591,10 +557,8 @@ def test_full_iter_recognition():
 
 def test_graded_orders_refuse_past_the_bound():
     # 2^16 pairs of restrictions is the most the graded orders compare
-    pair = PairCondition(F, F)
     product = ProductCondition({0: iter_of(F)})
-    for call in (lambda n: pair_leq_n(pair, pair, n),
-                 lambda n: iter_leq_n(P2, P2, n, PAIRWISE),
+    for call in (lambda n: iter_leq_n(P2, P2, n, PAIRWISE),
                  lambda n: prod_leq(product, product, n, [0])):
         with pytest.raises(ResourceError, match="2\\^17 pairs.*65536"):
             call(17)

@@ -30,11 +30,10 @@ def all_recipes(max_length):
 def test_ordinal_basics():
     zero = Ordinal2(0, 0)
     omega = Ordinal2(1, 0)
-    assert zero.is_zero and not zero.is_limit
-    assert omega.is_limit and not omega.is_zero
-    assert not Ordinal2(1, 3).is_limit
-    assert zero < Ordinal2(0, 5) < omega < omega.plus(1) < Ordinal2(2, 0)
-    assert Ordinal2.from_json(omega.plus(3).to_json()) == Ordinal2(1, 3)
+    assert zero.is_zero
+    assert not omega.is_zero
+    assert zero < Ordinal2(0, 5) < omega < Ordinal2(1, 1) < Ordinal2(2, 0)
+    assert Ordinal2.from_json(Ordinal2(1, 3).to_json()) == Ordinal2(1, 3)
     with pytest.raises(PreconditionError):
         Ordinal2(-1, 0)
 

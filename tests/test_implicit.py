@@ -14,7 +14,7 @@ from sacksforcing.implicit import (MAX_NESTING, And, Eq, Exists,
                                    Not, Or, Param, Pred, Var,
                                    eval_formula, formula_size, formula_text,
                                    free_vars, imp_levels, implicit_subsets,
-                                   implicitly_defined_by, levels_to_json,
+                                   implicitly_defined_by,
                                    parse_formula, set_contains, set_members,
                                    set_of, vn_levels)
 
@@ -56,11 +56,8 @@ def test_structure_universe_sorted_and_distinct():
 
 
 def test_transitivity_is_flagged_not_required():
-    assert S2.is_transitive
-    assert EMPTY.is_transitive
-    # {∅, {{∅}}} skips {∅}: accepted, but flagged
+    # {∅, {{∅}}} skips {∅}: accepted
     skew = FinStructure([0, 2])
-    assert not skew.is_transitive
     assert skew.universe == (0, 2)
 
 
@@ -769,7 +766,3 @@ def test_vn_levels():
     assert levels[3] == {0, 1, 2, 3}
     with pytest.raises(PreconditionError):
         vn_levels(5)
-
-
-def test_levels_to_json():
-    assert levels_to_json(imp_levels(2, 3)) == [[], [0], [0, 1]]

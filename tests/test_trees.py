@@ -19,7 +19,7 @@ from sacksforcing.errors import (
 )
 from sacksforcing.trees import (
     SkeletonTree, all_bitstrings, amalgamate, bitstrings_upto, enumerate_trees,
-    full_tree, fusion_prefix, leq_n, leq_n_cellwise, node_set, subtree_leq,
+    full_tree, fusion_prefix, leq_n, leq_n_cellwise, subtree_leq,
     tree_dot,
 )
 
@@ -365,11 +365,6 @@ def test_random_restrict_compose(tree, k):
         cell = tree.restrict_cell(sigma)
         for i in (0, 1):
             assert cell.restrict_cell((i,)) == tree.restrict_cell(sigma + (i,))
-
-
-def test_node_set_helper():
-    assert node_set(full_tree(), 2) == set(bitstrings_upto(2))
-    assert node_set(T1, 2) == {(), bits("0"), bits("00"), bits("01")}
 
 
 def test_tree_dot_is_deterministic():
