@@ -36,7 +36,7 @@ from .errors import (EngineError, InputError, ResourceError, json_choice,
 from .implicit import (FinStructure, eval_formula, formula_size,
                        formula_text, free_vars, imp_levels, implicit_subsets,
                        implicitly_defined_by, parse_formula, vn_levels)
-from .suites import DEFAULT_SEED, SUITE_NAMES, Bounds, run_suite, suite_report
+from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite, suite_report
 from .trees import SkeletonTree, amalgamate, leq_n, subtree_leq, tree_dot
 
 
@@ -232,7 +232,7 @@ def _write(path, text):
 
 
 def cmd_verify(args):
-    results = run_suite(args.suite, Bounds(seed=args.seed))
+    results = run_suite(args.suite, args.seed)
     for r in results:
         line = f"{'pass' if r.passed else 'FAIL'}  {r.name} ({r.cases} cases)"
         if not r.passed:

@@ -27,6 +27,7 @@ half of an unbounded family leaves it unbounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .bitseq import Bits, check_bits
@@ -80,11 +81,11 @@ class DegreePoset:
         self.nodes, self.edges = tuple(nodes), tuple(map(tuple, edges))
         if not all(isinstance(v, str) for v in chain(self.nodes, *self.edges)):
             raise InputError("poset: node labels must be strings")
-        self._bit = {v: 1 << i for i, v in enumerate(self.nodes)}
-        if len(self._bit) != len(self.nodes):
+        self._index = {v: i for i, v in enumerate(self.nodes)}
+        if len(self._index) != len(self.nodes):
             raise PreconditionError("duplicate node labels")
         for lo, hi in self.edges:
-            if lo not in self._bit or hi not in self._bit:
+            if lo not in self._index or hi not in self._index:
                 raise PreconditionError(f"edge ({lo}, {hi}) off the node set")
         succ = {v: [] for v in self.nodes}
         indegree = dict.fromkeys(self.nodes, 0)
@@ -104,40 +105,45 @@ class DegreePoset:
         if len(minimal) != 1:
             raise PreconditionError(f"expected a unique bottom, got {minimal}")
         self.bottom = minimal[0]
-        # _up[v] (_down[v]) ORs the bits of v and the nodes above (below)
-        # it; no two nodes of a poset share an up-set, nor a down-set
-        self._up, self._down = dict(self._bit), dict(self._bit)
-        for v in reversed(order):
-            for w in succ[v]:
-                self._up[v] |= self._up[w]
-        for v in order:             # v's down-set is complete here
-            for w in succ[v]:
-                self._down[w] |= self._down[v]
-        self._with_up = {m: v for v, m in self._up.items()}
-        self._with_down = {m: v for v, m in self._down.items()}
+        self._order, self._succ = order, succ
 
-    def _check(self, *labels):
+    @cached_property
+    def _masks(self):
+        # up[v] (down[v]) ORs the bits of v and the nodes above (below) it,
+        # and the inverse maps give each mask's node (no two nodes share
+        # one).  Their size is quadratic in the nodes, so they wait for use
+        up = {v: 1 << i for v, i in self._index.items()}
+        down = dict(up)
+        for v in reversed(self._order):
+            for w in self._succ[v]:
+                up[v] |= up[w]
+        for v in self._order:       # v's down-set is complete here
+            for w in self._succ[v]:
+                down[w] |= down[v]
+        return up, down, *({m: v for v, m in d.items()} for d in (up, down))
+
+    def _masks_for(self, *labels):
         for v in labels:
-            if not isinstance(v, str) or v not in self._bit:
+            if not isinstance(v, str) or v not in self._index:
                 raise PreconditionError(f"{v!r} is not a node of the poset")
+        return self._masks
 
     def to_json(self):
         return {"nodes": list(self.nodes),
                 "edges": [list(e) for e in self.edges]}
 
     def leq(self, x, y) -> bool:
-        self._check(x, y)
-        return bool(self._up[x] & self._bit[y])
+        return bool(self._masks_for(x, y)[0][x] >> self._index[y] & 1)
 
     def meet(self, x, y):
         """The node whose down-set is the AND of x's and y's, or None."""
-        self._check(x, y)
-        return self._with_down.get(self._down[x] & self._down[y])
+        _, down, _, with_down = self._masks_for(x, y)
+        return with_down.get(down[x] & down[y])
 
     def join(self, x, y):
         """The node whose up-set is the AND of x's and y's, or None."""
-        self._check(x, y)
-        return self._with_up.get(self._up[x] & self._up[y])
+        up, _, with_up, _ = self._masks_for(x, y)
+        return with_up.get(up[x] & up[y])
 
 
 def tower_degrees(recipe: TowerRecipe) -> DegreePoset:

@@ -456,7 +456,7 @@ def _atom_table(structure, key):
     return table
 
 
-# implicitly_defined_by builds no table wider than MAX_TABLE_BITS, and
+# neither table evaluator builds a table wider than MAX_TABLE_BITS, and
 # eval_formula visits at most MAX_ASSIGNMENTS assignments around an atom
 MAX_TABLE_BITS = 1 << 18
 MAX_ASSIGNMENTS = 1 << 16
@@ -599,7 +599,8 @@ def implicit_subsets(structure: FinStructure, budget: int):
     that subset is returned at every budget rather than making the
     answer depend on which vacuously-true formula first fits the budget.
     Answers are remembered per (universe, budget), and a smaller budget
-    whose answer is already every subset answers a larger one.
+    whose answer is already every subset answers a larger one.  Tables
+    of u**_var_pool(budget) * 2**u bits past MAX_TABLE_BITS are refused.
     """
     if budget > MAX_BUDGET:
         raise ResourceError(
@@ -631,10 +632,13 @@ def _enumerate(structure, budget):
     u = len(universe)
     if u == 0:
         return frozenset({frozenset()})
+    nvars = _var_pool(budget)
+    if u ** nvars << u > MAX_TABLE_BITS:
+        _refuse(u ** nvars << u, "table bits", nvars, u, MAX_TABLE_BITS)
     nsub = 1 << u
     submask = (1 << nsub) - 1
     # a table is closed when every assignment's block equals block 0
-    every = sum(1 << (a * nsub) for a in range(u ** _var_pool(budget)))
+    every = sum(1 << (a * nsub) for a in range(u ** nvars))
     found = 0       # bit s: the subset with position mask s is defined
 
     def wanted(family):
@@ -807,12 +811,12 @@ def _tables(structure, budget, wanted=lambda family: True):
 
 # -- hierarchies ---------------------------------------------------------------------
 
-MAX_LEVEL_UNIVERSE = 4
 # imp_levels builds at most MAX_LEVELS levels, and no set code of more
 # than MAX_LEVEL_CODE_BITS bits, so every code prints (Python refuses to
-# print an int of more than 4300 digits).  From budget 2 on, the codes
-# grow as a tower and meet one of the bounds by level 7; budgets 0 and
-# 1 alternate between the empty level and {0} for ever.
+# print an int of more than 4300 digits), and names the level where
+# implicit_subsets refuses.  From budget 2 on, the codes grow as a tower
+# and meet a bound by level 7; budgets 0 and 1 alternate between the
+# empty level and {0} for ever.
 MAX_LEVELS = 64
 MAX_LEVEL_CODE_BITS = 1 << 12
 
@@ -826,17 +830,16 @@ def imp_levels(n: int, budget: int):
     levels = [frozenset()]
     for k in range(1, n + 1):
         carrier = sorted(levels[-1])
-        if len(carrier) > MAX_LEVEL_UNIVERSE:
-            raise ResourceError(
-                f"level {k} would enumerate formulas over {len(carrier)} "
-                f"sets; {MAX_LEVEL_UNIVERSE} is the supported maximum")
         # the widest code of level k has one bit per code up to the
         # largest member
         if carrier and carrier[-1] >= MAX_LEVEL_CODE_BITS:
             raise ResourceError(
                 f"level {k} would hold set codes of {carrier[-1] + 1} bits; "
                 f"{MAX_LEVEL_CODE_BITS} is the supported maximum")
-        family = implicit_subsets(FinStructure(carrier), budget)
+        try:
+            family = implicit_subsets(FinStructure(carrier), budget)
+        except ResourceError as e:
+            raise ResourceError(f"level {k}: {e}") from None
         levels.append(frozenset(set_of(s) for s in family))
     return levels
 

@@ -40,11 +40,6 @@ SUITE_NAMES = ("codec", "tree", "conditions", "degrees", "imp")
 
 
 @dataclass
-class Bounds:
-    seed: int = DEFAULT_SEED
-
-
-@dataclass
 class PropertyResult:
     name: str
     cases: int = 0
@@ -80,7 +75,7 @@ def _expect_raises(result, exc, thunk, detail):
 
 # -- codec --------------------------------------------------------------------
 
-def run_codec(bounds):
+def run_codec(seed):
     pairing = PropertyResult("pairing constraints and bijectivity")
     for m in range(100):
         for n in range(100):
@@ -113,7 +108,7 @@ def run_codec(bounds):
         for sigma in all_bitstrings(length):
             x, y = split_pair(sigma)
             interleave.check(join_pair(x, y) == sigma, bits_str(sigma))
-    rng = random.Random(bounds.seed)
+    rng = random.Random(seed)
     for _ in range(200):
         x = tuple(rng.randrange(2) for _ in range(rng.randrange(30)))
         y = tuple(rng.randrange(2) for _ in range(len(x) - rng.randrange(2))
@@ -131,7 +126,7 @@ def run_codec(bounds):
 
 # -- trees --------------------------------------------------------------------
 
-def run_tree(bounds):
+def run_tree(seed):
     trees = enumerate_trees(TREE_DEPTH, 2)
 
     antichain = PropertyResult("splitting levels are maximal antichains")
@@ -169,7 +164,7 @@ def run_tree(bounds):
     for t in trees:
         seen.setdefault(t.canonical(), t)
     family = list(seen)
-    rng = random.Random(bounds.seed)
+    rng = random.Random(seed)
     if len(family) > 40:
         family = rng.sample(family, 40)
     for sub in family:
@@ -207,7 +202,7 @@ def _worked_fixture():
     return full, t_prime, s, p, q
 
 
-def run_conditions(bounds):
+def run_conditions(seed):
     worked = PropertyResult("two-step amalgamation worked example")
     full, t_prime, s, p, q = _worked_fixture()
     sigma = join_pair((0,), (0,))
@@ -266,7 +261,7 @@ def run_conditions(bounds):
 
 # -- degrees --------------------------------------------------------------------
 
-def run_degrees(bounds):
+def run_degrees(seed):
     census = PropertyResult("tower census round trip")
     keys = [Ordinal2(a, n) for a in range(2) for n in range(4)]
     for code in range(1 << len(keys)):
@@ -365,7 +360,7 @@ def _closed_formulas(universe, max_size):
     return [f for fs in by_size.values() for f in fs if not free_vars(f)]
 
 
-def run_imp(bounds):
+def run_imp(seed):
     first = PropertyResult("first level is the singleton of the empty set")
     for budget in (0, 1, 3, 7, BUDGET):
         first.check(imp_levels(1, budget) == [frozenset(), frozenset({0})],
@@ -387,7 +382,7 @@ def run_imp(bounds):
 
     agree = PropertyResult("unique-subset search agrees with the double "
                            "loop")
-    rng = random.Random(bounds.seed)
+    rng = random.Random(seed)
     for universe in ((), (0,), (0, 1), (0, 2)):
         structure = FinStructure(universe)
         formulas = _closed_formulas(universe, 6)
@@ -418,12 +413,11 @@ _RUNNERS = {"codec": run_codec, "tree": run_tree,
             "imp": run_imp}
 
 
-def run_suite(name, bounds=None):
+def run_suite(name, seed=DEFAULT_SEED):
     """Results for one suite, or for every suite when name is "all"."""
-    bounds = bounds or Bounds()
     if name == "all":
-        return [r for part in SUITE_NAMES for r in _RUNNERS[part](bounds)]
-    return _RUNNERS[name](bounds)
+        return [r for part in SUITE_NAMES for r in _RUNNERS[part](seed)]
+    return _RUNNERS[name](seed)
 
 
 def suite_report(name, results):

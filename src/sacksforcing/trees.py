@@ -24,8 +24,8 @@ are valid by construction and come from the private ``_trusted``
 constructor, which checks nothing.  Public methods check their bit-string
 arguments once and hand them to unchecked private twins (``_rt``,
 ``_restrict_cell``, ``_contains``) that internal callers use directly.
-Trees are immutable, so each caches its canonical form and its hash the
-first time they are asked for, and ``==`` and ``hash`` reuse them.
+Trees are immutable, so each caches its canonical form the first time
+it is asked for, and ``==`` and ``hash`` reuse it.
 
 Two queries walk the skeleton instead of listing the frontier.
 ``contains`` follows the node down the skeleton, taking at each splitting
@@ -106,8 +106,8 @@ _set = object.__setattr__
 
 class SkeletonTree:
     # _canon is None until computed, False when this presentation is
-    # already minimal, else the minimal tree; _hash is None until computed
-    __slots__ = ("depth", "_skel", "_canon", "_hash")
+    # already minimal, else the minimal tree
+    __slots__ = ("depth", "_skel", "_canon")
 
     def __init__(self, depth: int, skeleton):
         if depth < 0:
@@ -142,7 +142,6 @@ class SkeletonTree:
         _set(self, "depth", depth)
         _set(self, "_skel", skel)
         _set(self, "_canon", None)
-        _set(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SkeletonTree is immutable: cannot set {name!r}")
@@ -202,10 +201,8 @@ class SkeletonTree:
         return a is b or (a.depth == b.depth and a._skel == b._skel)
 
     def __hash__(self):
-        if self._hash is None:
-            c = self.canonical()
-            _set(self, "_hash", hash((c.depth, frozenset(c._skel.items()))))
-        return self._hash
+        c = self.canonical()
+        return hash((c.depth, frozenset(c._skel.items())))
 
     def __repr__(self):
         c = self.canonical()

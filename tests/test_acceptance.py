@@ -26,7 +26,7 @@ from sacksforcing.implicit import (And, Eq, Exists, FinStructure, Forall, Iff,
                                    free_vars, imp_levels,
                                    implicitly_defined_by, set_members,
                                    vn_levels)
-from sacksforcing.suites import Bounds, run_suite
+from sacksforcing.suites import run_suite
 from sacksforcing.trees import (SkeletonTree, all_bitstrings, amalgamate,
                                 bitstrings_upto, enumerate_trees, full_tree,
                                 leq_n, leq_n_cellwise)
@@ -361,7 +361,7 @@ def combinations_of_four(size):
 
 def test_full_verification_under_ten_minutes():
     t0 = time.time()
-    results = run_suite("all", Bounds())
+    results = run_suite("all")
     failed = [r.name for r in results if not r.passed]
     assert not failed, failed
     elapsed = time.time() - t0

@@ -590,6 +590,16 @@ def test_dot_long_chain_poset(tmp_path, capsys):
     assert (len(nodes), len(edges)) == (n, n - 1)
 
 
+@pytest.mark.parametrize("argv", [["eval", "tower_degrees"], ["dot"]])
+def test_long_recipe_stays_linear(tmp_path, capsys, argv):
+    # one single step, then 15,999 pair steps: 48,001 degrees
+    path = write_json(tmp_path, {"kinds": ["single"] + ["pair"] * 15999})
+    start = time.perf_counter()
+    assert main(argv + [path] + (["-"] if argv == ["dot"] else [])) == 0
+    assert time.perf_counter() - start < 2
+    assert '"d16000"' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("obj, field", [
     ({"nodes": [[1]], "edges": []}, "poset"),
     ({"nodes": ["a"], "edges": [1]}, "poset"),

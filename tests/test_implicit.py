@@ -741,6 +741,48 @@ def test_level_universe_cap():
     assert "level 5" in str(e.value)
 
 
+@pytest.mark.parametrize("universe, budget, bits", [
+    (range(20), 4, 20 * 2 ** 20),        # one slot
+    (range(9), 10, 9 ** 3 * 2 ** 9),     # three slots: 373,248 bits
+])
+def test_enumerator_refuses_wide_tables(tmp_path, capsys, universe, budget,
+                                        bits):
+    start = time.perf_counter()
+    with pytest.raises(ResourceError) as e:
+        implicit_subsets(FinStructure(universe), budget)
+    assert f"{bits} table bits" in str(e.value)
+    assert str(implicit.MAX_TABLE_BITS) in str(e.value)
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"universe": list(universe),
+                                "budget": budget}))
+    assert main(["eval", "implicit_subsets", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ResourceError: {bits} table bits")
+    assert "262144" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_level_five_at_budget_seven_matches_reference():
+    levels = imp_levels(5, 7)
+    carrier = FinStructure(levels[4])
+    assert carrier.size == 9
+    assert levels[5] == {set_of(s) for s in _reference_subsets(carrier, 7)}
+    assert len(levels[5]) == 19
+
+
+def test_levels_name_the_level_they_stop_at():
+    with pytest.raises(ResourceError) as e:
+        imp_levels(6, 7)
+    assert str(e.value).startswith("level 6 would hold set codes of ")
+    for budget in range(8, 15):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError) as e:
+            imp_levels(5, budget)
+        assert str(e.value).startswith("level 5: "), budget
+        assert "table bits" in str(e.value)
+        assert time.perf_counter() - start < 2
+
+
 def test_level_count_and_code_caps():
     start = time.perf_counter()
     for budget in (0, 2):
