@@ -34,8 +34,8 @@ and a quantifier ANDs or ORs the blocks along its slot.  So operands are
 grouped by family, and a full table is built only for an operation
 whose family is a single subset not yet defined.  The defined family
 only grows with the size, so the enumeration stops as soon as every
-subset is defined, and its answers are remembered per (universe,
-budget), an answer of every subset serving every larger budget too.
+subset is defined.  Its answer is remembered per (universe, budget), and
+so are those of the smaller budgets on the same slots (see _enumerate).
 implicitly_defined_by computes the same tables for one given
 formula, which decides all subsets in a single pass over it.
 """
@@ -598,9 +598,10 @@ def implicit_subsets(structure: FinStructure, budget: int):
     The empty structure is special-cased: it has exactly one subset, and
     that subset is returned at every budget rather than making the
     answer depend on which vacuously-true formula first fits the budget.
-    Answers are remembered per (universe, budget), and a smaller budget
-    whose answer is already every subset answers a larger one.  Tables
-    of u**_var_pool(budget) * 2**u bits past MAX_TABLE_BITS are refused.
+    Answers are remembered per (universe, budget), also those that one
+    enumeration gives for smaller budgets (see _enumerate), and an answer
+    of every subset answers larger budgets.  Tables of
+    u**_var_pool(budget) * 2**u bits past MAX_TABLE_BITS are refused.
     """
     if budget > MAX_BUDGET:
         raise ResourceError(
@@ -608,30 +609,42 @@ def implicit_subsets(structure: FinStructure, budget: int):
             f"the enumerator runs (its two variable slots are proved "
             f"complete up to 9, its three at 10-14 are not)")
     universe = structure.universe
-    key = (universe, budget)
-    out = _memo.get(key)
-    if out is None:
+    if (universe, budget) not in _memo:
         # the answer only grows with the budget, so a smaller budget
         # that defines every subset answers this one
         powerset = 1 << len(universe)
         for smaller in range(budget):
             out = _memo.get((universe, smaller))
             if out is not None and len(out) == powerset:
+                answers = {budget: out}
                 break
         else:
-            out = _enumerate(structure, budget)
+            answers = _enumerate(structure, budget)
+        _remember(universe, answers)
+    return _memo[universe, budget]
+
+
+def _remember(universe, answers):
+    """Put {budget: answer} on the universe into _memo as its newest
+    entries, the oldest going first when it is full."""
+    for budget, answer in answers.items():
+        _memo.pop((universe, budget), None)
         if len(_memo) >= _MEMO_ENTRIES:
             del _memo[next(iter(_memo))]
-        _memo[key] = out
-    return out
+        _memo[universe, budget] = answer
 
 
 def _enumerate(structure, budget):
-    """implicit_subsets without the memo."""
+    """implicit_subsets without the memo, as {b: answer} for ``budget``
+    and each smaller b >= 2 with the same _var_pool (every b, on the
+    empty universe).  _tables builds a stored size s as a budget-s run
+    does, and that run's last size finds the closed families size s
+    holds: the subsets defined once size s is done answer budget s
+    (every subset, for sizes a stop cuts short)."""
     universe = structure.universe
     u = len(universe)
     if u == 0:
-        return frozenset({frozenset()})
+        return dict.fromkeys(range(budget + 1), frozenset({frozenset()}))
     nvars = _var_pool(budget)
     if u ** nvars << u > MAX_TABLE_BITS:
         _refuse(u ** nvars << u, "table bits", nvars, u, MAX_TABLE_BITS)
@@ -640,20 +653,25 @@ def _enumerate(structure, budget):
     # a table is closed when every assignment's block equals block 0
     every = sum(1 << (a * nsub) for a in range(u ** nvars))
     found = 0       # bit s: the subset with position mask s is defined
+    at_size = {}    # stored size -> found once that size is complete
 
     def wanted(family):
         # one subset, not defined yet
         return family & (family - 1) == 0 and family & ~found
 
-    for t, free in _tables(structure, budget, wanted):
+    for t, free in _tables(structure, budget, wanted,
+                           lambda size: at_size.setdefault(size, found)):
         family = t & submask
         if family & (family - 1) == 0 and family \
                 and (not free or t == family * every):
             found |= family
             if found == submask:
                 break       # every subset is defined already
-    return frozenset(frozenset(universe[j] for j in range(u) if (s >> j) & 1)
-                     for s in range(nsub) if (found >> s) & 1)
+    return {size: frozenset(
+                frozenset(universe[j] for j in range(u) if (s >> j) & 1)
+                for s in range(nsub) if (at_size.get(size, found) >> s) & 1)
+            for size in range(min(budget, 2), budget + 1)
+            if _var_pool(size) == nvars}
 
 
 # _BINARY's operations and the converse one (the stored sizes inline them)
@@ -661,7 +679,7 @@ _CONNECTIVES = (*(op for _, op in _BINARY.values()),
                 lambda a, b, ones: b ^ ones | a)
 
 
-def _tables(structure, budget, wanted=lambda family: True):
+def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None):
     """(table, free-slot mask) for each formula class of size at most
     ``budget`` over a nonempty structure, smallest size first.
 
@@ -685,6 +703,7 @@ def _tables(structure, budget, wanted=lambda family: True):
     or ORs (ex) the blocks along its slot.  The operands of a binary
     connective are grouped by family, and a table is built only where
     ``wanted(family)`` holds; without ``wanted``, every family is.
+    ``done(size)`` is called once each stored size has been yielded.
     """
     universe = structure.universe
     u = len(universe)
@@ -767,6 +786,7 @@ def _tables(structure, budget, wanted=lambda family: True):
                 seen.add(t)
                 level.append((t, free))
                 yield t, free
+        done(size)
     if budget < 2:
         return
     # the last size, each operation decided on its family first

@@ -707,6 +707,97 @@ def test_memo_is_keyed_by_universe_and_bounded():
     assert ((2 * implicit._MEMO_ENTRIES - 1,), 3) in implicit._memo
 
 
+def _count_enumerations(monkeypatch):
+    calls = []
+    enumerate_ = implicit._enumerate
+
+    def counted(structure, budget):
+        calls.append((structure.universe, budget))
+        return enumerate_(structure, budget)
+
+    monkeypatch.setattr(implicit, "_enumerate", counted)
+    return calls
+
+
+def test_one_enumeration_answers_smaller_budgets_on_its_slots(monkeypatch):
+    # a budget-b run completes each smaller size s as a budget-s run
+    # would, so every budget on b's variable slots is answered with it
+    calls = _count_enumerations(monkeypatch)
+    for r in range(5):
+        for universe in combinations(range(5), r):
+            structure = FinStructure(universe)
+            runs = [(9, range(5, 9)), (4, (2, 3))]
+            if r <= 3:
+                runs.append((11, (10,)))
+            for budget, smaller in runs:
+                implicit._memo.clear()
+                implicit_subsets(structure, budget)
+                del calls[:]
+                got = {b: implicit_subsets(structure, b) for b in smaller}
+                assert calls == [], (universe, budget)
+                for b in smaller:
+                    assert got[b] == _fresh_subsets(structure, b), \
+                        (universe, budget, b)
+    # a budget on other slots still enumerates
+    structure = FinStructure([0, 1, 2])
+    for first, then in ((9, 4), (10, 9)):
+        implicit._memo.clear()
+        implicit_subsets(structure, first)
+        del calls[:]
+        assert implicit_subsets(structure, then) == \
+            _reference_subsets(structure, then)
+        assert calls == [(structure.universe, then)]
+
+
+def test_tables_report_each_stored_size_once_it_is_built():
+    structure = FinStructure([0, 1])
+    for budget in (0, 2, 4, 7):
+        classes, _ = _reference_classes(structure, budget)
+        events = []
+        for t, _ in implicit._tables(
+                structure, budget, done=lambda s: events.append(("done", s))):
+            events.append(("table", t))
+        assert [s for kind, s in events if kind == "done"] == \
+            list(range(2, budget)), budget
+        # a stored size's classes all come before its report, and the
+        # next size's all after it
+        size = 1
+        for kind, x in events:
+            if kind == "done":
+                size = x
+            elif size + 1 < budget:
+                assert classes[x] == size + 1, (budget, size)
+        assert [x for kind, x in events if kind == "table"] == \
+            [t for t, _ in implicit._tables(structure, budget)]
+
+
+def test_recorded_sizes_keep_a_full_memo_bounded():
+    implicit._memo.clear()
+    for code in range(implicit._MEMO_ENTRIES):
+        implicit_subsets(FinStructure([code]), 0)
+    structure = FinStructure([0, 1, 2])
+    implicit_subsets(structure, 6)      # remembers budgets 5 and 6
+    implicit_subsets(S2, 3)             # 2 and 3
+    implicit_subsets(structure, 9)      # 5-9, two of them already there
+    assert len(implicit._memo) == implicit._MEMO_ENTRIES
+    # what a run gives is newest, and as many of the oldest went
+    assert list(implicit._memo)[-7:] == [(S2.universe, 2), (S2.universe, 3)] \
+        + [(structure.universe, b) for b in range(5, 10)]
+    assert ((6,), 0) not in implicit._memo
+    assert ((7,), 0) in implicit._memo
+
+
+def test_refused_run_remembers_nothing():
+    implicit._memo.clear()
+    implicit_subsets(S2, 3)
+    before = dict(implicit._memo)
+    with pytest.raises(ResourceError):
+        implicit_subsets(FinStructure(range(20)), 4)
+    with pytest.raises(ResourceError):
+        implicit_subsets(FinStructure(range(9)), 10)
+    assert implicit._memo == before
+
+
 # -- hierarchies -----------------------------------------------------------
 
 def test_first_level_at_any_budget():
