@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, check_natural
 
 Bits = tuple[int, ...]
 
@@ -75,16 +75,14 @@ def split_pair(z: Bits) -> tuple[Bits, Bits]:
 
 def pair_index(m: int, n: int) -> int:
     """Diagonal pairing of (m, n); see the module docstring for its laws."""
-    if m < 0 or n < 0:
-        raise PreconditionError("pair_index takes naturals")
+    check_natural(m, "m")
+    check_natural(n, "n")
     return (m + n) * (m + n + 1) // 2 + m
 
 
 def pair_split(p: int) -> tuple[int, int]:
     """Inverse of pair_index."""
-    if p < 0:
-        raise PreconditionError("pair_split takes a natural")
-    w = (isqrt(8 * p + 1) - 1) // 2
+    w = (isqrt(8 * check_natural(p, "p") + 1) - 1) // 2
     m = p - w * (w + 1) // 2
     return m, w - m
 
@@ -97,11 +95,10 @@ def column(sigma: Bits, n: int) -> Bits:
     a plain bit tuple.
     """
     sigma = check_bits(sigma)
-    if n < 0:
-        raise PreconditionError("column index must be a natural")
-    # pair_index(n, m + 1) - pair_index(n, m) == n + m + 1
+    check_natural(n, "n")
+    # pair_index(n, 0) == n(n+3)/2, and each step is one longer than the last
     out = []
-    p, step = pair_index(n, 0), n + 1
+    p, step = n * (n + 3) // 2, n + 1
     while p < len(sigma):
         out.append(sigma[p])
         p += step
@@ -115,10 +112,8 @@ def width(k: int) -> int:
     Equivalently the least n with pair_index(n, 0) >= k; columns at or
     beyond it are empty for every sigma of length k.
     """
-    if k < 0:
-        raise PreconditionError("width takes a natural")
     # pair_index(n, 0) == n(n+3)/2; the floor root is the least n or one less
-    n = (isqrt(8 * k + 9) - 3) // 2
+    n = (isqrt(8 * check_natural(k, "k") + 9) - 3) // 2
     return n if pair_index(n, 0) >= k else n + 1
 
 
@@ -130,10 +125,8 @@ def join_family(xs, length: int) -> Bits:
     family has to supply column n up to the length the codec demands.
     """
     xs = [check_bits(x) for x in xs]
-    if length < 0:
-        raise PreconditionError("length must be a natural")
     out = []
-    for p in range(length):
+    for p in range(check_natural(length, "length")):
         n, m = pair_split(p)
         if n >= len(xs) or m >= len(xs[n]):
             raise PreconditionError(

@@ -38,8 +38,9 @@ from itertools import chain
 from .bitseq import (bits, bits_str, check_bits, column, pair_split,
                      split_pair, width)
 from .errors import (AmalgamationError, IncompatibleError, InputError,
-                     PreconditionError, ResourceError, json_choice,
-                     json_fields, json_int, json_int_keys, json_list)
+                     PreconditionError, ResourceError, check_natural,
+                     json_choice, json_fields, json_int, json_int_keys,
+                     json_list)
 from .trees import (SkeletonTree, _check_cells, _is_prefix, _strings,
                     amalgamate, full_tree, subtree_leq)
 
@@ -60,6 +61,11 @@ class PairCondition:
     left: SkeletonTree
     right: SkeletonTree
 
+    def __post_init__(self):
+        if not (isinstance(self.left, SkeletonTree)
+                and isinstance(self.right, SkeletonTree)):
+            raise PreconditionError("a pair condition holds two trees")
+
     def to_json(self):
         return {"kind": "pair", "left": self.left.to_json(),
                 "right": self.right.to_json()}
@@ -77,7 +83,7 @@ def full_pair() -> PairCondition:
 
 def pair_restrict(p: PairCondition, sigma) -> PairCondition:
     """Split sigma into its interleave halves and restrict componentwise."""
-    left_addr, right_addr = split_pair(check_bits(sigma))
+    left_addr, right_addr = split_pair(sigma)
     return PairCondition(p.left._restrict_cell(left_addr),
                          p.right._restrict_cell(right_addr))
 
@@ -87,9 +93,7 @@ def pair_leq(q: PairCondition, p: PairCondition) -> bool:
 
 
 def pair_amalgamate(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
-    sigma = check_bits(sigma)
-    if not pair_leq(q, pair_restrict(p, sigma)):
-        raise AmalgamationError("q does not extend the sigma cell of p")
+    """Amalgamate each half; amalgamate checks that q extends p there."""
     left_addr, right_addr = split_pair(sigma)
     return PairCondition(amalgamate(p.left, left_addr, q.left),
                          amalgamate(p.right, right_addr, q.right))
@@ -158,9 +162,8 @@ def sc_schedule(n: int, g, K: int) -> TowerRecipe:
     truncated to K steps: singles up to n, a pair at n+1, then one pair
     or single per bit of g."""
     g = check_bits(g)
-    if n < 0 or K < 0:
-        raise PreconditionError("n and K must be naturals")
-    if K > MAX_SCHEDULE_STEPS:
+    check_natural(n, "n")
+    if check_natural(K, "K") > MAX_SCHEDULE_STEPS:
         raise ResourceError(f"K={K} exceeds {MAX_SCHEDULE_STEPS} steps, the "
                             f"supported maximum")
     if K > n + 2 + len(g):
@@ -181,10 +184,8 @@ class ScSchedule:
     """
 
     def __init__(self, n: int, length: int):
-        if n < 0 or length < 0:
-            raise PreconditionError("ScSchedule takes naturals")
-        self.n = n
-        self.length = length
+        self.n = check_natural(n, "n")
+        self.length = check_natural(length, "length")
 
     def recipe(self, context):
         g = []
@@ -429,8 +430,8 @@ def _addresses(sigma, mode, length):
     if mode == COLUMN:
         if width(len(sigma)) > length:
             raise PreconditionError(
-                f"sigma has {width(len(sigma))} nonempty columns but the "
-                f"iteration has length {length}")
+                f"sigma has {width(len(sigma))} nonempty columns but only "
+                f"{length} coordinates take them")
         return [column(sigma, k) for k in range(length)]
     if mode == PAIRWISE:
         if length != 2:
@@ -626,16 +627,11 @@ def _coord_from_json(item, name):
 def prod_restrict(p: ProductCondition, sigma, sbar) -> ProductCondition:
     """Distribute the columns of sigma over the coordinates listed in
     sbar; everything else is untouched."""
-    sigma = check_bits(sigma)
     sbar = list(sbar)
     if len(set(map(repr, sbar))) != len(sbar):
         raise PreconditionError("sbar entries must be pairwise distinct")
-    if len(sbar) < width(len(sigma)):
-        raise PreconditionError(
-            f"sbar must name at least {width(len(sigma))} coordinates")
     coords = p.coords
-    for k, i in enumerate(sbar):
-        addr = column(sigma, k)
+    for i, addr in zip(sbar, _addresses(sigma, COLUMN, len(sbar))):
         if not addr:
             continue
         if i not in coords:
@@ -673,13 +669,12 @@ def prod_amalgamate(p: ProductCondition, sigma, sbar,
                     q: ProductCondition) -> ProductCondition:
     """Coordinatewise amalgamation along sbar; off sbar the result simply
     takes q's coordinates."""
-    sigma = check_bits(sigma)
-    restricted = prod_restrict(p, sigma, sbar)
-    if not prod_extends(q, restricted):
+    sbar = list(sbar)
+    if not prod_extends(q, prod_restrict(p, sigma, sbar)):
         raise AmalgamationError("q does not extend the restriction of p")
     coords = q.coords
-    for k, i in enumerate(list(sbar)):
-        addr, pi = column(sigma, k), p._coords.get(i)
+    for i, addr in zip(sbar, _addresses(sigma, COLUMN, len(sbar))):
+        pi = p._coords.get(i)
         if pi is not None:
             qi = coords[i] if i in coords else iter_restrict(pi, addr, COLUMN)
             coords[i] = iter_amalgamate(pi, addr, qi, COLUMN)

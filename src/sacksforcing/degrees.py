@@ -33,8 +33,9 @@ from itertools import chain
 from .bitseq import Bits, check_bits
 from .conditions import (MAX_SCHEDULE_STEPS, PAIR, SINGLE, TowerRecipe,
                          sc_schedule)
-from .errors import (DecodeError, InputError, PreconditionError, json_choice,
-                     json_fields, json_int, json_list)
+from .errors import (DecodeError, InputError, PreconditionError,
+                     check_natural, json_choice, json_fields, json_int,
+                     json_list)
 
 ONE = "one"
 MANY = "many"
@@ -51,8 +52,8 @@ class Ordinal2:
     b: int
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise PreconditionError("ordinal parts must be naturals")
+        check_natural(self.a, "ordinal part a")
+        check_natural(self.b, "ordinal part b")
 
     @property
     def is_zero(self):
@@ -301,9 +302,7 @@ def sc_decode(pattern: ScPattern):
     first = next((k for k, v in enumerate(levels) if v == DIAMOND), None)
     if first is None:
         raise DecodeError("pattern has no diamond level")
-    if first == 0:
-        raise DecodeError("diamond at level 0")
-    n = first - 1
+    n = first - 1       # ScPattern makes level 0 a line, so n >= 0
     g = tuple(1 if levels[n + 2 + j] == DIAMOND else 0
               for j in range(len(levels) - n - 2))
     return n, g

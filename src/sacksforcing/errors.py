@@ -1,8 +1,9 @@
-"""Shared exception types, and the one reader of each JSON value kind:
-json_fields for named fields, json_int_keys for integer keys, json_int,
-json_list and json_choice; bitseq.bits reads bit strings.  Each reader
-takes the value and name, its path in the input, which opens every
-message, and raises InputError for a value of the wrong type.
+"""Shared exception types, check_natural, the one check of a natural
+argument, and the one reader of each JSON value kind: json_fields for
+named fields, json_int_keys for integer keys, json_int, json_list and
+json_choice; bitseq.bits reads bit strings.  Each reader takes the value
+and name, its path in the input, which opens every message, and raises
+InputError for a value of the wrong type.
 
 Everything raised intentionally by this package derives from EngineError,
 so callers (the CLI in particular) can distinguish a failed operation from
@@ -48,6 +49,13 @@ class ResourceError(EngineError):
 
 class InputError(EngineError, ValueError):
     """Input JSON does not have the shape its decoder expects."""
+
+
+def check_natural(value, name):
+    """value if it is an int (not a bool) >= 0, else PreconditionError."""
+    if type(value) is not int or value < 0:
+        raise PreconditionError(f"{name} must be a natural number")
+    return value
 
 
 def json_fields(data, name, *keys):

@@ -46,7 +46,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import ParseError, PreconditionError, ResourceError
+from .errors import ParseError, PreconditionError, ResourceError, check_natural
 
 # the largest budget the enumerator accepts.  Two variable slots are
 # proved to suffice up to budget 9 (see _var_pool); at 10-14 it runs on
@@ -59,17 +59,14 @@ MAX_BUDGET = 14
 
 def set_members(code: int):
     """Member codes of the set coded by ``code``, ascending."""
-    if code < 0:
-        raise PreconditionError("set codes are naturals")
+    check_natural(code, "a set code")
     return tuple(i for i in range(code.bit_length()) if code >> i & 1)
 
 
 def set_of(members) -> int:
     code = 0
     for m in members:
-        if m < 0:
-            raise PreconditionError("set codes are naturals")
-        code |= 1 << m
+        code |= 1 << check_natural(m, "a set code")
     return code
 
 
@@ -82,11 +79,10 @@ class FinStructure:
     relation.  It need not be transitive."""
 
     def __init__(self, universe):
-        universe = tuple(sorted(universe))
+        universe = tuple(sorted(check_natural(c, "a set code")
+                                for c in universe))
         if len(set(universe)) != len(universe):
             raise PreconditionError("universe has repeated elements")
-        if universe and universe[0] < 0:
-            raise PreconditionError("set codes are naturals")
         self.universe = universe
         self._index = {c: i for i, c in enumerate(universe)}
         # see _atom_table
@@ -603,7 +599,7 @@ def implicit_subsets(structure: FinStructure, budget: int):
     of every subset answers larger budgets.  Tables of
     u**_var_pool(budget) * 2**u bits past MAX_TABLE_BITS are refused.
     """
-    if budget > MAX_BUDGET:
+    if check_natural(budget, "budget") > MAX_BUDGET:
         raise ResourceError(
             f"budget {budget} exceeds {MAX_BUDGET}, the largest budget "
             f"the enumerator runs (its two variable slots are proved "
@@ -844,7 +840,7 @@ MAX_LEVEL_CODE_BITS = 1 << 12
 def imp_levels(n: int, budget: int):
     """Levels 0..n of the iterated implicitly-definable powerset, each a
     set of set codes; level 0 is empty."""
-    if n > MAX_LEVELS:
+    if check_natural(n, "n") > MAX_LEVELS:
         raise ResourceError(f"n = {n} levels exceeds {MAX_LEVELS}, the "
                             f"supported maximum")
     levels = [frozenset()]
@@ -867,7 +863,7 @@ def imp_levels(n: int, budget: int):
 def vn_levels(n: int):
     """Levels 0..n of the plain cumulative ranks: each level is the full
     powerset of the previous one, as set codes."""
-    if n > 4:
+    if check_natural(n, "n") > 4:
         raise PreconditionError("rank levels above 4 are too large to build")
     levels = [frozenset()]
     for _ in range(n):

@@ -44,7 +44,7 @@ from itertools import product
 
 from .bitseq import Bits, bits, bits_str, check_bits
 from .errors import (AmalgamationError, FusionError, PreconditionError,
-                     ResourceError, json_fields, json_int)
+                     ResourceError, check_natural, json_fields, json_int)
 
 # amalgamate refuses to build a skeleton with more entries than this, and
 # the level-n queries refuse to list more than this many cells
@@ -82,11 +82,9 @@ def _upto(n: int):
 
 
 def _check_cells(op, n, work="compare 2^{} pairs of restrictions"):
-    """Refuse a level-n query, which handles 2^n cells, at a negative n or
-    past the bound amalgamate uses for skeleton entries, before it loops."""
-    if n < 0:
-        raise PreconditionError("level must be a natural")
-    if n > _MAX_LEVEL:
+    """Before a level-n query loops over its 2^n cells, refuse an n that
+    is not a natural or is past amalgamate's skeleton-entry bound."""
+    if check_natural(n, "level n") > _MAX_LEVEL:
         raise ResourceError(f"{op} would {work.format(n)}; the bound is "
                             f"{MAX_SKELETON_ENTRIES}")
 
@@ -110,8 +108,7 @@ class SkeletonTree:
     __slots__ = ("depth", "_skel", "_canon")
 
     def __init__(self, depth: int, skeleton):
-        if depth < 0:
-            raise PreconditionError("depth must be a natural")
+        check_natural(depth, "depth")
         skel = {}
         for key, entry in skeleton.items():
             skel[check_bits(key)] = check_bits(entry)
@@ -164,7 +161,7 @@ class SkeletonTree:
 
     def deepen(self, depth: int) -> "SkeletonTree":
         """Re-present the same tree with a deeper skeleton."""
-        if depth < self.depth:
+        if check_natural(depth, "depth") < self.depth:
             raise PreconditionError("deepen cannot reduce the stored depth")
         if depth == self.depth:
             return self
@@ -342,8 +339,7 @@ def leq_n(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:
     levels that agree at the larger depth agree at every later one and
     only the levels below min(n, larger depth + 1) are compared.
     """
-    if n < 0:
-        raise PreconditionError("level must be a natural")
+    check_natural(n, "level n")
     if not subtree_leq(sub, sup):
         return False
     top = min(n, max(sub.depth, sup.depth) + 1)
@@ -403,7 +399,7 @@ def fusion_prefix(seq, schedule, n: int) -> SkeletonTree:
     """
     if not seq:
         raise FusionError("fusion_prefix needs a nonempty sequence")
-    if len(schedule) < n + 1:
+    if len(schedule) < check_natural(n, "n") + 1:
         raise FusionError(f"schedule must cover levels 0..{n}")
     for j in range(n + 1):
         if not 0 <= schedule[j] < len(seq):

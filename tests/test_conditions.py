@@ -753,3 +753,64 @@ def test_coordinate_keys_are_ints(key):
     with pytest.raises(PreconditionError, match="is not an integer"):
         GenericContext({"00": (1,), 0.5: (0,)})
     assert GenericContext({0: bits("1")}).commitments == {0: (1,)}
+
+
+def test_prod_amalgamate_reads_a_one_shot_sbar():
+    # prod_restrict once consumed the iterator, and the graft loop then
+    # saw no coordinate and handed back q
+    p = ProductCondition({0: iter_of(T1), 1: iter_of(TP)})
+    sigma = bits("01")
+    q = prod_restrict(p, sigma + bits("1"), [0, 1])
+    r = prod_amalgamate(p, sigma, [0, 1], q)
+    assert not prod_equal(r, q)
+    assert prod_equal(prod_amalgamate(p, sigma, iter([0, 1]), q), r)
+
+
+def test_pair_condition_holds_two_trees():
+    for left, right in ((1, 2), (F, 2), (full_pair(), F), (F, None)):
+        with pytest.raises(PreconditionError, match="two trees"):
+            PairCondition(left, right)
+    with pytest.raises(PreconditionError):
+        pair_leq(PairCondition(1, 2), full_pair())
+    with pytest.raises(PreconditionError):
+        plain_iter([SINGLE, PAIR], [full_tree(), PairCondition(1, 2)])
+
+
+def test_iter_amalgamate_keeps_rows_outside_the_sigma_cell():
+    # coordinate 1's row under guard {0: 1} lies outside the 0-cell of
+    # coordinate 0, so the graft leaves it as it is
+    p = IterCondition(FixedSchedule([SINGLE, SINGLE]), [
+        [({}, F)], [({0: bits("0")}, F), ({0: bits("1")}, T1)]])
+    sigma = bits("0")
+    q = iter_restrict(p, bits("00"), COLUMN)
+    r = iter_amalgamate(p, sigma, q, COLUMN)
+    assert ({0: bits("1")}, T1) in r.coords[1]
+    assert iter_equal(condition_from_json(r.to_json()), r)  # a partition
+    assert iter_equal(iter_restrict(r, sigma, COLUMN), q)
+    assert iter_equal(iter_restrict(r, bits("1"), COLUMN),
+                      iter_restrict(p, bits("1"), COLUMN))
+
+
+def test_context_check_skips_empty_and_outside_commitments():
+    # T1's stem is 0, so only the commitment 1 at coordinate 0 is refused
+    sched = FixedSchedule([SINGLE])
+    for commitments in ({0: ()}, {3: bits("1")}, {-1: bits("1")},
+                        {0: bits("0"), 1: bits("1")}):
+        cond = IterCondition(sched, [[({}, T1)]], GenericContext(commitments))
+        assert cond.coordinate(0) == T1
+    with pytest.raises(PreconditionError, match="not a branch"):
+        IterCondition(sched, [[({}, T1)]], GenericContext({0: bits("1")}))
+
+
+def test_bool_indices_sort_apart_from_integers():
+    c = iter_of(F)
+    p = ProductCondition({True: c, "a": c, (1, 0): c, 2: c, 0: c})
+    assert p.support == (0, 2, (1, 0), "a", True)
+    assert [item["index"] for item in p.to_json()["coords"]] == \
+        [0, 2, [1, 0], "a", True]
+
+
+def test_product_coordinates_are_iterations():
+    for payload in (F, full_pair(), None):
+        with pytest.raises(PreconditionError, match="iteration condition"):
+            ProductCondition({0: iter_of(F), 1: payload})

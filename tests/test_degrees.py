@@ -587,3 +587,10 @@ def test_poset_json():
     assert data["edges"] == [list(e) for e in poset.edges]
     back = DegreePoset(data["nodes"], data["edges"])
     assert (back.nodes, back.edges) == (poset.nodes, poset.edges)
+
+
+def test_pattern_levels_are_lines_or_diamonds():
+    for levels in ((LINE, "square"), (LINE, DIAMOND, None), ("diamond ",)):
+        with pytest.raises(PreconditionError, match="bad pattern levels"):
+            ScPattern(levels)
+    assert ScPattern([LINE, DIAMOND]).levels == (LINE, DIAMOND)

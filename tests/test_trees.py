@@ -596,3 +596,12 @@ def test_splitting_level_refuses_past_the_bound():
     assert len(full_tree().splitting_level(16)) == 1 << 16
     with pytest.raises(PreconditionError):
         full_tree().splitting_level(-1)
+
+
+def test_skeleton_needs_every_index():
+    # the entry count fits depth 0 and 1, but an index is missing
+    with pytest.raises(PreconditionError, match=r"missing skeleton index \(\)"):
+        SkeletonTree(0, {(0,): ()})
+    with pytest.raises(PreconditionError,
+                       match=r"missing skeleton index \(1,\)"):
+        SkeletonTree(1, {(): (), (0,): (0,), (0, 0): (0, 0)})
