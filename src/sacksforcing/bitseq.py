@@ -42,7 +42,10 @@ def bits_str(b: Bits) -> str:
 
 
 def check_bits(b) -> Bits:
-    b = tuple(b)
+    try:
+        b = tuple(b)
+    except TypeError:
+        raise PreconditionError(f"not a bit sequence: {b!r}") from None
     # every entry equals 0 or 1 exactly when the two counts cover them all
     if b.count(0) + b.count(1) != len(b):
         raise PreconditionError(f"not a bit sequence: {b!r}")

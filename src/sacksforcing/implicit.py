@@ -35,7 +35,9 @@ grouped by family, and a full table is built only for an operation
 whose family is a single subset not yet defined.  The defined family
 only grows with the size, so the enumeration stops as soon as every
 subset is defined.  Its answer is remembered per (universe, budget), and
-so are those of the smaller budgets on the same slots (see _enumerate).
+so are those of the smaller budgets on the same slots; a larger budget
+on the same universe and slots continues from the stored sizes that a
+smaller run kept (see _enumerate).
 implicitly_defined_by computes the same tables for one given
 formula, which decides all subsets in a single pass over it.
 """
@@ -586,6 +588,25 @@ def _var_pool(budget: int) -> int:
 _MEMO_ENTRIES = 256
 _memo = {}
 
+# _enumerate keeps the stored sizes of its whole runs for at most
+# _MEMO_ENTRIES (universe, variable slots) pairs and _RUN_BITS classes
+# times table bits in all, dropping the oldest first.  Measured with
+# tracemalloc on CPython 3.11: {0,1,2,3} at budget 9 keeps 3,225 classes
+# of 256 bits (0.8 Mbit) in 0.4 MB, {0..4} at 9 keeps 5,380 of 800 bits
+# (4.3 Mbit) in 1.4 MB, and the fullest mix found, 256 universes of three
+# codes at budget 7, holds 14 MB.  {0,1,2,3} at 10, 41,465 classes of
+# 1,024 bits that would hold 11 MB alone, is not kept
+_RUN_BITS = 1 << 23
+_runs = {}
+
+
+def _check_budget(budget):
+    if check_natural(budget, "budget") > MAX_BUDGET:
+        raise ResourceError(
+            f"budget {budget} exceeds {MAX_BUDGET}, the largest budget "
+            f"the enumerator runs (its two variable slots are proved "
+            f"complete up to 9, its three at 10-14 are not)")
+
 
 def implicit_subsets(structure: FinStructure, budget: int):
     """Every subset implicitly defined by some formula of AST size at
@@ -596,14 +617,12 @@ def implicit_subsets(structure: FinStructure, budget: int):
     answer depend on which vacuously-true formula first fits the budget.
     Answers are remembered per (universe, budget), also those that one
     enumeration gives for smaller budgets (see _enumerate), and an answer
-    of every subset answers larger budgets.  Tables of
-    u**_var_pool(budget) * 2**u bits past MAX_TABLE_BITS are refused.
+    of every subset answers larger budgets.  A larger budget continues
+    from the stored sizes that a smaller run on the same universe and
+    variable slots kept.  Tables of u**_var_pool(budget) * 2**u bits past
+    MAX_TABLE_BITS are refused.
     """
-    if check_natural(budget, "budget") > MAX_BUDGET:
-        raise ResourceError(
-            f"budget {budget} exceeds {MAX_BUDGET}, the largest budget "
-            f"the enumerator runs (its two variable slots are proved "
-            f"complete up to 9, its three at 10-14 are not)")
+    _check_budget(budget)
     universe = structure.universe
     if (universe, budget) not in _memo:
         # the answer only grows with the budget, so a smaller budget
@@ -636,7 +655,19 @@ def _enumerate(structure, budget):
     empty universe).  _tables builds a stored size s as a budget-s run
     does, and that run's last size finds the closed families size s
     holds: the subsets defined once size s is done answer budget s
-    (every subset, for sizes a stop cuts short)."""
+    (every subset, for sizes a stop cuts short).
+
+    A whole run keeps its stored sizes in _runs: _tables' classes by
+    size and its seen set, and at_size.  A later run on the same universe
+    and slots, all of whose kept sizes lie below its budget, continues
+    from the first size it lacks.  That is exact.  Every run on the same
+    slots builds a stored size s the same way, because ``wanted`` acts
+    only at the last size; seen, once size s is done, holds exactly the
+    classes of sizes <= s; and found, once size s is done, is at_size[s].
+    So a continued run yields the classes and answers of a fresh one.
+    The entry is taken out before the run and put back only when the
+    loop ends without a stop, so a refused, failed, interrupted or
+    saturated run keeps nothing."""
     universe = structure.universe
     u = len(universe)
     if u == 0:
@@ -648,21 +679,28 @@ def _enumerate(structure, budget):
     submask = (1 << nsub) - 1
     # a table is closed when every assignment's block equals block 0
     every = sum(1 << (a * nsub) for a in range(u ** nvars))
-    found = 0       # bit s: the subset with position mask s is defined
-    at_size = {}    # stored size -> found once that size is complete
+    # by_size and seen of _tables, and at_size: stored size -> found
+    # once that size is complete
+    by_size, seen, at_size = _runs.pop((universe, nvars), ({}, set(), {}))
+    if len(by_size) + 2 > budget:
+        by_size, seen, at_size = {}, set(), {}
+    found = at_size.get(len(by_size) + 1, 0)    # bit s: mask s is defined
 
     def wanted(family):
         # one subset, not defined yet
         return family & (family - 1) == 0 and family & ~found
 
     for t, free in _tables(structure, budget, wanted,
-                           lambda size: at_size.setdefault(size, found)):
+                           lambda size: at_size.setdefault(size, found),
+                           (by_size, seen)):
         family = t & submask
         if family & (family - 1) == 0 and family \
                 and (not free or t == family * every):
             found |= family
             if found == submask:
                 break       # every subset is defined already
+    else:
+        _keep((universe, nvars), (by_size, seen, at_size))
     return {size: frozenset(
                 frozenset(universe[j] for j in range(u) if (s >> j) & 1)
                 for s in range(nsub) if (at_size.get(size, found) >> s) & 1)
@@ -670,12 +708,33 @@ def _enumerate(structure, budget):
             if _var_pool(size) == nvars}
 
 
+def _keep(key, run):
+    """Put a whole run's stored sizes into _runs as its newest entry,
+    the oldest going first until all fit; a run that stored nothing, or
+    that alone passes _RUN_BITS, is not kept."""
+    bits = _run_bits(key, run)
+    if not 0 < bits <= _RUN_BITS:
+        return
+    total = bits + sum(_run_bits(k, r) for k, r in _runs.items())
+    while total > _RUN_BITS or len(_runs) >= _MEMO_ENTRIES:
+        oldest = next(iter(_runs))
+        total -= _run_bits(oldest, _runs.pop(oldest))
+    _runs[key] = run
+
+
+def _run_bits(key, run):
+    # the classes a run keeps times their table bits
+    universe, nvars = key
+    return len(run[1]) * (len(universe) ** nvars << len(universe))
+
+
 # _BINARY's operations and the converse one (the stored sizes inline them)
 _CONNECTIVES = (*(op for _, op in _BINARY.values()),
                 lambda a, b, ones: b ^ ones | a)
 
 
-def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None):
+def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None,
+            kept=None):
     """(table, free-slot mask) for each formula class of size at most
     ``budget`` over a nonempty structure, smallest size first.
 
@@ -700,6 +759,11 @@ def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None):
     connective are grouped by family, and a table is built only where
     ``wanted(family)`` holds; without ``wanted``, every family is.
     ``done(size)`` is called once each stored size has been yielded.
+
+    ``kept`` is (by_size, seen) of a whole earlier run on the same
+    universe and slots, whose stored sizes all lie below ``budget``.  Its
+    sizes are neither built nor yielded again, and the sizes built here
+    are added to it.
     """
     universe = structure.universe
     u = len(universe)
@@ -732,7 +796,9 @@ def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None):
 
     # term -> free-slot mask: slot numbers, then complemented codes
     terms = {**{i: 1 << i for i in range(nvars)}, **{~c: 0 for c in universe}}
-    by_size = {}    # size -> [(table, free-slot mask)], negations left out
+    # size -> [(table, free-slot mask)], negations left out; the tables
+    # of every stored class
+    by_size, seen = kept or ({}, set())
 
     def atoms(size):
         if size == 2:
@@ -769,8 +835,7 @@ def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None):
                     yield t2 ^ full | t1, free
                     yield not1 ^ t2, free
 
-    seen = set()
-    for size in range(2, budget):
+    for size in range(len(by_size) + 2, budget):
         for t, free in by_size.get(size - 1, ()):
             t ^= full
             if t not in seen:
@@ -843,6 +908,7 @@ def imp_levels(n: int, budget: int):
     if check_natural(n, "n") > MAX_LEVELS:
         raise ResourceError(f"n = {n} levels exceeds {MAX_LEVELS}, the "
                             f"supported maximum")
+    _check_budget(budget)
     levels = [frozenset()]
     for k in range(1, n + 1):
         carrier = sorted(levels[-1])

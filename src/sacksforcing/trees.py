@@ -157,7 +157,14 @@ class SkeletonTree:
         return dict(self._skel)
 
     def entry(self, sigma) -> Bits:
-        return self._skel[check_bits(sigma)]
+        """The stored skeleton entry at an index of at most the stored
+        depth; rt answers for indices of any length."""
+        sigma = check_bits(sigma)
+        if len(sigma) > self.depth:
+            raise PreconditionError(
+                f"an index of length {len(sigma)} is past the stored "
+                f"depth {self.depth}")
+        return self._skel[sigma]
 
     def deepen(self, depth: int) -> "SkeletonTree":
         """Re-present the same tree with a deeper skeleton."""

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from itertools import combinations
 
@@ -789,13 +790,105 @@ def test_recorded_sizes_keep_a_full_memo_bounded():
 
 def test_refused_run_remembers_nothing():
     implicit._memo.clear()
+    implicit._runs.clear()
     implicit_subsets(S2, 3)
-    before = dict(implicit._memo)
+    before, runs = dict(implicit._memo), dict(implicit._runs)
+    assert list(runs) == [(S2.universe, 1)]
     with pytest.raises(ResourceError):
         implicit_subsets(FinStructure(range(20)), 4)
     with pytest.raises(ResourceError):
         implicit_subsets(FinStructure(range(9)), 10)
     assert implicit._memo == before
+    assert implicit._runs == runs
+
+
+def test_larger_budget_continues_the_kept_sizes():
+    implicit._memo.clear()
+    implicit._runs.clear()
+    v3 = FinStructure([0, 1, 2, 3])
+    implicit_subsets(v3, 6)
+    by_size, seen, at_size = implicit._runs[v3.universe, 2]
+    assert list(by_size) == list(at_size) == [2, 3, 4, 5]
+    implicit_subsets(v3, 9)
+    # the same run grew by the sizes it lacked
+    assert implicit._runs[v3.universe, 2][0] is by_size
+    assert list(by_size) == list(at_size) == list(range(2, 9))
+
+
+def test_continued_runs_match_fresh_runs():
+    # each universe's budgets asked in three orders, the memo cleared
+    # between calls, so that each call enumerates and continues whatever
+    # run the earlier calls kept; a smaller budget runs afresh
+    def fresh(universe, budget):
+        implicit._memo.clear()
+        implicit._runs.clear()
+        return implicit_subsets(FinStructure(universe), budget)
+
+    asked = {universe: range(10)
+             for r in range(5) for universe in combinations(range(5), r)}
+    asked.update(dict.fromkeys(((0, 1, 2), (0, 2, 3), (1, 2, 4)),
+                               range(10, 12)))
+    want = {(universe, budget): fresh(universe, budget)
+            for universe, budgets in asked.items() for budget in budgets}
+    rng = random.Random(17)
+    for order in ("increasing", "decreasing", "shuffled"):
+        implicit._runs.clear()
+        for universe, budgets in asked.items():
+            budgets = list(budgets)
+            if order == "decreasing":
+                budgets.reverse()
+            elif order == "shuffled":
+                rng.shuffle(budgets)
+            for budget in budgets:
+                implicit._memo.clear()
+                assert implicit_subsets(FinStructure(universe), budget) == \
+                    want[universe, budget], (order, universe, budget)
+
+
+def test_saturated_run_keeps_nothing():
+    implicit._memo.clear()
+    implicit._runs.clear()
+    implicit_subsets(S2, 5)
+    assert list(implicit._runs) == [(S2.universe, 2)]
+    # budget 6 defines every subset of S2 and stops before its last size;
+    # the run it continued is gone with it
+    assert len(implicit_subsets(S2, 6)) == 4
+    assert implicit._runs == {}
+
+
+def _kept_bits():
+    return sum(implicit._run_bits(key, run)
+               for key, run in implicit._runs.items())
+
+
+def test_kept_runs_stay_within_their_bound():
+    implicit._memo.clear()
+    implicit._runs.clear()
+    universes = list(combinations(range(8), 4))
+    for universe in universes:
+        implicit_subsets(FinStructure(universe), 8)
+        assert _kept_bits() <= implicit._RUN_BITS, universe
+    assert (universes[-1], 2) in implicit._runs
+    assert (universes[0], 2) not in implicit._runs
+    # a run past the bound alone is not kept, and drops nothing
+    before = dict(implicit._runs)
+    implicit_subsets(FinStructure([0, 1, 2, 3]), 10)
+    assert implicit._runs == before
+
+
+def test_kept_runs_drop_the_oldest_first(monkeypatch):
+    implicit._memo.clear()
+    implicit._runs.clear()
+    # three universes of two codes, none a member of another, so their
+    # runs are equal in size: the bound holds two of them
+    universes = [(2, 3), (4, 5), (6, 7)]
+    implicit_subsets(FinStructure(universes[0]), 5)
+    bits = _kept_bits()
+    monkeypatch.setattr(implicit, "_RUN_BITS", 2 * bits)
+    for universe in universes[1:]:
+        implicit_subsets(FinStructure(universe), 5)
+    assert list(implicit._runs) == [(u, 2) for u in universes[1:]]
+    assert _kept_bits() == 2 * bits
 
 
 # -- hierarchies -----------------------------------------------------------
@@ -890,6 +983,19 @@ def test_level_count_and_code_caps():
         imp_levels(7, 2)
     assert "level 7 would hold set codes of 65537 bits" in str(e.value)
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_levels_check_the_budget_up_front(n):
+    for budget in ("x", -1, 1.5, True):
+        with pytest.raises(PreconditionError,
+                           match="^budget must be a natural number$"):
+            imp_levels(n, budget)
+    for budget in (implicit.MAX_BUDGET + 1, 99):
+        with pytest.raises(ResourceError) as e:
+            imp_levels(n, budget)
+        assert str(e.value).startswith(
+            f"budget {budget} exceeds {implicit.MAX_BUDGET}, ")
 
 
 def test_vn_levels():

@@ -52,7 +52,6 @@ CALLS = {
     "FinStructure": lambda v: FinStructure([v]),
     "implicit_subsets": lambda v: implicit_subsets(FinStructure([]), v),
     "imp_levels n": lambda v: imp_levels(v, 0),
-    # the budget is checked where level 1 asks implicit_subsets for it
     "imp_levels budget": lambda v: imp_levels(1, v),
     "vn_levels": vn_levels,
 }
