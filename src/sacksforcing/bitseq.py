@@ -97,8 +97,11 @@ def column(sigma: Bits, n: int) -> Bits:
     positions of a column are an initial segment, so the result is again
     a plain bit tuple.
     """
-    sigma = check_bits(sigma)
-    check_natural(n, "n")
+    return _column(check_bits(sigma), check_natural(n, "n"))
+
+
+def _column(sigma: Bits, n: int) -> Bits:
+    """column for a checked bit tuple sigma and natural n; checks nothing."""
     # pair_index(n, 0) == n(n+3)/2, and each step is one longer than the last
     out = []
     p, step = n * (n + 3) // 2, n + 1
@@ -117,7 +120,7 @@ def width(k: int) -> int:
     """
     # pair_index(n, 0) == n(n+3)/2; the floor root is the least n or one less
     n = (isqrt(8 * check_natural(k, "k") + 9) - 3) // 2
-    return n if pair_index(n, 0) >= k else n + 1
+    return n if n * (n + 3) // 2 >= k else n + 1
 
 
 def join_family(xs, length: int) -> Bits:

@@ -27,22 +27,32 @@ and hands them to sc_schedule, so IterCondition takes its kinds from
 schedule.recipe(context).  What a coordinate does with its payload
 (type, full value, membership, restriction, order, amalgamation) is
 looked up by kind in one table, _PAYLOADS.
+
+Each public operation checks its arguments once, at the top: sigma, the
+mode and sbar, and, before anything is grafted, that q extends the
+restriction of p.  It then works through private twins that trust their
+input: _iter_restrict, _iter_graft and the payload grafts _graft and
+_pair_graft.  The grafts check only the resource bounds (complement rows
+and skeleton entries), which hold on every path; _iter_restrict checks
+nothing.  The graded orders check one index of length n for all 2^n,
+and compute each index's addresses once for both sides.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
-from .bitseq import (bits, bits_str, check_bits, column, pair_split,
+from .bitseq import (_column, bits, bits_str, check_bits, pair_split,
                      split_pair, width)
 from .errors import (AmalgamationError, IncompatibleError, InputError,
                      PreconditionError, ResourceError, check_natural,
                      json_choice, json_fields, json_int, json_int_keys,
                      json_list)
-from .trees import (SkeletonTree, _check_cells, _is_prefix, _strings,
-                    amalgamate, full_tree, subtree_leq)
+from .trees import (SkeletonTree, _check_cells, _graft, _is_prefix,
+                    _strings, amalgamate, full_tree, subtree_leq)
 
 SINGLE = "single"
 PAIR = "pair"
@@ -99,6 +109,13 @@ def pair_amalgamate(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
                          amalgamate(p.right, right_addr, q.right))
 
 
+def _pair_graft(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
+    """pair_amalgamate for a bit tuple sigma and a q known to extend the
+    sigma cell of p: only the skeleton bound is checked."""
+    return PairCondition(_graft(p.left, sigma[0::2], q.left),
+                         _graft(p.right, sigma[1::2], q.right))
+
+
 def _pair_contains(p: PairCondition, node) -> bool:
     lhs, rhs = split_pair(node)
     return p.left._contains(lhs) and p.right._contains(rhs)
@@ -106,14 +123,14 @@ def _pair_contains(p: PairCondition, node) -> bool:
 
 # what the condition layer does with a coordinate's payload, by its kind
 _Payload = namedtuple(
-    "_Payload", "type full entries contains restrict leq amalgamate")
+    "_Payload", "type full entries contains restrict leq graft")
 _PAYLOADS = {
     SINGLE: _Payload(SkeletonTree, full_tree(), lambda t: len(t._skel),
                      SkeletonTree._contains, SkeletonTree._restrict_cell,
-                     subtree_leq, amalgamate),
+                     subtree_leq, _graft),
     PAIR: _Payload(PairCondition, full_pair(),
                    lambda p: len(p.left._skel) + len(p.right._skel),
-                   _pair_contains, pair_restrict, pair_leq, pair_amalgamate),
+                   _pair_contains, pair_restrict, pair_leq, _pair_graft),
 }
 
 
@@ -215,6 +232,14 @@ class GenericContext:
 
     def to_json(self):
         return {str(k): bits_str(v) for k, v in sorted(self.commitments.items())}
+
+
+@lru_cache(maxsize=64)
+def _plain(kinds):
+    """The schedule and the empty context of a trusted iteration with
+    these kinds, built and validated once per kinds tuple and shared by
+    every such iteration; nothing changes either after construction."""
+    return FixedSchedule(kinds), GenericContext()
 
 
 def _coordinate(k):
@@ -348,8 +373,7 @@ class IterCondition:
         of the coordinate's kind, rows forming a partition.  Nothing is
         checked."""
         cond = object.__new__(cls)
-        cond.schedule = FixedSchedule(kinds)
-        cond.context = GenericContext()
+        cond.schedule, cond.context = _plain(kinds)
         cond.kinds = kinds
         cond.coords = tuple(tuple(rows) for rows in coords)
         return cond
@@ -425,27 +449,46 @@ def is_full_iter(p: IterCondition) -> bool:
                for kind, table in zip(p.kinds, p.coords) for _, payload in table)
 
 
+def _check_columns(size, length):
+    """Refuse a sigma of this size with more nonempty columns than
+    length coordinates to take them."""
+    if width(size) > length:
+        raise PreconditionError(
+            f"sigma has {width(size)} nonempty columns but only {length} "
+            f"coordinates take them")
+
+
 def _addresses(sigma, mode, length):
+    """Check sigma and mode for an iteration of this length, and give
+    each of its coordinates its address."""
     sigma = check_bits(sigma)
     if mode == COLUMN:
-        if width(len(sigma)) > length:
-            raise PreconditionError(
-                f"sigma has {width(len(sigma))} nonempty columns but only "
-                f"{length} coordinates take them")
-        return [column(sigma, k) for k in range(length)]
-    if mode == PAIRWISE:
+        _check_columns(len(sigma), length)
+    elif mode == PAIRWISE:
         if length != 2:
             raise PreconditionError("pairwise mode needs a length-2 iteration")
-        lhs, rhs = split_pair(sigma)
-        return [lhs, rhs]
-    raise PreconditionError(f"unknown mode {mode!r}")
+    else:
+        raise PreconditionError(f"unknown mode {mode!r}")
+    return _split(sigma, mode, length)
+
+
+def _split(sigma, mode, length):
+    """_addresses for a checked sigma and mode; checks nothing."""
+    if mode == COLUMN:
+        return [_column(sigma, k) for k in range(length)]
+    return [sigma[0::2], sigma[1::2]]
 
 
 def iter_restrict(p: IterCondition, sigma, mode=COLUMN) -> IterCondition:
     """Restrict every coordinate by its share of sigma, specializing
     guards: implied guard entries drop, refined ones keep their residual
     address, incompatible rows die."""
-    addrs = _addresses(sigma, mode, p.length)
+    return _iter_restrict(p, _addresses(sigma, mode, p.length))
+
+
+def _iter_restrict(p: IterCondition, addrs) -> IterCondition:
+    """iter_restrict with coordinate k's address at addrs[k]; addrs may
+    run past p's length.  Checks nothing."""
     new_coords = []
     for m, table in enumerate(p.coords):
         restrict = _PAYLOADS[p.kinds[m]].restrict
@@ -504,9 +547,19 @@ def _check_cell_rows(op, n, conds, extra=0, what="rows"):
 
 def iter_leq_n(q: IterCondition, p: IterCondition, n: int, mode=COLUMN) -> bool:
     _check_cell_rows("iter_leq_n", n, (q, p))
-    return all(
-        iter_leq(iter_restrict(q, sigma, mode), iter_restrict(p, sigma, mode))
-        for sigma in _strings(n))
+    # what is checked of sigma depends only on its length, so the first
+    # index stands for all 2^n of them
+    first = _strings(n)[0]
+    _addresses(first, mode, q.length)
+    _addresses(first, mode, p.length)
+    # addresses for the longer side; iter_leq refuses a kind mismatch at
+    # the first index
+    length = max(q.length, p.length)
+    for sigma in _strings(n):
+        addrs = _split(sigma, mode, length)
+        if not iter_leq(_iter_restrict(q, addrs), _iter_restrict(p, addrs)):
+            return False
+    return True
 
 
 def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
@@ -520,8 +573,35 @@ def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
     gives p's restriction.
     """
     addrs = _addresses(sigma, mode, p.length)
-    if not iter_leq(q, iter_restrict(p, sigma, mode)):
+    if not iter_leq(q, _iter_restrict(p, addrs)):
         raise AmalgamationError("q does not extend the sigma cell of p")
+    return _iter_graft(p, addrs, q)
+
+
+def _iter_graft(p: IterCondition, addrs, q: IterCondition) -> IterCondition:
+    """iter_amalgamate with coordinate k's address at addrs[k], for a q of
+    p's kinds that extends _iter_restrict(p, addrs).  Only the
+    complement-row and skeleton bounds are checked."""
+    # Why iter_leq(q, _iter_restrict(p, addrs)) implies the precondition
+    # of every payload graft below.  A graft joins a row (guard, payload)
+    # of p that is compatible with sguard to a row (gq, pay_q) of q whose
+    # lifted guard is compatible with meet(guard, sguard); it needs pay_q
+    # to extend the addrs[m] cell of payload (for a pair, each half's
+    # cell), which is what the kind's leq asks of pay_q against the
+    # kind's restrict of payload.  A row of p outlives _iter_restrict
+    # exactly when its guard is compatible with sguard, since an empty
+    # a_k = addrs[k] is comparable with every address.  iter_leq then
+    # compares pay_q with the restricted payload exactly when gq is
+    # compatible with the row's residual guard.  Key by key, with
+    # c = gq[k]:
+    # - an entry of guard that a_k extends drops out of the residual, and
+    #   meet(guard, sguard) holds a_k there, which a_k + c extends;
+    # - an entry a_k + r with r nonempty stays as r, the meet holds
+    #   a_k + r, and a_k + c meets a_k + r exactly when c meets r;
+    # - a key of gq that guard lacks is unconstrained on both sides: the
+    #   meet holds a_k there, or nothing when a_k is empty.
+    # So the pairs grafted are exactly the pairs compared.
+
     # coordinate m's rows meet 2^|addr_k| - 1 complement guards per k < m
     count = guards = 0
     for table, addr in zip(p.coords, addrs):
@@ -533,7 +613,7 @@ def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
             f"bound is {MAX_COMPLEMENT_ROWS}")
     new_coords = []
     for m, table in enumerate(p.coords):
-        amalg = _PAYLOADS[p.kinds[m]].amalgamate
+        graft = _PAYLOADS[p.kinds[m]].graft
         sguard = {k: addrs[k] for k in range(m) if addrs[k]}
         rows = []
         for guard, payload in table:
@@ -545,7 +625,7 @@ def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
                 lifted = {k: addrs[k] + b for k, b in gq.items()}
                 if _guards_compatible(inside, lifted):
                     rows.append((_guard_meet(inside, lifted),
-                                 amalg(payload, addrs[m], pay_q)))
+                                 graft(payload, addrs[m], pay_q)))
             for comp in _complement_guards(sguard):
                 if _guards_compatible(guard, comp):
                     rows.append((_guard_meet(guard, comp), payload))
@@ -624,21 +704,55 @@ def _coord_from_json(item, name):
             IterCondition.from_json(cond, f"{name}.cond"))
 
 
+def _sbar(sbar):
+    """sbar as a list of product indices that are distinct as keys."""
+    sbar = list(sbar)
+    try:
+        distinct = len(set(sbar)) == len(sbar)
+    except TypeError:
+        raise PreconditionError("sbar entries must be hashable product "
+                                "indices") from None
+    if not distinct:
+        raise PreconditionError("sbar entries must be pairwise distinct")
+    return sbar
+
+
+def _shares(sigma, sbar, *prods):
+    """Check sigma, its columns distributed over the checked list sbar,
+    against each of prods in turn.  For each entry i = sbar[k] in some
+    product's support, in sbar's order, give (k, i, addrs): the addresses
+    that column k of sigma gives the coordinates of the longest
+    iteration at i."""
+    cols = _addresses(sigma, COLUMN, len(sbar))
+    lengths = {}
+    for p in prods:
+        for i, addr in zip(sbar, cols):
+            cond = p._coords.get(i)
+            if cond is None:
+                if addr:
+                    raise PreconditionError(
+                        f"cannot restrict coordinate {i!r} outside the "
+                        f"support")
+                continue
+            _check_columns(len(addr), cond.length)
+            lengths[i] = max(lengths.get(i, 0), cond.length)
+    return [(k, i, _split(cols[k], COLUMN, lengths[i]))
+            for k, i in enumerate(sbar) if i in lengths]
+
+
+def _prod_restrict(p: ProductCondition, shares) -> ProductCondition:
+    """prod_restrict with _shares' addresses; checks nothing."""
+    coords = p.coords
+    for _, i, addrs in shares:
+        if any(addrs):  # an empty column leaves its coordinate as it is
+            coords[i] = _iter_restrict(coords[i], addrs)
+    return ProductCondition(coords)
+
+
 def prod_restrict(p: ProductCondition, sigma, sbar) -> ProductCondition:
     """Distribute the columns of sigma over the coordinates listed in
     sbar; everything else is untouched."""
-    sbar = list(sbar)
-    if len(set(map(repr, sbar))) != len(sbar):
-        raise PreconditionError("sbar entries must be pairwise distinct")
-    coords = p.coords
-    for i, addr in zip(sbar, _addresses(sigma, COLUMN, len(sbar))):
-        if not addr:
-            continue
-        if i not in coords:
-            raise PreconditionError(
-                f"cannot restrict coordinate {i!r} outside the support")
-        coords[i] = iter_restrict(coords[i], addr, COLUMN)
-    return ProductCondition(coords)
+    return _prod_restrict(p, _shares(sigma, _sbar(sbar), p))
 
 
 def prod_extends(q: ProductCondition, p: ProductCondition) -> bool:
@@ -659,25 +773,39 @@ def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     _check_cell_rows("prod_leq", n, chain(q._coords.values(),
                                           p._coords.values()),
                      len(sbar), "rows and sbar entries")
-    return all(
-        prod_extends(prod_restrict(q, sigma, sbar),
-                     prod_restrict(p, sigma, sbar))
-        for sigma in _strings(n))
+    # what is checked of sigma depends only on its length, so the first
+    # index stands for all 2^n of them
+    sigmas = _strings(n)
+    live = [(k, i, len(addrs))
+            for k, i, addrs in _shares(sigmas[0], _sbar(sbar), q, p)
+            if any(addrs)]
+    for sigma in sigmas:
+        shares = [(k, i, _split(_column(sigma, k), COLUMN, length))
+                  for k, i, length in live]
+        if not prod_extends(_prod_restrict(q, shares),
+                            _prod_restrict(p, shares)):
+            return False
+    return True
 
 
 def prod_amalgamate(p: ProductCondition, sigma, sbar,
                     q: ProductCondition) -> ProductCondition:
     """Coordinatewise amalgamation along sbar; off sbar the result simply
-    takes q's coordinates."""
-    sbar = list(sbar)
-    if not prod_extends(q, prod_restrict(p, sigma, sbar)):
+    takes q's coordinates.
+
+    On each sbar coordinate that q holds, the one extension check is
+    iter_amalgamate's, so every coordinate is grafted unchecked.  One that
+    q lacks grafts p's own restriction there, which extends itself: the
+    guards of one table are pairwise incompatible, so iter_leq compares
+    each row only with itself."""
+    shares = _shares(sigma, _sbar(sbar), p)
+    cell = _prod_restrict(p, shares)
+    if not prod_extends(q, cell):
         raise AmalgamationError("q does not extend the restriction of p")
     coords = q.coords
-    for i, addr in zip(sbar, _addresses(sigma, COLUMN, len(sbar))):
-        pi = p._coords.get(i)
-        if pi is not None:
-            qi = coords[i] if i in coords else iter_restrict(pi, addr, COLUMN)
-            coords[i] = iter_amalgamate(pi, addr, qi, COLUMN)
+    for _, i, addrs in shares:
+        qi = coords[i] if i in coords else cell._coords[i]
+        coords[i] = _iter_graft(p._coords[i], addrs, qi)
     return ProductCondition(coords)
 
 

@@ -23,7 +23,10 @@ layer build themselves (deepen, canonical, restrict_cell, amalgamate, ...)
 are valid by construction and come from the private ``_trusted``
 constructor, which checks nothing.  Public methods check their bit-string
 arguments once and hand them to unchecked private twins (``_rt``,
-``_restrict_cell``, ``_contains``) that internal callers use directly.
+``_restrict_cell``, ``_contains``, ``_graft``) that internal callers use
+directly.  ``_graft``, amalgamate's twin, skips only the comparison of
+the graft with its cell: the MAX_SKELETON_ENTRIES bound holds on every
+path.
 Trees are immutable, so each caches its canonical form the first time
 it is asked for, and ``==`` and ``hash`` reuse it.
 
@@ -372,26 +375,33 @@ def amalgamate(tree: SkeletonTree, sigma, graft: SkeletonTree) -> SkeletonTree:
     tree.restrict_cell(tau) for the other indices tau of the same length,
     and leq_n(R, tree, len(sigma)).  A result whose skeleton would have
     more than MAX_SKELETON_ENTRIES entries raises ResourceError before
-    anything is built.
+    anything is built or compared.
     """
-    sigma = check_bits(sigma)
+    return _graft(tree, check_bits(sigma), graft, check=True)
+
+
+def _graft(tree: SkeletonTree, sigma: Bits, graft: SkeletonTree,
+           check=False) -> SkeletonTree:
+    """amalgamate for a bit tuple sigma.  Unless check is set, graft must
+    already be known to lie in the sigma-cell, and only the skeleton
+    bound is checked; it comes first either way."""
     n = len(sigma)
-    extra = max(graft.depth, max(tree.depth, n) - n)
-    entries = 2 ** (n + extra + 1) - 1
+    depth = n + max(graft.depth, max(tree.depth, n) - n)
+    entries = 2 ** (depth + 1) - 1
     if entries > MAX_SKELETON_ENTRIES:
         raise ResourceError(
             f"amalgamate would build {entries} skeleton entries; the bound "
             f"is {MAX_SKELETON_ENTRIES}")
-    if not subtree_leq(graft, tree._restrict_cell(sigma)):
+    if check and not subtree_leq(graft, tree._restrict_cell(sigma)):
         raise AmalgamationError(
             f"graft is not a subtree of the {bits_str(sigma) or 'root'} cell")
     skel = {}
-    for rho in _upto(n + extra):
+    for rho in _upto(depth):
         if len(rho) >= n and rho[:n] == sigma:
             skel[rho] = graft._rt(rho[n:])
         else:
             skel[rho] = tree._rt(rho)
-    return SkeletonTree._trusted(n + extra, skel)
+    return SkeletonTree._trusted(depth, skel)
 
 
 def fusion_prefix(seq, schedule, n: int) -> SkeletonTree:

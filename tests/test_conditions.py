@@ -814,3 +814,184 @@ def test_product_coordinates_are_iterations():
     for payload in (F, full_pair(), None):
         with pytest.raises(PreconditionError, match="iteration condition"):
             ProductCondition({0: iter_of(F), 1: payload})
+
+
+# -- amalgamation laws over small iterations and products -----------------------
+
+SMALL = distinct_trees(1, 1)
+
+
+def _cell_addresses(sigma, mode, length):
+    """Each coordinate's address under sigma, written out from the
+    definitions of the two modes."""
+    if mode == PAIRWISE:
+        return [sigma[0::2], sigma[1::2]]
+    return [column(sigma, k) for k in range(length)]
+
+
+def _expected_cell(p, q, sigma, tau, mode):
+    """The tau-cell of the amalgam of q into the sigma-cell of p, tau as
+    long as sigma: q's coordinates up to the first whose address under
+    tau leaves its address under sigma, and p's restriction from there
+    on.  A tau that leaves at coordinate 0 gets p's restriction whole."""
+    a = _cell_addresses(sigma, mode, p.length)
+    b = _cell_addresses(tau, mode, p.length)
+    j = next((k for k in range(p.length) if a[k] != b[k]), p.length)
+    rest = iter_restrict(p, tau, mode)
+    return IterCondition(FixedSchedule(p.kinds),
+                         list(q.coords[:j]) + list(rest.coords[j:]))
+
+
+def _flip_first(sigma):
+    return (1 - sigma[0],) + sigma[1:]
+
+
+def _conditional(p, mode):
+    """p with a finer condition grafted two bits deep into coordinate 0,
+    so that its later coordinates have guards that restriction by short
+    indices leaves standing."""
+    deep = (0, 0) if mode == COLUMN else (0, 0, 0, 0)
+    return iter_amalgamate(p, deep, iter_restrict(p, deep + (1,), mode), mode)
+
+
+def _shrink(cond, b):
+    """cond with every payload cut down to the b side of its first
+    splitting node, guards kept: an extension of cond in the frame of
+    addresses its guards are written in."""
+    def cut(pay):
+        if isinstance(pay, PairCondition):
+            return PairCondition(pay.left.restrict_cell((b,)), pay.right)
+        return pay.restrict_cell((b,))
+    return IterCondition(FixedSchedule(cond.kinds), [
+        [(g, cut(pay)) for g, pay in table] for table in cond.coords])
+
+
+def _is_partition(r):
+    # the public constructor checks every table
+    return iter_equal(IterCondition(FixedSchedule(r.kinds), r.coords), r)
+
+
+def _check_iter_amalgamation(p, sigma, mode):
+    n = len(sigma)
+    cell = iter_restrict(p, sigma, mode)
+    for q in (cell, _shrink(cell, 0), _shrink(cell, 1)):
+        r = iter_amalgamate(p, sigma, q, mode)
+        assert _is_partition(r)
+        assert iter_equal(iter_restrict(r, sigma, mode), q)
+        for tau in all_bitstrings(n):
+            assert iter_equal(iter_restrict(r, tau, mode),
+                              _expected_cell(p, q, sigma, tau, mode))
+        assert iter_leq_n(r, p, n, mode)
+    if sigma:
+        # the cell next to sigma's at coordinate 0 lies outside it
+        q = iter_restrict(p, _flip_first(sigma), mode)
+        with pytest.raises(AmalgamationError) as e:
+            iter_amalgamate(p, sigma, q, mode)
+        assert str(e.value) == "q does not extend the sigma cell of p"
+
+
+@pytest.mark.parametrize("mode", [COLUMN, PAIRWISE])
+@pytest.mark.parametrize("second", [SINGLE, PAIR])
+def test_iter_amalgamation_laws_on_small_iterations(second, mode):
+    # pair coordinates are grafted by the pair payload's own graft
+    seconds = (SMALL if second == SINGLE else
+               [PairCondition(a, b) for a, b in product(SMALL, repeat=2)])
+    for first, pay in product(SMALL, seconds):
+        p = plain_iter([SINGLE, second], [first, pay])
+        # guarded rows on a sample: lifting and meeting guards matters
+        sample = pay in seconds[:3]
+        for cond in (p, _conditional(p, mode)) if sample else (p,):
+            for n in range(3):
+                for sigma in all_bitstrings(n):
+                    _check_iter_amalgamation(cond, sigma, mode)
+
+
+@pytest.mark.parametrize("support", [(0,), (0, 1)])
+def test_prod_amalgamation_laws_on_small_products(support):
+    sbar = list(support)
+    iters = [iter_of(t) for t in SMALL] + [
+        plain_iter([SINGLE, PAIR], [t, PairCondition(t, F)]) for t in SMALL]
+    iters += [_conditional(c, COLUMN) for c in iters[-3:]]
+    # on two coordinates, every iteration meets a sample of the others
+    for conds in product(iters, *[iters[::4]] * (len(support) - 1)):
+        p = ProductCondition(dict(zip(support, conds)))
+        for n in range(3):
+            if width(n) > len(sbar):
+                continue
+            for sigma in all_bitstrings(n):
+                cols = [column(sigma, k) for k in range(len(sbar))]
+                cell = prod_restrict(p, sigma, sbar)
+                for b in (None, 0, 1):
+                    q = {i: c if b is None else _shrink(c, b)
+                         for i, c in cell.coords.items()}
+                    # a coordinate that q leaves full may be left out
+                    for qc in (q, {i: c for i, c in q.items()
+                                   if not is_full_iter(c)}):
+                        r = prod_amalgamate(p, sigma, sbar,
+                                            ProductCondition(qc))
+                        assert all(_is_partition(c)
+                                   for c in r.coords.values())
+                        qi = {i: qc.get(i, cell.coordinate(i))
+                              for i in support}
+                        for tau in all_bitstrings(n):
+                            want = ProductCondition({
+                                i: _expected_cell(p.coordinate(i), qi[i],
+                                                  cols[k],
+                                                  column(tau, k), COLUMN)
+                                for k, i in enumerate(sbar)})
+                            assert prod_equal(prod_restrict(r, tau, sbar),
+                                              want)
+                        assert prod_equal(prod_restrict(r, sigma, sbar),
+                                          ProductCondition(qi))
+                        assert prod_leq(r, p, n, sbar)
+                if sigma:
+                    q = prod_restrict(p, _flip_first(sigma), sbar)
+                    with pytest.raises(AmalgamationError) as e:
+                        prod_amalgamate(p, sigma, sbar, q)
+                    assert str(e.value) == \
+                        "q does not extend the restriction of p"
+
+
+def test_amalgamation_bounds_hold_without_the_payload_checks():
+    # a graft whose skeleton passes MAX_SKELETON_ENTRIES, on a single and
+    # on a pair coordinate, alone and inside a product
+    deep = F.restrict_cell(bits("0")).deepen(16)
+    p = plain_iter([SINGLE, SINGLE], [F, F])
+    q = plain_iter([SINGLE, SINGLE], [deep, F])
+    pp = plain_iter([SINGLE, PAIR], [F, full_pair()])
+    qp = plain_iter([SINGLE, PAIR], [F, PairCondition(F, deep)])
+    for call in (lambda: iter_amalgamate(p, bits("0"), q),
+                 lambda: iter_amalgamate(pp, bits(""), qp),
+                 lambda: prod_amalgamate(ProductCondition({0: p}), bits("0"),
+                                         [0], ProductCondition({0: q})),
+                 lambda: prod_amalgamate(ProductCondition({0: pp}), bits(""),
+                                         [0], ProductCondition({0: qp}))):
+        with pytest.raises(ResourceError, match="skeleton entries; the "
+                           "bound is 65536"):
+            call()
+    # complement rows: column 0 of sigma holds 105 bits, which coordinate
+    # 0's 14 steps split as the iteration test above does
+    sbar = list(range(width(5461)))
+    fourteen = full_iter([SINGLE] * 14)
+    prod = ProductCondition({i: fourteen for i in sbar})
+    sigma = (0,) * 5461
+    assert len(column(sigma, 0)) == 105
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="393129 complement rows; the "
+                       "bound is 4096"):
+        prod_amalgamate(prod, sigma, sbar, prod_restrict(prod, sigma, sbar))
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, sbar: prod_restrict(p, bits("010"), sbar),
+    lambda p, sbar: prod_leq(p, p, 3, sbar),
+    lambda p, sbar: prod_amalgamate(p, bits("010"), sbar, p),
+], ids=["prod_restrict", "prod_leq", "prod_amalgamate"])
+def test_sbar_entries_are_judged_as_keys(call):
+    # 1 == True as a key, so the two name one coordinate; a list is no key
+    p = ProductCondition({0: iter_of(T1), 1: iter_of(TP)})
+    with pytest.raises(PreconditionError, match="pairwise distinct"):
+        call(p, [1, True])
+    with pytest.raises(PreconditionError, match="hashable"):
+        call(p, [1, [0]])

@@ -616,3 +616,15 @@ def test_skeleton_needs_every_index():
     with pytest.raises(PreconditionError,
                        match=r"missing skeleton index \(1,\)"):
         SkeletonTree(1, {(): (), (0,): (0,), (0, 0): (0, 0)})
+
+
+def test_amalgamate_refuses_past_the_bound_before_comparing():
+    # the full tree is no subtree of a cell of T1, yet the skeleton bound
+    # is what a too-long index meets first
+    with pytest.raises(ResourceError, match="amalgamate would build 131071 "
+                       "skeleton entries; the bound is 65536"):
+        amalgamate(T1, bits("1" * 16), full_tree())
+    with pytest.raises(AmalgamationError, match=" 111111111111110 cell"):
+        amalgamate(T1, bits("1" * 14 + "0"), full_tree())
+    assert amalgamate(full_tree(), bits("1" * 15),
+                      full_tree().restrict_cell(bits("1" * 15))) == full_tree()
