@@ -704,9 +704,17 @@ def _coord_from_json(item, name):
             IterCondition.from_json(cond, f"{name}.cond"))
 
 
+def _sbar_list(sbar):
+    try:
+        return list(sbar)
+    except TypeError:
+        raise PreconditionError(f"sbar must be an iterable of product "
+                                f"indices, not {type(sbar).__name__}") from None
+
+
 def _sbar(sbar):
     """sbar as a list of product indices that are distinct as keys."""
-    sbar = list(sbar)
+    sbar = _sbar_list(sbar)
     try:
         distinct = len(set(sbar)) == len(sbar)
     except TypeError:
@@ -769,7 +777,7 @@ def prod_equal(q: ProductCondition, p: ProductCondition) -> bool:
 def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     """The graded order: every length-n index, distributed over sbar,
     restricts q to an extension of the matching restriction of p."""
-    sbar = list(sbar)
+    sbar = _sbar_list(sbar)
     _check_cell_rows("prod_leq", n, chain(q._coords.values(),
                                           p._coords.values()),
                      len(sbar), "rows and sbar entries")

@@ -35,9 +35,9 @@ grouped by family, and a full table is built only for an operation
 whose family is a single subset not yet defined.  The defined family
 only grows with the size, so the enumeration stops as soon as every
 subset is defined.  Its answer is remembered per (universe, budget), and
-so are those of the smaller budgets on the same slots; a larger budget
-on the same universe and slots continues from the stored sizes that a
-smaller run kept (see _enumerate).
+so are those of every smaller budget; a larger budget on the same
+universe and slots continues from the stored sizes that a smaller run
+kept (see _enumerate).
 implicitly_defined_by computes the same tables for one given
 formula, which decides all subsets in a single pass over it.
 """
@@ -413,11 +413,35 @@ _CACHE_BITS = 1 << 12
 _CACHE_ENTRIES = 1 << 10
 
 
+def _repunit(count, step):
+    """``count`` one bits, ``step`` bits apart, from bit 0."""
+    return ((1 << count * step) - 1) // ((1 << step) - 1)
+
+
 def _members_mask(u, j):
     """The 2**u-bit mask of the subsets of u positions that hold j."""
     half = 1 << j
-    return ((((1 << half) - 1) << half)
-            * (((1 << (1 << u)) - 1) // ((1 << (half << 1)) - 1)))
+    return (((1 << half) - 1) << half) * _repunit(1 << u >> j + 1, half << 1)
+
+
+def _slot(u, width, i):
+    """(stride, selector) of slot i in a table over ``width`` slots and
+    u > 0 positions: the slot steps to its next value every ``stride``
+    bits, and the selector has bit 0 of each block where it takes its
+    first value, so ``selector << k * stride`` is that of position k."""
+    stride = u ** i << u
+    return stride, (_repunit(u ** i, 1 << u)
+                    * _repunit(u ** (width - i - 1), stride * u))
+
+
+def _selectors(structure, width, t):
+    """(position, selector) for each value that term t takes in a table
+    over ``width`` slots of a nonempty structure (see _atom_table)."""
+    u = structure.size
+    if t < 0:
+        return ((structure.index(~t), _repunit(u ** width, 1 << u)),)
+    stride, selector = _slot(u, width, t)
+    return [(k, selector << k * stride) for k in range(u)]
 
 
 def _atom_table(structure, key):
@@ -428,6 +452,12 @@ def _atom_table(structure, key):
     (``~code``); b is None for Pred.  Bit ``n * 2**u + s`` is set when
     the atom holds under assignment n, whose slot i takes the value at
     position ``(n // u**i) % u``, and the subset with position mask s.
+
+    Each value of a term has a selector, bit 0 of every block where the
+    term takes it (see _slot); a constant's one is bit 0 of every block.
+    Pred sums each selector times its value's members mask, and a
+    relation fills the blocks of the selector ANDs of the value pairs
+    where it holds: O(u**2) big-integer operations in all.
     """
     cache = structure._atom_tables
     table = cache.get(key)
@@ -435,21 +465,20 @@ def _atom_table(structure, key):
         return table
     width, kind, a, b = key
     universe = structure.universe
-    nsub = 1 << len(universe)
-    every = (1 << nsub) - 1
+    u = len(universe)
+    if not u:
+        return 0        # no assignment over a slot, and no constant
     table = 0
-    for n, vals in enumerate(product(universe, repeat=width)):
-        vals = vals[::-1]       # slot 0 varies fastest
-        x = vals[a] if a >= 0 else ~a
-        if kind is Pred:
-            block = _members_mask(len(universe), structure.index(x))
-        else:
-            y = vals[b] if b >= 0 else ~b
-            holds = (y >> x) & 1 if kind is Member else x == y
-            block = every if holds else 0
-        table |= block << (n * nsub)
-    if len(universe) ** width * nsub <= _CACHE_BITS \
-            and len(cache) < _CACHE_ENTRIES:
+    if kind is Pred:
+        for k, s in _selectors(structure, width, a):
+            table += _members_mask(u, k) * s
+    else:
+        for (k, s), (m, t) in product(_selectors(structure, width, a),
+                                      _selectors(structure, width, b)):
+            if universe[m] >> universe[k] & 1 if kind is Member else k == m:
+                table += s & t
+        table *= (1 << (1 << u)) - 1
+    if u ** width << u <= _CACHE_BITS and len(cache) < _CACHE_ENTRIES:
         cache[key] = table
     return table
 
@@ -567,7 +596,12 @@ def implicitly_defined_by(structure: FinStructure, f, params=()):
 def _var_pool(budget: int) -> int:
     # a second variable first matters in a closed formula at size 5 (two
     # quantifiers around a relating atom), a third at size 10.  Up to
-    # size 9 two slots define the same subsets as three:
+    # size 4 one slot defines the same subsets as two: a subformula with
+    # two free variables has at least 3 nodes, and closing both takes two
+    # quantifiers more, so at size <= 4 none is left once the formula's
+    # own free variables become parameters (3. below), and renaming as
+    # in 1. puts it on one slot.  Up to size 9 two slots define the same
+    # subsets as three:
     # 1. when no subformula has three free variables, renaming the bound
     #    ones puts the formula on two slots at the same size;
     # 2. three free variables need two atoms and a connective, at least
@@ -616,11 +650,11 @@ def implicit_subsets(structure: FinStructure, budget: int):
     that subset is returned at every budget rather than making the
     answer depend on which vacuously-true formula first fits the budget.
     Answers are remembered per (universe, budget), also those that one
-    enumeration gives for smaller budgets (see _enumerate), and an answer
-    of every subset answers larger budgets.  A larger budget continues
-    from the stored sizes that a smaller run on the same universe and
-    variable slots kept.  Tables of u**_var_pool(budget) * 2**u bits past
-    MAX_TABLE_BITS are refused.
+    enumeration gives for every smaller budget (see _enumerate), and an
+    answer of every subset answers larger budgets.  A larger budget
+    continues from the stored sizes that a smaller run on the same
+    universe and variable slots kept.  Tables of u**_var_pool(budget) *
+    2**u bits past MAX_TABLE_BITS are refused.
     """
     _check_budget(budget)
     universe = structure.universe
@@ -651,11 +685,13 @@ def _remember(universe, answers):
 
 def _enumerate(structure, budget):
     """implicit_subsets without the memo, as {b: answer} for ``budget``
-    and each smaller b >= 2 with the same _var_pool (every b, on the
-    empty universe).  _tables builds a stored size s as a budget-s run
-    does, and that run's last size finds the closed families size s
-    holds: the subsets defined once size s is done answer budget s
-    (every subset, for sizes a stop cuts short).
+    and each smaller b >= 2 (every b, on the empty universe).  _tables
+    builds a stored size s as a budget-s run on the same slots does, and
+    that run's last size finds the closed families size s holds: the
+    subsets defined once size s is done answer budget s (every subset,
+    for sizes a stop cuts short).  More slots never define fewer
+    subsets, and _var_pool(s) slots already define all there are, so
+    that answer is also budget s's on its own slots.
 
     A whole run keeps its stored sizes in _runs: _tables' classes by
     size and its seen set, and at_size.  A later run on the same universe
@@ -678,7 +714,7 @@ def _enumerate(structure, budget):
     nsub = 1 << u
     submask = (1 << nsub) - 1
     # a table is closed when every assignment's block equals block 0
-    every = sum(1 << (a * nsub) for a in range(u ** nvars))
+    every = _repunit(u ** nvars, nsub)
     # by_size and seen of _tables, and at_size: stored size -> found
     # once that size is complete
     by_size, seen, at_size = _runs.pop((universe, nvars), ({}, set(), {}))
@@ -704,8 +740,7 @@ def _enumerate(structure, budget):
     return {size: frozenset(
                 frozenset(universe[j] for j in range(u) if (s >> j) & 1)
                 for s in range(nsub) if (at_size.get(size, found) >> s) & 1)
-            for size in range(min(budget, 2), budget + 1)
-            if _var_pool(size) == nvars}
+            for size in range(min(budget, 2), budget + 1)}
 
 
 def _keep(key, run):
@@ -770,20 +805,17 @@ def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None,
     nvars = _var_pool(budget)
     nsub = 1 << u
     submask = (1 << nsub) - 1
-    nasg = u ** nvars
-    full = (1 << (nasg * nsub)) - 1
+    full = (1 << (u ** nvars * nsub)) - 1
 
     # per slot i: its bit, the shifts to its other values, the bits of
-    # the assignments where it takes the first value, and the multiplier
-    # that copies such bits to every value of slot i
+    # the assignments where it takes the first value (its selector's
+    # blocks filled), and the multiplier that copies such bits to every
+    # value of slot i
     folds = []
     for i in range(nvars):
-        stride = u ** i * nsub
-        period = stride * u
-        first = ((1 << stride) - 1) * sum(
-            1 << (p * period) for p in range(nasg // u ** (i + 1)))
-        copies = sum(1 << (k * stride) for k in range(u))
-        folds.append((1 << i, range(stride, period, stride), first, copies))
+        stride, selector = _slot(u, nvars, i)
+        folds.append((1 << i, range(stride, stride * u, stride),
+                      selector * submask, _repunit(u, stride)))
 
     def fold(t, shifts):
         # the tables of all and ex over the slot, before their copying

@@ -387,11 +387,10 @@ def _graft(tree: SkeletonTree, sigma: Bits, graft: SkeletonTree,
     bound is checked; it comes first either way."""
     n = len(sigma)
     depth = n + max(graft.depth, max(tree.depth, n) - n)
-    entries = 2 ** (depth + 1) - 1
-    if entries > MAX_SKELETON_ENTRIES:
+    if 2 ** (depth + 1) - 1 > MAX_SKELETON_ENTRIES:
         raise ResourceError(
-            f"amalgamate would build {entries} skeleton entries; the bound "
-            f"is {MAX_SKELETON_ENTRIES}")
+            f"amalgamate would build 2^{depth + 1} - 1 skeleton entries; "
+            f"the bound is {MAX_SKELETON_ENTRIES}")
     if check and not subtree_leq(graft, tree._restrict_cell(sigma)):
         raise AmalgamationError(
             f"graft is not a subtree of the {bits_str(sigma) or 'root'} cell")

@@ -243,8 +243,22 @@ def test_eval_amalgamate_past_the_skeleton_bound(tmp_path, capsys):
                                "graft": leaf}, capsys)
     assert time.perf_counter() - start < 2
     assert (code, out) == (1, "")
-    assert err.startswith("ResourceError: amalgamate would build 33554431 ")
+    assert err.startswith("ResourceError: amalgamate would build 2^25 - 1 ")
     assert "65536" in err
+
+
+def test_eval_amalgamate_at_a_huge_index(tmp_path, capsys):
+    # the entry count has far more than the 4300 digits that Python
+    # prints of an int, so the message gives it as a power of two
+    leaf = {"depth": 0, "skeleton": {"": ""}}
+    start = time.perf_counter()
+    code, out, err = run_eval(tmp_path, "amalgamate",
+                              {"tree": leaf, "sigma": "0" * 20000,
+                               "graft": leaf}, capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err == ("ResourceError: amalgamate would build 2^20001 - 1 "
+                   "skeleton entries; the bound is 65536\n")
 
 
 LEAF = {"depth": 0, "skeleton": {"": ""}}

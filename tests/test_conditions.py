@@ -995,3 +995,17 @@ def test_sbar_entries_are_judged_as_keys(call):
         call(p, [1, True])
     with pytest.raises(PreconditionError, match="hashable"):
         call(p, [1, [0]])
+
+
+def test_sbar_that_is_not_iterable_is_refused():
+    p = ProductCondition({0: iter_of(T1), 1: iter_of(TP)})
+    for call in (lambda: prod_restrict(p, (), 5),
+                 lambda: prod_leq(p, p, 0, 5),
+                 lambda: prod_amalgamate(p, (), 5, p)):
+        with pytest.raises(PreconditionError,
+                           match="sbar must be an iterable of product "
+                                 "indices, not int"):
+            call()
+    # an iterable sbar meets prod_leq's level bound before its own checks
+    with pytest.raises(ResourceError, match="prod_leq"):
+        prod_leq(p, p, 40, [1, True])

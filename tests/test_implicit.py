@@ -1,7 +1,7 @@
 import json
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -476,6 +476,52 @@ def test_enumerator_matches_syntactic_oracle():
                 _syntactic_defined(structure, budget)
 
 
+def _reference_atom(structure, key):
+    """_atom_table one assignment at a time: block n of the table is all
+    ones where the relation holds under assignment n (slot 0 varies
+    fastest), or the subsets that hold the Pred term's value."""
+    width, kind, a, b = key
+    universe = structure.universe
+    nsub = 1 << len(universe)
+    members = {c: sum(1 << s for s in range(nsub) if s >> j & 1)
+               for j, c in enumerate(universe)}
+    table = 0
+    for n, vals in enumerate(product(universe, repeat=width)):
+        vals = vals[::-1]
+        x = vals[a] if a >= 0 else ~a
+        if kind is Pred:
+            block = members[x]
+        else:
+            y = vals[b] if b >= 0 else ~b
+            holds = (y >> x) & 1 if kind is Member else x == y
+            block = (1 << nsub) - 1 if holds else 0
+        table |= block << (n * nsub)
+    return table
+
+
+def test_atom_tables_match_the_per_assignment_loop():
+    count = 0
+    for r in range(6):
+        for universe in combinations(range(7), r):
+            for width in range(4):
+                structure = FinStructure(universe)
+                terms = [*range(width), *(~c for c in universe)]
+                for key in [(width, Pred, t, None) for t in terms] + [
+                        (width, kind, a, b) for kind in (Member, Eq)
+                        for a in terms for b in terms]:
+                    assert implicit._atom_table(structure, key) == \
+                        _reference_atom(structure, key), (universe, key)
+                    count += 1
+    assert count > 27000
+    # a table of MAX_TABLE_BITS bits: 4**7 assignments of 2**4 subsets
+    wide = FinStructure([0, 1, 2, 5])
+    assert 4 ** 7 << 4 == implicit.MAX_TABLE_BITS
+    for key in ((7, Pred, 6, None), (7, Member, 0, 6), (7, Member, 3, 3),
+                (7, Eq, 5, 2), (7, Member, ~2, 4), (7, Eq, 1, ~1)):
+        assert implicit._atom_table(wide, key) == \
+            _reference_atom(wide, key), key
+
+
 def _reference_classes(structure, budget, nvars=None):
     """The enumerator before free-slot masks, saturation and the memo:
     every formula class over a nonempty structure up to the budget,
@@ -518,7 +564,7 @@ def _reference_classes(structure, budget, nvars=None):
             classes[table] = size
             by_size.setdefault(size, []).append(table)
 
-    atom = implicit._atom_table
+    atom = _reference_atom
     terms = list(range(nvars)) + [~c for c in universe]
     if budget >= 2:
         for tm in terms:
@@ -721,15 +767,16 @@ def _count_enumerations(monkeypatch):
 
 
 def test_one_enumeration_answers_smaller_budgets_on_its_slots(monkeypatch):
-    # a budget-b run completes each smaller size s as a budget-s run
-    # would, so every budget on b's variable slots is answered with it
+    # a budget-b run completes each smaller size s as a budget-s run on
+    # its slots would, and those define no more subsets at size s than
+    # _var_pool(s) slots do, so every smaller budget is answered with it
     calls = _count_enumerations(monkeypatch)
     for r in range(5):
         for universe in combinations(range(5), r):
             structure = FinStructure(universe)
-            runs = [(9, range(5, 9)), (4, (2, 3))]
+            runs = [(9, range(2, 9)), (4, (2, 3))]
             if r <= 3:
-                runs.append((11, (10,)))
+                runs.append((11, range(2, 11)))
             for budget, smaller in runs:
                 implicit._memo.clear()
                 implicit_subsets(structure, budget)
@@ -739,7 +786,7 @@ def test_one_enumeration_answers_smaller_budgets_on_its_slots(monkeypatch):
                 for b in smaller:
                     assert got[b] == _fresh_subsets(structure, b), \
                         (universe, budget, b)
-    # a budget on other slots still enumerates
+    # a budget on fewer slots is answered as its own reference answers it
     structure = FinStructure([0, 1, 2])
     for first, then in ((9, 4), (10, 9)):
         implicit._memo.clear()
@@ -747,7 +794,7 @@ def test_one_enumeration_answers_smaller_budgets_on_its_slots(monkeypatch):
         del calls[:]
         assert implicit_subsets(structure, then) == \
             _reference_subsets(structure, then)
-        assert calls == [(structure.universe, then)]
+        assert calls == []
 
 
 def test_tables_report_each_stored_size_once_it_is_built():
@@ -777,15 +824,16 @@ def test_recorded_sizes_keep_a_full_memo_bounded():
     for code in range(implicit._MEMO_ENTRIES):
         implicit_subsets(FinStructure([code]), 0)
     structure = FinStructure([0, 1, 2])
-    implicit_subsets(structure, 6)      # remembers budgets 5 and 6
+    implicit_subsets(structure, 6)      # remembers budgets 2-6
     implicit_subsets(S2, 3)             # 2 and 3
-    implicit_subsets(structure, 9)      # 5-9, two of them already there
+    implicit_subsets(structure, 9)      # 2-9, five of them already there
     assert len(implicit._memo) == implicit._MEMO_ENTRIES
     # what a run gives is newest, and as many of the oldest went
-    assert list(implicit._memo)[-7:] == [(S2.universe, 2), (S2.universe, 3)] \
-        + [(structure.universe, b) for b in range(5, 10)]
-    assert ((6,), 0) not in implicit._memo
-    assert ((7,), 0) in implicit._memo
+    assert list(implicit._memo)[-10:] == \
+        [(S2.universe, 2), (S2.universe, 3)] \
+        + [(structure.universe, b) for b in range(2, 10)]
+    assert ((9,), 0) not in implicit._memo
+    assert ((10,), 0) in implicit._memo
 
 
 def test_refused_run_remembers_nothing():
