@@ -10,7 +10,9 @@ The payload schema of ``eval`` is data: the operation table ``_OPS``.
 Each field is read by the library: integers, lists and choices by the
 readers in ``errors``, bit strings by ``bitseq.bits``, and each tree,
 condition, recipe, pattern and census by its ``from_json`` decoder.
-The parser is built once per process, on the first ``main`` call.
+``main`` reads a plain ``eval OP INPUT`` argv itself, as argparse
+would; every other argv goes to the argparse parser, which is built
+once per process, when first needed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from functools import cache, partial
 
 from .bitseq import (bits, bits_str, column, join_family, join_pair,
@@ -232,24 +235,30 @@ def _write(path, text):
 
 
 def cmd_verify(args):
-    results = run_suite(args.suite, args.seed)
-    for r in results:
-        line = f"{'pass' if r.passed else 'FAIL'}  {r.name} ({r.cases} cases)"
-        if not r.passed:
-            line += f": {r.failed} failed, e.g. {r.samples[0]}"
-        print(line)
-    report = suite_report(args.suite, results)
+    start, results = time.perf_counter(), []
+    for suite in SUITE_NAMES if args.suite == "all" else (args.suite,):
+        began = time.perf_counter()
+        for r in run_suite(suite, args.seed):
+            status = "pass" if r.passed else "FAIL"
+            line = f"{status}  {r.name} ({r.cases} cases)"
+            if not r.passed:
+                line += f": {r.failed} failed, e.g. {r.samples[0]}"
+            print(line)
+            results.append(r)
+        print(f"{suite} suite: {time.perf_counter() - began:.2f} s")
+    report = suite_report(args.suite, results, args.seed,
+                          round(time.perf_counter() - start, 3))
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.json_report and _write(args.json_report, text):
         return 1
     return 0 if report["passed"] else 1
 
 
-def cmd_eval(args, parser):
-    if args.op not in _OPS:
-        parser.error(f"unknown operation {args.op!r}; "
-                     f"known: {', '.join(sorted(_OPS))}")
-    code, result = _run(args.input, lambda payload: _apply(args.op, payload))
+def cmd_eval(op, path):
+    if op not in _OPS:
+        build_parser().error(f"unknown operation {op!r}; "
+                             f"known: {', '.join(sorted(_OPS))}")
+    code, result = _run(path, lambda payload: _apply(op, payload))
     if code == 0:
         print(json.dumps(result, sort_keys=True))
     return code
@@ -281,6 +290,15 @@ def _seed(text):
     return value
 
 
+class _ListOps(argparse.Action):
+    """Print each operation and its fields, optional ones in brackets."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        for op, (_, fields) in _OPS.items():
+            print(op, *(f"[{f[0]}]" if len(f) == 3 else f[0] for f in fields))
+        parser.exit()
+
+
 @cache
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -297,6 +315,8 @@ def build_parser():
                    help="also write the report as JSON")
 
     e = sub.add_parser("eval", help="apply one operation to a JSON payload")
+    e.add_argument("--list", action=_ListOps, nargs=0,
+                   help="print each operation and its fields, then exit")
     e.add_argument("op", metavar="OP")
     e.add_argument("input", metavar="INPUT",
                    help="path to a JSON payload, or - for standard input")
@@ -310,12 +330,18 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads "-" and any token not opening with "-" as a
+    # positional, so this argv means `eval OP INPUT` without a parser
+    if (len(argv) == 3 and argv[0] == "eval"
+            and all(a == "-" or not a.startswith("-") for a in argv[1:])):
+        return cmd_eval(argv[1], argv[2])
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args)
     if args.command == "eval":
-        return cmd_eval(args, parser)
+        return cmd_eval(args.op, args.input)
     return cmd_dot(args, parser)
 
 

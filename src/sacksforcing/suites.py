@@ -420,7 +420,7 @@ def run_suite(name, seed=DEFAULT_SEED):
     return _RUNNERS[name](seed)
 
 
-def suite_report(name, results):
-    return {"suite": name,
+def suite_report(name, results, seed, seconds):
+    return {"suite": name, "seed": seed, "seconds": seconds,
             "passed": all(r.passed for r in results),
             "properties": [r.to_json() for r in results]}

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import sacksforcing
+from sacksforcing import cli
 from sacksforcing.cli import _OPS, build_parser, main
 from sacksforcing.conditions import (SINGLE, ProductCondition, full_iter,
                                      full_tree, iter_restrict, plain_iter)
 from sacksforcing.errors import InputError, json_int_keys
+from sacksforcing.suites import DEFAULT_SEED
 
 
 def write_json(tmp_path, payload, name="payload.json"):
@@ -34,8 +38,11 @@ def test_verify_codec_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "pairing constraints" in out
+    assert "codec suite: " in out
     report = json.loads(report_path.read_text())
     assert report["suite"] == "codec"
+    assert report["seed"] == DEFAULT_SEED
+    assert isinstance(report["seconds"], float) and report["seconds"] > 0
     assert report["passed"]
     assert all(p["cases"] > 0 and p["failed"] == 0
                for p in report["properties"])
@@ -80,6 +87,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
 
     first = valid()
     assert json.loads(first) == 17
+    assert build_parser.cache_info().misses == 0    # read without a parser
     helps = []
     for argv, code in ((["eval", "no_such_op", good], 2),
                        (["eval", "pair_index", good, "--frobnicate"], 2),
@@ -100,6 +108,134 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
         assert valid() == first
     assert helps[0] == helps[1] and "INPUT" in helps[0]
     assert build_parser.cache_info().misses == 1
+
+
+# argv tokens: positionals to argparse ("pair_index", "no_such_op", "-", "",
+# the paths), options (the rest, "-dash.json" a path that opens with "-")
+TOKENS = ["pair_index", "no_such_op", "-", "", "good.json", "-1", "--", "-h",
+          "--help", "--frobnicate", "--list", "-dash.json"]
+DASHED = {t for t in TOKENS if t.startswith("-") and t != "-"}
+ARGV_GRID = ([[first, op, path] for first in ("eval", "verify", "dot")
+              for op in TOKENS for path in TOKENS]
+             + [["eval", t] for t in TOKENS]
+             + [["eval", "pair_index", "good.json", t] for t in TOKENS]
+             + [["eval", t, "good.json", "good.json"] for t in TOKENS])
+
+
+def argparse_main(argv):
+    """main without its plain-eval reader: argparse reads every argv."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "eval":
+        return cli.cmd_eval(args.op, args.input)
+    if args.command == "verify":
+        return cli.cmd_verify(args)
+    return cli.cmd_dot(args, parser)
+
+
+def test_plain_eval_reader_agrees_with_argparse(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("good.json", "-dash.json"):
+        write_json(tmp_path, {"m": 2, "n": 3}, name)
+    parse = argparse.ArgumentParser.parse_known_args
+    parses = []
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a: parses.append(a) or parse(self, *a))
+
+    def outcome(run, argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"m": 2, "n": 3}'))
+        try:
+            code = run(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    accepted, differ = [], []
+    for argv in ARGV_GRID:
+        parses.clear()
+        got = outcome(main, argv)
+        if not parses:
+            accepted.append(argv)
+            args = build_parser().parse_args(argv)
+            assert (args.command, args.op, args.input) == tuple(argv)
+        if got != outcome(argparse_main, argv):
+            differ.append(argv)
+    assert differ == []
+    assert accepted == [argv for argv in ARGV_GRID if len(argv) == 3
+                        and argv[0] == "eval" and not DASHED & set(argv)]
+    assert len(accepted) == 25
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    path = write_json(tmp_path, {"m": 2, "n": 3})
+    monkeypatch.setattr(sys, "argv", ["sacksforcing", "eval", "pair_index",
+                                      path])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out) == 17
+    monkeypatch.setattr(sys, "argv", ["sacksforcing", "eval", "--help"])
+    with pytest.raises(SystemExit) as e:
+        main()
+    assert e.value.code == 0
+    assert "usage: sacksforcing eval" in capsys.readouterr().out
+
+
+OPS_LIST = """\
+pair_index m n
+pair_split k
+join_pair x y
+split_pair sigma
+column sigma n
+join_family columns length
+width k
+rt tree sigma
+stem tree
+restrict_cell tree sigma
+restrict_node tree tau
+subtree_leq sub sup
+leq_n sub sup n
+amalgamate tree sigma graft
+iter_restrict condition sigma [mode]
+iter_leq q p
+iter_leq_n q p n [mode]
+iter_equal q p
+iter_amalgamate p sigma q [mode]
+prod_restrict product sigma sbar
+prod_extends q p
+prod_leq q p n sbar
+prod_amalgamate p sigma sbar q
+tower_degrees kinds
+sc_schedule n g length
+sc_pattern kinds
+sc_decode pattern
+census_encode x limit_bound n_bound
+census_decode census
+sc_census_encode h alpha_bound
+sc_census_decode census
+parse formula
+eval formula universe subset [params]
+implicitly_defined_by universe formula [params]
+implicit_subsets universe budget
+imp_levels n budget
+vn_levels n
+"""
+
+
+def test_eval_list_prints_each_operation_and_its_fields(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["eval", "--list"])
+    assert e.value.code == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (OPS_LIST, "")
+    assert len(OPS_LIST.splitlines()) == 37
+
+
+def test_eval_list_leaves_op_and_input_required(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["eval", "pair_index"])
+    assert e.value.code == 2
+    assert "required: INPUT" in capsys.readouterr().err
 
 
 def test_eval_rt(tmp_path, capsys):
