@@ -34,10 +34,9 @@ and a quantifier ANDs or ORs the blocks along its slot.  So operands are
 grouped by family, and a full table is built only for an operation
 whose family is a single subset not yet defined.  The defined family
 only grows with the size, so the enumeration stops as soon as every
-subset is defined.  Its answer is remembered per (universe, budget), and
-so are those of every smaller budget; a larger budget on the same
-universe and slots continues from the stored sizes that a smaller run
-kept (see _enumerate).
+subset is defined.  Each universe has one record of its answers, those
+of every smaller budget too, and of its last run's stored sizes, which
+a larger budget on the same slots continues (see _enumerate).
 implicitly_defined_by computes the same tables for one given
 formula, which decides all subsets in a single pass over it.
 """
@@ -47,13 +46,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from .errors import ParseError, PreconditionError, ResourceError, check_natural
 
-# the largest budget the enumerator accepts.  Two variable slots are
-# proved to suffice up to budget 9 (see _var_pool); at 10-14 it runs on
-# three, with no proof that three suffice: Q^4((S(a) op a in b) op
-# c in d) already has four free variables in a 10-node subformula
+# the largest budget the enumerator accepts.  Up to 13 its slots define
+# every subset that a formula of the budget's size defines, and at 14 it
+# counts the formulas on three variables (see _var_pool)
 MAX_BUDGET = 14
 
 
@@ -594,141 +593,135 @@ def implicitly_defined_by(structure: FinStructure, f, params=()):
 # -- the budgeted enumerator --------------------------------------------------------
 
 def _var_pool(budget: int) -> int:
-    # a second variable first matters in a closed formula at size 5 (two
-    # quantifiers around a relating atom), a third at size 10.  Up to
-    # size 4 one slot defines the same subsets as two: a subformula with
-    # two free variables has at least 3 nodes, and closing both takes two
-    # quantifiers more, so at size <= 4 none is left once the formula's
-    # own free variables become parameters (3. below), and renaming as
-    # in 1. puts it on one slot.  Up to size 9 two slots define the same
-    # subsets as three:
-    # 1. when no subformula has three free variables, renaming the bound
-    #    ones puts the formula on two slots at the same size;
-    # 2. three free variables need two atoms and a connective, at least
-    #    S(v) op R(y, z) with R in {in, =}, six nodes, and closing them
-    #    takes three quantifiers, so the one sentence of size <= 9 that
-    #    needs three slots is Q Q Q (S(v) op R(y, z)), in any order;
-    # 3. an open formula with a closed table keeps its family when each
-    #    free variable becomes a parameter, which also costs one node;
-    # 4. v occurs in that sentence only in S(v), so its truth is the
-    #    same for S and for pi[S], pi any permutation of the universe,
-    #    and a family of one subset is {empty} or {X}, both defined by
-    #    size 4.
+    # enough variable slots that formulas on them define, at each size up
+    # to the budget, every subset that formulas on more slots define (up
+    # to 13; budget 14 is at the end).  A sentence needs k + 1 slots only
+    # when, however its bound variables are renamed, some subformula psi
+    # has k + 1 free variables, which k + 1 quantifiers above psi bind.
+    # An open formula with a closed table keeps its family when each free
+    # variable becomes a parameter, at the same size, so sentences are all
+    # there is.  Counting nodes:
+    # - two slots first matter at size 5: psi has a relating atom, 3 nodes;
+    # - three at size 10: psi has at least 6 nodes, S(v) op R(y, z) with R
+    #   in {in, =}, so the one sentence of size <= 9 that needs three slots
+    #   is Q Q Q (S(v) op R(y, z)), in any order, and v occurs only in S;
+    # - four past size 13:
+    #   1. psi has four free variables; an atom has at most two, S(t) one;
+    #   2. S occurs: a sentence without it holds for every subset or none;
+    #   3. if psi has no S it has two relating atoms and a connective, 7
+    #      nodes, and four quantifiers, S and its connective make 14;
+    #   4. if psi has S it has at least 9 nodes, and the only psi of 9 joins
+    #      S(a), R(b, c) and S(d), with a, b, c, d distinct, by two
+    #      connectives, so at size <= 13 the sentence is Q Q Q Q psi;
+    #   5. a and d occur only in S, and as for v above, re-indexing their
+    #      quantifiers by any permutation pi of the universe shows that the
+    #      sentence holds for S exactly when it holds for pi[S]: a family
+    #      of one subset is {empty} or {X}, both defined at size 4.
+    # Budget 14 runs on three slots, and counts only formulas on them.
     return 1 + (budget >= 5) + (budget >= 10)
 
 
-# implicit_subsets keeps its answers for this many (universe, budget)
-# pairs, dropping the oldest first; an answer is at most 2**u subsets
+# _memo holds one record per universe, for at most _MEMO_ENTRIES of them,
+# the oldest going first: ``answers``, budget -> answer for each budget its
+# runs answered, up to ``full``, the least budget whose answer is every
+# subset, or None, with one frozenset for consecutive equal answers; and
+# ``run``, (nvars, by_size, seen, found) of its last whole run, or None
+# (see _enumerate).  The kept runs hold at most _RUN_BITS classes times
+# table bits in all; past it the oldest records drop their runs and keep
+# their answers.  Measured with tracemalloc on CPython 3.11: {0,1,2,3}
+# at budget 9 keeps 3,225 classes of 256 bits (0.8 Mbit) in 0.4 MB, {0..4}
+# at 9 keeps 5,380 of 800 bits (4.3 Mbit) in 1.4 MB, and the fullest mix
+# found, 256 universes of three codes at budget 7, holds 14 MB.  {0,1,2,3}
+# at 10, 41,465 classes of 1,024 bits that would hold 11 MB alone, is not
+# kept
 _MEMO_ENTRIES = 256
-_memo = {}
-
-# _enumerate keeps the stored sizes of its whole runs for at most
-# _MEMO_ENTRIES (universe, variable slots) pairs and _RUN_BITS classes
-# times table bits in all, dropping the oldest first.  Measured with
-# tracemalloc on CPython 3.11: {0,1,2,3} at budget 9 keeps 3,225 classes
-# of 256 bits (0.8 Mbit) in 0.4 MB, {0..4} at 9 keeps 5,380 of 800 bits
-# (4.3 Mbit) in 1.4 MB, and the fullest mix found, 256 universes of three
-# codes at budget 7, holds 14 MB.  {0,1,2,3} at 10, 41,465 classes of
-# 1,024 bits that would hold 11 MB alone, is not kept
 _RUN_BITS = 1 << 23
-_runs = {}
+_memo = {}
 
 
 def _check_budget(budget):
     if check_natural(budget, "budget") > MAX_BUDGET:
         raise ResourceError(
             f"budget {budget} exceeds {MAX_BUDGET}, the largest budget "
-            f"the enumerator runs (its two variable slots are proved "
-            f"complete up to 9, its three at 10-14 are not)")
+            f"the enumerator runs (its slots are proved complete up to "
+            f"13, and 14 counts formulas on three variables)")
 
 
 def implicit_subsets(structure: FinStructure, budget: int):
     """Every subset implicitly defined by some formula of AST size at
-    most ``budget``, parameters included as constant-size-one terms.
+    most ``budget``, parameters included as constant-size-one terms; at
+    budget 14, by some such formula on three variables (see _var_pool).
 
     The empty structure is special-cased: it has exactly one subset, and
     that subset is returned at every budget rather than making the
     answer depend on which vacuously-true formula first fits the budget.
-    Answers are remembered per (universe, budget), also those that one
-    enumeration gives for every smaller budget (see _enumerate), and an
-    answer of every subset answers larger budgets.  A larger budget
-    continues from the stored sizes that a smaller run on the same
-    universe and variable slots kept.  Tables of u**_var_pool(budget) *
-    2**u bits past MAX_TABLE_BITS are refused.
+    The answers are remembered on the universe's record in _memo, with
+    those of every smaller budget and the last run's stored sizes (see
+    _enumerate), and an answer of every subset answers larger budgets.
+    Tables of u**_var_pool(budget) * 2**u bits past MAX_TABLE_BITS are
+    refused.
     """
     _check_budget(budget)
-    universe = structure.universe
-    if (universe, budget) not in _memo:
-        # the answer only grows with the budget, so a smaller budget
-        # that defines every subset answers this one
-        powerset = 1 << len(universe)
-        for smaller in range(budget):
-            out = _memo.get((universe, smaller))
-            if out is not None and len(out) == powerset:
-                answers = {budget: out}
-                break
-        else:
-            answers = _enumerate(structure, budget)
-        _remember(universe, answers)
-    return _memo[universe, budget]
-
-
-def _remember(universe, answers):
-    """Put {budget: answer} on the universe into _memo as its newest
-    entries, the oldest going first when it is full."""
-    for budget, answer in answers.items():
-        _memo.pop((universe, budget), None)
-        if len(_memo) >= _MEMO_ENTRIES:
-            del _memo[next(iter(_memo))]
-        _memo[universe, budget] = answer
+    record = _memo.get(structure.universe)
+    if record is not None:
+        full = record.full
+        answer = record.answers.get(
+            budget if full is None or budget < full else full)
+        if answer is not None:
+            return answer
+    return _enumerate(structure, budget)
 
 
 def _enumerate(structure, budget):
-    """implicit_subsets without the memo, as {b: answer} for ``budget``
-    and each smaller b >= 2 (every b, on the empty universe).  _tables
-    builds a stored size s as a budget-s run on the same slots does, and
-    that run's last size finds the closed families size s holds: the
-    subsets defined once size s is done answer budget s (every subset,
-    for sizes a stop cuts short).  More slots never define fewer
-    subsets, and _var_pool(s) slots already define all there are, so
-    that answer is also budget s's on its own slots.
+    """implicit_subsets on a miss: one run of _tables puts the answers of
+    ``budget`` and of each smaller budget the universe's record lacks on
+    it, up to the first that is every subset, and returns the budget's.
+    _tables builds a stored size s as a budget-s run on the same slots
+    does, and that run's last size finds the closed families size s
+    holds: the subsets defined once size s is done answer budget s (every
+    subset, for sizes a stop cuts short), on any slots, since more slots
+    never define fewer subsets and _var_pool(s) define all there are.
 
-    A whole run keeps its stored sizes in _runs: _tables' classes by
-    size and its seen set, and at_size.  A later run on the same universe
-    and slots, all of whose kept sizes lie below its budget, continues
-    from the first size it lacks.  That is exact.  Every run on the same
-    slots builds a stored size s the same way, because ``wanted`` acts
-    only at the last size; seen, once size s is done, holds exactly the
-    classes of sizes <= s; and found, once size s is done, is at_size[s].
-    So a continued run yields the classes and answers of a fresh one.
-    The entry is taken out before the run and put back only when the
-    loop ends without a stop, so a refused, failed, interrupted or
-    saturated run keeps nothing."""
+    A whole run keeps its stored sizes, seen set and found as the
+    record's ``run``, which a later run on as many slots continues when
+    its budget is no smaller; any other run starts afresh and replaces
+    it.  That is exact: every run on the same slots builds a stored size
+    s the same way, because ``wanted`` acts only at the last size, and
+    once size s is done, seen holds exactly the classes of sizes <= s,
+    and found the subsets they define, as found does at the end of a run
+    whose last size is s.  The run is taken off the record first and put
+    back only when the loop ends without a stop, so a refused, failed,
+    interrupted or saturated run keeps no tables; nor does one that
+    stores nothing or that alone passes _RUN_BITS.  The record becomes
+    the newest.
+    """
     universe = structure.universe
     u = len(universe)
-    if u == 0:
-        return dict.fromkeys(range(budget + 1), frozenset({frozenset()}))
     nvars = _var_pool(budget)
-    if u ** nvars << u > MAX_TABLE_BITS:
-        _refuse(u ** nvars << u, "table bits", nvars, u, MAX_TABLE_BITS)
+    width = u ** nvars << u         # table bits
+    if width > MAX_TABLE_BITS:
+        _refuse(width, "table bits", nvars, u, MAX_TABLE_BITS)
+    record = _memo.get(universe) or SimpleNamespace(
+        answers={}, full=None, run=None)
+    run, record.run = record.run, None
+    if run is None or run[0] != nvars or len(run[1]) + 2 > budget:
+        run = (nvars, {}, set(), 0)
+    _, by_size, seen, found = run       # found, bit s: mask s is defined
     nsub = 1 << u
     submask = (1 << nsub) - 1
     # a table is closed when every assignment's block equals block 0
     every = _repunit(u ** nvars, nsub)
-    # by_size and seen of _tables, and at_size: stored size -> found
-    # once that size is complete
-    by_size, seen, at_size = _runs.pop((universe, nvars), ({}, set(), {}))
-    if len(by_size) + 2 > budget:
-        by_size, seen, at_size = {}, set(), {}
-    found = at_size.get(len(by_size) + 1, 0)    # bit s: mask s is defined
+    # size -> found once that size is done: sizes 0 and 1 hold no formula,
+    # and every budget defines the one subset of the empty universe
+    masks = {0: 0, 1: 0} if u else {0: 1}
 
     def wanted(family):
         # one subset, not defined yet
         return family & (family - 1) == 0 and family & ~found
 
     for t, free in _tables(structure, budget, wanted,
-                           lambda size: at_size.setdefault(size, found),
-                           (by_size, seen)):
+                           lambda size: masks.setdefault(size, found),
+                           (by_size, seen)) if u else ():
         family = t & submask
         if family & (family - 1) == 0 and family \
                 and (not free or t == family * every):
@@ -736,31 +729,37 @@ def _enumerate(structure, budget):
             if found == submask:
                 break       # every subset is defined already
     else:
-        _keep((universe, nvars), (by_size, seen, at_size))
-    return {size: frozenset(
-                frozenset(universe[j] for j in range(u) if (s >> j) & 1)
-                for s in range(nsub) if (at_size.get(size, found) >> s) & 1)
-            for size in range(min(budget, 2), budget + 1)}
-
-
-def _keep(key, run):
-    """Put a whole run's stored sizes into _runs as its newest entry,
-    the oldest going first until all fit; a run that stored nothing, or
-    that alone passes _RUN_BITS, is not kept."""
-    bits = _run_bits(key, run)
-    if not 0 < bits <= _RUN_BITS:
-        return
-    total = bits + sum(_run_bits(k, r) for k, r in _runs.items())
-    while total > _RUN_BITS or len(_runs) >= _MEMO_ENTRIES:
-        oldest = next(iter(_runs))
-        total -= _run_bits(oldest, _runs.pop(oldest))
-    _runs[key] = run
-
-
-def _run_bits(key, run):
-    # the classes a run keeps times their table bits
-    universe, nvars = key
-    return len(run[1]) * (len(universe) ** nvars << len(universe))
+        if 0 < len(seen) * width <= _RUN_BITS:
+            record.run = (nvars, by_size, seen, found)
+    answers = record.answers
+    answer = frozenset()
+    for size in range(budget + 1):
+        if size not in answers:
+            mask = masks.get(size, found)
+            # answers only grow with the budget: an equal count is equal
+            if mask.bit_count() != len(answer):
+                answer = frozenset(
+                    frozenset(universe[j] for j in range(u) if s >> j & 1)
+                    for s in range(nsub) if mask >> s & 1)
+            answers[size] = answer
+        answer = answers[size]
+        if len(answer) == nsub:
+            record.full = size
+            break
+    _memo.pop(universe, None)
+    _memo[universe] = record
+    if len(_memo) > _MEMO_ENTRIES:
+        del _memo[next(iter(_memo))]
+    if record.run:
+        kept = [(r, len(r.run[2]) * (len(k) ** r.run[0] << len(k)))
+                for k, r in _memo.items() if r.run]
+        total = sum(bits for _, bits in kept)
+        for r, bits in kept:
+            if total <= _RUN_BITS:
+                break
+            r.run = None
+            total -= bits
+    return answer
 
 
 # _BINARY's operations and the converse one (the stored sizes inline them)

@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sacksforcing.bitseq import (
-    bits, bits_str, column, join_family, join_pair, pair_index, pair_split,
-    split_pair, width,
+    bits, bits_str, check_bits, column, join_family, join_pair, pair_index,
+    pair_split, split_pair, width,
 )
 from sacksforcing.conditions import sc_schedule
 from sacksforcing.errors import PreconditionError
@@ -19,6 +19,12 @@ bit_strings = st.lists(st.integers(0, 1), max_size=24).map(tuple)
 def test_a_value_that_is_not_iterable_is_not_a_bit_sequence(call):
     with pytest.raises(PreconditionError, match="^not a bit sequence: 5$"):
         call()
+
+
+@pytest.mark.parametrize("value", [(0, 2), [1, 0, -1], "01"])
+def test_an_entry_that_is_not_a_bit_is_refused(value):
+    with pytest.raises(PreconditionError, match="^not a bit sequence: "):
+        check_bits(value)
 
 
 # -- pairwise join ----------------------------------------------------------

@@ -60,6 +60,26 @@ def test_verify_sizes_are_not_options(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_verify_seed_reaches_the_report(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "conditions", "--seed", "7",
+                 "--json-report", str(report_path)]) == 0
+    assert "conditions suite: " in capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert report["seed"] == 7 and report["passed"]
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("18446744073709551616", "seed must fit in 64 bits"),
+    ("-1", "seed must fit in 64 bits"),
+    ("seven", "invalid _seed value: 'seven'")])
+def test_verify_seed_outside_64_bits_is_usage_error(capsys, seed, message):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "conditions", "--seed", seed])
+    assert e.value.code == 2
+    assert f"argument --seed: {message}" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["verify", "bogus"])
@@ -457,6 +477,20 @@ def test_eval_tree_with_a_huge_depth(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     assert (code, out) == (1, "")
     assert err.startswith("PreconditionError: skeleton must have one entry")
+
+
+def test_eval_parse(tmp_path, capsys):
+    code, out, err = run_eval(tmp_path, "parse",
+                              {"formula": "ex y. (y in x & !S(y))"}, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"free": ["x"], "size": 8,
+                               "text": "(ex y. (y in x & !S(y)))"}
+
+
+def test_eval_formula_that_is_not_a_string(tmp_path, capsys):
+    code, out, err = run_eval(tmp_path, "parse", {"formula": 5}, capsys)
+    assert (code, out) == (1, "")
+    assert err == "InputError: formula: expected a formula string\n"
 
 
 def test_eval_parse_deep_nesting_is_a_parse_error(tmp_path, capsys):

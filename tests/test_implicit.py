@@ -1,7 +1,9 @@
+import copy
 import json
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -199,6 +201,13 @@ def test_formula_size():
 def test_free_vars():
     assert free_vars(parse_formula("ex y. (y in x & !S(y))")) == {"x"}
     assert free_vars(parse_formula("all x. S(x)")) == set()
+
+
+@pytest.mark.parametrize("walk", [formula_size, free_vars, formula_text])
+@pytest.mark.parametrize("f", [42, And(Pred(Var("x")), "S(x)")])
+def test_walks_refuse_what_is_not_a_formula_node(walk, f):
+    with pytest.raises(PreconditionError, match="^not a formula node: "):
+        walk(f)
 
 
 # -- evaluation -----------------------------------------------------------
@@ -697,6 +706,93 @@ def test_budget_nine_needs_no_third_slot():
                 _reference_subsets(structure, 9, nvars=3), universe
 
 
+def test_four_free_variables_at_size_thirteen_define_no_proper_subset():
+    # step 4 of the proof at _var_pool: the one sentence of size <= 13 whose
+    # subformula has four free variables is Q Q Q Q over S(a), R(b, c) and
+    # S(d) joined by two connectives; it defines only the empty set, only
+    # the universe, or no single subset.  Leaves are taken up to the order
+    # of symmetric operands, with both directions of ->; b, c take every
+    # quantifier order, a comes before d (renaming swaps them)
+    a, b, c, d = (Var(v) for v in "abcd")
+    connectives = (And, Or, Iff, Implies, lambda x, y: Implies(y, x))
+    cores = []
+    for relation in (Member(b, c), Eq(b, c)):
+        s_a, s_d = Pred(a), Pred(d)
+        for alone, x, y in ((s_a, relation, s_d), (relation, s_a, s_d),
+                            (s_d, s_a, relation)):
+            for outer, inner in product(connectives, repeat=2):
+                cores.append(outer(alone, inner(x, y)))
+    assert all(formula_size(core) == 9 and len(free_vars(core)) == 4
+               for core in cores)
+    prefixes = [list(zip(kinds, order))
+                for order in permutations("abcd")
+                if order.index("a") < order.index("d")
+                for kinds in product((Forall, Exists), repeat=4)]
+    for universe in ((0, 1), (2, 3), (0, 1, 2), (0, 1, 3)):
+        structure = FinStructure(universe)
+        defined = set()
+        for core in cores:
+            for prefix in prefixes:
+                f = core
+                for kind, var in reversed(prefix):
+                    f = kind(var, f)
+                defined.add(implicitly_defined_by(structure, f))
+        assert defined == {None, frozenset(), frozenset(universe)}, universe
+
+
+def _membership_isomorphisms(a, b):
+    # every bijection of universe a onto universe b that keeps membership
+    for image in permutations(b) if len(a) == len(b) else ():
+        if all(set_contains(y, x) == set_contains(image[j], image[i])
+               for i, x in enumerate(a) for j, y in enumerate(a)):
+            yield dict(zip(a, image))
+
+
+def test_implicit_subsets_are_invariant_under_membership_isomorphism():
+    # the answers depend only on the membership graph of the universe, so
+    # relabeling codes, which moves every atom table, maps them onto each
+    # other: each universe of at most 4 codes from {0..7} against the
+    # first universe found isomorphic to it, by every isomorphism
+    implicit._memo.clear()
+    classes = []        # [(representative, [(universe, isomorphisms)])]
+    for r in range(5):
+        for universe in combinations(range(8), r):
+            for first, members in classes:
+                maps = list(_membership_isomorphisms(first, universe))
+                if maps:
+                    members.append((universe, maps))
+                    break
+            else:
+                classes.append((universe, []))
+    assert len(classes) == 28
+    found = {(first, universe): maps
+             for first, members in classes for universe, maps in members}
+    assert {0: 1, 1: 2} in found[(0, 1), (1, 2)]
+    assert {0: 1, 1: 2, 2: 4, 3: 6} in found[(0, 1, 2, 3), (1, 2, 4, 6)]
+
+    def agree(first, universe, maps, budgets):
+        maps = list(maps)
+        assert maps, (first, universe)
+        for budget in budgets:
+            want = implicit_subsets(FinStructure(first), budget)
+            got = implicit_subsets(FinStructure(universe), budget)
+            for m in maps:
+                assert got == frozenset(frozenset(m[x] for x in s)
+                                        for s in want), (universe, budget, m)
+
+    for first, members in classes:
+        agree(first, first, _membership_isomorphisms(first, first), range(10))
+        for universe, maps in members:
+            agree(first, universe, maps, range(10))
+    # a few pairs of three codes on three slots, run afresh: each answers
+    # every subset from budget 8 on, and the run stops there
+    implicit._memo.clear()
+    for first, universe in (((0, 1, 2), (1, 2, 4)), ((0, 1, 3), (1, 2, 6)),
+                            ((0, 2, 3), (0, 1, 4))):
+        agree(first, universe, _membership_isomorphisms(first, universe),
+              (10, 11))
+
+
 def test_saturated_budget_answers_a_larger_one(monkeypatch):
     implicit._memo.clear()
     powerset = implicit_subsets(S2, 6)
@@ -738,7 +834,8 @@ def test_cli_implicit_subsets_at_the_budget_cap(tmp_path, capsys):
 
 
 def test_budget_cap_is_checked_before_the_memo(monkeypatch):
-    monkeypatch.setitem(implicit._memo, (S2.universe, 15), frozenset())
+    monkeypatch.setitem(implicit._memo, S2.universe, SimpleNamespace(
+        answers={15: frozenset()}, full=None, run=None))
     with pytest.raises(ResourceError):
         implicit_subsets(S2, 15)
 
@@ -751,7 +848,7 @@ def test_memo_is_keyed_by_universe_and_bounded():
     for code in range(2 * implicit._MEMO_ENTRIES):
         implicit_subsets(FinStructure([code]), 3)
     assert len(implicit._memo) == implicit._MEMO_ENTRIES
-    assert ((2 * implicit._MEMO_ENTRIES - 1,), 3) in implicit._memo
+    assert (2 * implicit._MEMO_ENTRIES - 1,) in implicit._memo
 
 
 def _count_enumerations(monkeypatch):
@@ -824,43 +921,45 @@ def test_recorded_sizes_keep_a_full_memo_bounded():
     for code in range(implicit._MEMO_ENTRIES):
         implicit_subsets(FinStructure([code]), 0)
     structure = FinStructure([0, 1, 2])
-    implicit_subsets(structure, 6)      # remembers budgets 2-6
-    implicit_subsets(S2, 3)             # 2 and 3
-    implicit_subsets(structure, 9)      # 2-9, five of them already there
+    implicit_subsets(structure, 6)      # a new record, budgets 0-6
+    implicit_subsets(S2, 3)             # another, 0-3
+    implicit_subsets(structure, 9)      # the first gains 7-9
     assert len(implicit._memo) == implicit._MEMO_ENTRIES
-    # what a run gives is newest, and as many of the oldest went
-    assert list(implicit._memo)[-10:] == \
-        [(S2.universe, 2), (S2.universe, 3)] \
-        + [(structure.universe, b) for b in range(2, 10)]
-    assert ((9,), 0) not in implicit._memo
-    assert ((10,), 0) in implicit._memo
+    # the record a run adds to is newest, and one went per new record
+    assert list(implicit._memo)[-2:] == [S2.universe, structure.universe]
+    # it answers every subset from budget 8 on, so 9 needs no entry
+    record = implicit._memo[structure.universe]
+    assert record.full == 8 and list(record.answers) == list(range(9))
+    assert (1,) not in implicit._memo
+    assert (2,) in implicit._memo
 
 
 def test_refused_run_remembers_nothing():
     implicit._memo.clear()
-    implicit._runs.clear()
     implicit_subsets(S2, 3)
-    before, runs = dict(implicit._memo), dict(implicit._runs)
-    assert list(runs) == [(S2.universe, 1)]
+    # records change in place, so the snapshot is a deep copy
+    before = copy.deepcopy(implicit._memo)
+    assert implicit._memo[S2.universe].run[0] == 1
     with pytest.raises(ResourceError):
         implicit_subsets(FinStructure(range(20)), 4)
     with pytest.raises(ResourceError):
         implicit_subsets(FinStructure(range(9)), 10)
     assert implicit._memo == before
-    assert implicit._runs == runs
 
 
 def test_larger_budget_continues_the_kept_sizes():
     implicit._memo.clear()
-    implicit._runs.clear()
     v3 = FinStructure([0, 1, 2, 3])
     implicit_subsets(v3, 6)
-    by_size, seen, at_size = implicit._runs[v3.universe, 2]
-    assert list(by_size) == list(at_size) == [2, 3, 4, 5]
+    record = implicit._memo[v3.universe]
+    nvars, by_size, seen, found = record.run
+    assert nvars == 2 and list(by_size) == [2, 3, 4, 5]
+    assert list(record.answers) == list(range(7))
     implicit_subsets(v3, 9)
     # the same run grew by the sizes it lacked
-    assert implicit._runs[v3.universe, 2][0] is by_size
-    assert list(by_size) == list(at_size) == list(range(2, 9))
+    assert record.run[1] is by_size
+    assert list(by_size) == list(range(2, 9))
+    assert list(record.answers) == list(range(10))
 
 
 def test_continued_runs_match_fresh_runs():
@@ -869,7 +968,6 @@ def test_continued_runs_match_fresh_runs():
     # run the earlier calls kept; a smaller budget runs afresh
     def fresh(universe, budget):
         implicit._memo.clear()
-        implicit._runs.clear()
         return implicit_subsets(FinStructure(universe), budget)
 
     asked = {universe: range(10)
@@ -880,7 +978,7 @@ def test_continued_runs_match_fresh_runs():
             for universe, budgets in asked.items() for budget in budgets}
     rng = random.Random(17)
     for order in ("increasing", "decreasing", "shuffled"):
-        implicit._runs.clear()
+        implicit._memo.clear()
         for universe, budgets in asked.items():
             budgets = list(budgets)
             if order == "decreasing":
@@ -888,45 +986,61 @@ def test_continued_runs_match_fresh_runs():
             elif order == "shuffled":
                 rng.shuffle(budgets)
             for budget in budgets:
-                implicit._memo.clear()
+                _forget_answers()
                 assert implicit_subsets(FinStructure(universe), budget) == \
                     want[universe, budget], (order, universe, budget)
 
 
 def test_saturated_run_keeps_nothing():
     implicit._memo.clear()
-    implicit._runs.clear()
     implicit_subsets(S2, 5)
-    assert list(implicit._runs) == [(S2.universe, 2)]
+    record = implicit._memo[S2.universe]
+    assert record.run[0] == 2
     # budget 6 defines every subset of S2 and stops before its last size;
-    # the run it continued is gone with it
+    # the run it continued is gone with it, and the answers stay
     assert len(implicit_subsets(S2, 6)) == 4
-    assert implicit._runs == {}
+    assert record.run is None
+    assert list(record.answers) == list(range(record.full + 1))
+
+
+def _forget_answers():
+    # every record's answers go and its kept run stays, so that the next
+    # call enumerates and continues that run
+    for record in implicit._memo.values():
+        record.answers.clear()
+        record.full = None
+
+
+def _kept_runs():
+    return {universe: record.run for universe, record in implicit._memo.items()
+            if record.run is not None}
 
 
 def _kept_bits():
-    return sum(implicit._run_bits(key, run)
-               for key, run in implicit._runs.items())
+    # the classes each kept run holds times their table bits
+    return sum(len(seen) * (len(universe) ** nvars << len(universe))
+               for universe, (nvars, _, seen, _) in _kept_runs().items())
 
 
 def test_kept_runs_stay_within_their_bound():
     implicit._memo.clear()
-    implicit._runs.clear()
     universes = list(combinations(range(8), 4))
     for universe in universes:
         implicit_subsets(FinStructure(universe), 8)
         assert _kept_bits() <= implicit._RUN_BITS, universe
-    assert (universes[-1], 2) in implicit._runs
-    assert (universes[0], 2) not in implicit._runs
+    assert universes[-1] in _kept_runs()
+    assert universes[0] not in _kept_runs()
+    # the oldest records dropped their runs and kept their answers
+    assert all(list(implicit._memo[universe].answers) == list(range(9))
+               for universe in universes)
     # a run past the bound alone is not kept, and drops nothing
-    before = dict(implicit._runs)
+    before = _kept_runs()
     implicit_subsets(FinStructure([0, 1, 2, 3]), 10)
-    assert implicit._runs == before
+    assert _kept_runs() == before
 
 
 def test_kept_runs_drop_the_oldest_first(monkeypatch):
     implicit._memo.clear()
-    implicit._runs.clear()
     # three universes of two codes, none a member of another, so their
     # runs are equal in size: the bound holds two of them
     universes = [(2, 3), (4, 5), (6, 7)]
@@ -935,8 +1049,22 @@ def test_kept_runs_drop_the_oldest_first(monkeypatch):
     monkeypatch.setattr(implicit, "_RUN_BITS", 2 * bits)
     for universe in universes[1:]:
         implicit_subsets(FinStructure(universe), 5)
-    assert list(implicit._runs) == [(u, 2) for u in universes[1:]]
+    assert list(_kept_runs()) == universes[1:]
     assert _kept_bits() == 2 * bits
+    assert list(implicit._memo) == universes
+
+
+def test_a_smaller_pool_run_is_replaced(monkeypatch):
+    # budget 7 keeps a run on two slots; budget 10 runs on three, so it
+    # starts afresh and replaces it; budget 8 is then answered by that run
+    calls = _count_enumerations(monkeypatch)
+    implicit._memo.clear()
+    v3 = FinStructure([0, 1, 2, 3])
+    got = {budget: implicit_subsets(v3, budget) for budget in (7, 10, 8)}
+    assert calls == [(v3.universe, 7), (v3.universe, 10)]
+    assert implicit._memo[v3.universe].run is None     # past _RUN_BITS
+    for budget, answer in got.items():
+        assert answer == _fresh_subsets(v3, budget), budget
 
 
 # -- hierarchies -----------------------------------------------------------

@@ -33,7 +33,8 @@ def test_package_imports_only_the_standard_library():
             assert name.partition(".")[0] in allowed, f"{path}: {name}"
 
 
-@pytest.mark.parametrize("folder", ["src", "tests", "perfbench", "demos"])
+@pytest.mark.parametrize("folder", ["src", "tests", "perfbench", "demos",
+                                    "tools"])
 def test_sources_parse_as_python_3_10(folder):
     paths = sorted((ROOT / folder).rglob("*.py"))
     assert paths
