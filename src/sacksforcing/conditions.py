@@ -34,8 +34,9 @@ restriction of p.  It then works through private twins that trust their
 input: _iter_restrict, _iter_graft and the payload grafts _graft and
 _pair_graft.  The grafts check only the resource bounds (complement rows
 and skeleton entries), which hold on every path; _iter_restrict checks
-nothing.  The graded orders check one index of length n for all 2^n,
-and compute each index's addresses once for both sides.
+nothing.  The graded orders check one index of length n for all 2^n;
+prod_leq then asks iter_leq_n, the one loop over cells, once for each
+coordinate that the index reaches, at the length of its column.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from types import MappingProxyType
 
 from .bitseq import (_column, bits, bits_str, check_bits, pair_split,
                      split_pair, width)
@@ -220,15 +222,23 @@ class ScSchedule:
         return {"sc": self.n, "length": self.length}
 
 
+@dataclass(frozen=True, eq=False)
 class GenericContext:
     """Finite commitments about coordinate generics: for coordinate k, a
     prefix of the real that coordinate contributes (for a pair coordinate,
-    of the interleave of its two reals)."""
+    of the interleave of its two reals).  Trusted iterations of one kinds
+    tuple share one context, so it is frozen and its commitments are a
+    read-only view."""
 
-    def __init__(self, commitments=None):
-        self.commitments = {
+    commitments: dict | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "commitments", MappingProxyType({
             _coordinate(k): check_bits(v)
-            for k, v in (commitments or {}).items()}
+            for k, v in (self.commitments or {}).items()}))
+
+    def __reduce__(self):  # a view neither pickles nor deep-copies
+        return GenericContext, (dict(self.commitments),)
 
     def to_json(self):
         return {str(k): bits_str(v) for k, v in sorted(self.commitments.items())}
@@ -727,9 +737,9 @@ def _sbar(sbar):
 
 def _shares(sigma, sbar, *prods):
     """Check sigma, its columns distributed over the checked list sbar,
-    against each of prods in turn.  For each entry i = sbar[k] in some
-    product's support, in sbar's order, give (k, i, addrs): the addresses
-    that column k of sigma gives the coordinates of the longest
+    against each of prods in turn.  For each entry i of sbar in some
+    product's support, in sbar's order, give (i, addrs): the addresses
+    that i's column of sigma gives the coordinates of the longest
     iteration at i."""
     cols = _addresses(sigma, COLUMN, len(sbar))
     lengths = {}
@@ -744,14 +754,14 @@ def _shares(sigma, sbar, *prods):
                 continue
             _check_columns(len(addr), cond.length)
             lengths[i] = max(lengths.get(i, 0), cond.length)
-    return [(k, i, _split(cols[k], COLUMN, lengths[i]))
-            for k, i in enumerate(sbar) if i in lengths]
+    return [(i, _split(addr, COLUMN, lengths[i]))
+            for i, addr in zip(sbar, cols) if i in lengths]
 
 
 def _prod_restrict(p: ProductCondition, shares) -> ProductCondition:
     """prod_restrict with _shares' addresses; checks nothing."""
     coords = p.coords
-    for _, i, addrs in shares:
+    for i, addrs in shares:
         if any(addrs):  # an empty column leaves its coordinate as it is
             coords[i] = _iter_restrict(coords[i], addrs)
     return ProductCondition(coords)
@@ -776,24 +786,22 @@ def prod_equal(q: ProductCondition, p: ProductCondition) -> bool:
 
 def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     """The graded order: every length-n index, distributed over sbar,
-    restricts q to an extension of the matching restriction of p."""
+    restricts q to an extension of the matching restriction of p.
+
+    Coordinate i's comparison reads only i's column of the index, L_i
+    distinct positions, which take all 2^L_i values as the index runs
+    over all 2^n.  So the order holds exactly when each coordinate passes
+    at every value of its column: iter_leq_n(q_i, p_i, L_i).  The checks
+    of one index stand for all 2^n, and imply iter_leq_n's."""
     sbar = _sbar_list(sbar)
     _check_cell_rows("prod_leq", n, chain(q._coords.values(),
                                           p._coords.values()),
                      len(sbar), "rows and sbar entries")
-    # what is checked of sigma depends only on its length, so the first
-    # index stands for all 2^n of them
-    sigmas = _strings(n)
-    live = [(k, i, len(addrs))
-            for k, i, addrs in _shares(sigmas[0], _sbar(sbar), q, p)
-            if any(addrs)]
-    for sigma in sigmas:
-        shares = [(k, i, _split(_column(sigma, k), COLUMN, length))
-                  for k, i, length in live]
-        if not prod_extends(_prod_restrict(q, shares),
-                            _prod_restrict(p, shares)):
-            return False
-    return True
+    sizes = {i: sum(map(len, addrs))
+             for i, addrs in _shares(_strings(n)[0], _sbar(sbar), q, p)}
+    return all(iter_leq_n(q._coords[i], cond, sizes[i]) if sizes.get(i)
+               else iter_leq(q._coords[i], cond) if i in q._coords
+               else is_full_iter(cond) for i, cond in p._coords.items())
 
 
 def prod_amalgamate(p: ProductCondition, sigma, sbar,
@@ -811,7 +819,7 @@ def prod_amalgamate(p: ProductCondition, sigma, sbar,
     if not prod_extends(q, cell):
         raise AmalgamationError("q does not extend the restriction of p")
     coords = q.coords
-    for _, i, addrs in shares:
+    for i, addrs in shares:
         qi = coords[i] if i in coords else cell._coords[i]
         coords[i] = _iter_graft(p._coords[i], addrs, qi)
     return ProductCondition(coords)

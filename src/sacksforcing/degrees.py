@@ -236,7 +236,8 @@ def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
     when the bit at base+n is 0, and heights base+2n+2 always keep many."""
     # the count first: the keys of huge bounds could not all be built,
     # and past it there are only len(x) of them
-    count = max(limit_bound, 0) * max(n_bound, 0)
+    count = (check_natural(limit_bound, "limit_bound")
+             * check_natural(n_bound, "n_bound"))
     if len(x) != count or count and set(x) != {
             Ordinal2(a, n) for a in range(limit_bound) for n in range(n_bound)}:
         raise PreconditionError(
@@ -312,7 +313,7 @@ def sc_census_encode(h, alpha_bound: int):
     """One surviving self-coding real per base n with h(n)=1, many
     otherwise; alpha_bound is how many copies 'many' stands for."""
     h = check_bits(h)
-    if alpha_bound < 2:
+    if check_natural(alpha_bound, "alpha_bound") < 2:
         raise PreconditionError("alpha_bound must be at least 2")
     return {n: (ONE if h[n] else MANY) for n in range(len(h))}
 

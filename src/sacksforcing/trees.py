@@ -44,6 +44,7 @@ sup's skeleton and not by the length of its entries.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 from .bitseq import Bits, bits, bits_str, check_bits
 from .errors import (AmalgamationError, FusionError, PreconditionError,
@@ -53,6 +54,8 @@ from .errors import (AmalgamationError, FusionError, PreconditionError,
 # the level-n queries refuse to list more than this many cells
 MAX_SKELETON_ENTRIES = 1 << 16
 _MAX_LEVEL = MAX_SKELETON_ENTRIES.bit_length() - 1
+# enumerate_trees refuses a family of more skeleton entries than this
+MAX_ENUMERATED_ENTRIES = 1 << 20
 
 # index strings of at most this length are built once and shared
 _CACHED_LENGTH = 10
@@ -418,8 +421,9 @@ def fusion_prefix(seq, schedule, n: int) -> SkeletonTree:
     if len(schedule) < check_natural(n, "n") + 1:
         raise FusionError(f"schedule must cover levels 0..{n}")
     for j in range(n + 1):
-        if not 0 <= schedule[j] < len(seq):
-            raise FusionError(f"schedule[{j}] is outside the sequence")
+        if type(schedule[j]) is not int or not 0 <= schedule[j] < len(seq):
+            raise FusionError(f"schedule[{j}] must be a natural number "
+                              f"below {len(seq)}, the sequence's length")
     for m in range(len(seq) - 1):
         if not subtree_leq(seq[m + 1], seq[m]):
             raise FusionError(f"sequence increases at step {m}")
@@ -432,14 +436,41 @@ def fusion_prefix(seq, schedule, n: int) -> SkeletonTree:
     return SkeletonTree._trusted(n, {rho: base._rt(rho) for rho in _upto(n)})
 
 
+def _enumeration_size(max_depth: int, slack: int):
+    """(trees, skeleton entries) of enumerate_trees(max_depth, slack),
+    counted without building anything; the count stops as soon as the
+    entries pass MAX_ENUMERATED_ENTRIES.  Depth d has E = 2^(d+1) - 1
+    slots, the stem and one per edge, and a skeleton that spends t extra
+    bits on them is one of 2^t C(t + E - 1, E - 1)."""
+    trees = entries = 0
+    for depth in range(max_depth + 1):
+        slots = (2 << depth) - 1
+        for t in range(slack + 1):
+            count = comb(t + slots - 1, t) << t
+            trees += count
+            entries += count * slots
+            if entries > MAX_ENUMERATED_ENTRIES:
+                return trees, entries
+    return trees, entries
+
+
 def enumerate_trees(max_depth: int, slack: int):
     """Exhaustive bounded family of skeleton presentations.
 
     Yields every skeleton of depth <= max_depth in which the stem plus
     all the per-edge extensions spend at most ``slack`` bits in total
     beyond the minimal ones.  The family deliberately includes distinct
-    presentations of the same tree.
+    presentations of the same tree.  A family of more than
+    MAX_ENUMERATED_ENTRIES skeleton entries in all is refused before
+    anything is built.
     """
+    trees, entries = _enumeration_size(check_natural(max_depth, "max_depth"),
+                                       check_natural(slack, "slack"))
+    if entries > MAX_ENUMERATED_ENTRIES:
+        raise ResourceError(
+            f"enumerate_trees would build at least {trees} trees of "
+            f"{entries} skeleton entries in all; the bound is "
+            f"{MAX_ENUMERATED_ENTRIES} entries")
     out = []
     for depth in range(max_depth + 1):
         edges = _upto(depth)[1:]

@@ -15,7 +15,7 @@ from sacksforcing.cli import _OPS, build_parser, main
 from sacksforcing.conditions import (SINGLE, ProductCondition, full_iter,
                                      full_tree, iter_restrict, plain_iter)
 from sacksforcing.errors import InputError, json_int_keys
-from sacksforcing.suites import DEFAULT_SEED
+from sacksforcing.suites import DEFAULT_SEED, PropertyResult
 
 
 def write_json(tmp_path, payload, name="payload.json"):
@@ -90,6 +90,39 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as e:
         main(["verify", "codec", "--frobnicate"])
     assert e.value.code == 2
+
+
+def test_verify_reports_a_failed_property(tmp_path, capsys, monkeypatch):
+    broken = PropertyResult("a seeded fault")
+    broken.check(True)
+    broken.check(False, "case 1")
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: [broken])
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "codec", "--json-report", str(report_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  a seeded fault (2 cases): 1 failed, e.g. case 1\n" in out
+    assert not json.loads(report_path.read_text())["passed"]
+
+
+def test_entrypoint_exits_with_the_status_of_main(tmp_path, capsys,
+                                                  monkeypatch):
+    good = write_json(tmp_path, {"m": 2, "n": 3})
+    assert main(["eval", "pair_index", good]) == 0
+    want = capsys.readouterr().out
+    for path, status in ((good, 0), (str(tmp_path / "missing.json"), 1)):
+        monkeypatch.setattr(sys, "argv",
+                            ["sacksforcing", "eval", "pair_index", path])
+        with pytest.raises(SystemExit) as e:
+            cli.entrypoint()
+        assert e.value.code == status
+        assert capsys.readouterr().out == (want if status == 0 else "")
+
+
+def test_encode_refuses_a_value_it_has_no_json_for():
+    with pytest.raises(InputError, match="^cannot encode object$"):
+        cli._encode(object())
+    with pytest.raises(InputError, match="^cannot encode complex$"):
+        cli._encode([0, 1j])
 
 
 # -- eval -----------------------------------------------------------------

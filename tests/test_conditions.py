@@ -1,5 +1,9 @@
+import copy
 import math
+import pickle
+import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -755,6 +759,28 @@ def test_coordinate_keys_are_ints(key):
     assert GenericContext({0: bits("1")}).commitments == {0: (1,)}
 
 
+def test_trusted_iterations_share_a_context_that_cannot_change():
+    # the restrictions of one iteration share the empty context of their
+    # kinds; writing a commitment into it once changed them all
+    p = plain_iter([SINGLE, SINGLE], [F, F])
+    a, b = iter_restrict(p, bits("0")), iter_restrict(p, bits("1"))
+    assert a.context is b.context
+    with pytest.raises(TypeError):
+        a.context.commitments[0] = (1, 1)
+    with pytest.raises(AttributeError):
+        a.context.commitments = {0: (1, 1)}
+    assert b.to_json()["context"] == {}
+    # a context, and an iteration holding one, still copy and pickle
+    cond = IterCondition(FixedSchedule([SINGLE]), [[({}, T1)]],
+                         GenericContext({0: bits("01")}))
+    for clone in (copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+        for value in (cond, a):
+            twin = clone(value)
+            assert twin.to_json() == value.to_json()
+            with pytest.raises(TypeError):
+                twin.context.commitments[0] = (1,)
+
+
 def test_prod_amalgamate_reads_a_one_shot_sbar():
     # prod_restrict once consumed the iterator, and the graft loop then
     # saw no coordinate and handed back q
@@ -1009,3 +1035,113 @@ def test_sbar_that_is_not_iterable_is_refused():
     # an iterable sbar meets prod_leq's level bound before its own checks
     with pytest.raises(ResourceError, match="prod_leq"):
         prod_leq(p, p, 40, [1, True])
+
+
+# -- the graded order of products against its definition ----------------------
+
+def _prod_leq_by_definition(q, p, n, sbar):
+    """The graded order as defined: restrict both products at every index
+    of length n, distributed over sbar, and compare them."""
+    return all(prod_extends(prod_restrict(q, sigma, sbar),
+                            prod_restrict(p, sigma, sbar))
+               for sigma in all_bitstrings(n))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EngineError as e:
+        return type(e), str(e)
+
+
+def _products(supports, iters):
+    return [ProductCondition(dict(zip(support, conds)))
+            for support in supports
+            for conds in product(iters, repeat=len(support))]
+
+
+def test_prod_leq_matches_its_definition_on_one_step_coordinates():
+    iters = [iter_of(t) for t in SMALL]
+    ps = _products([(0,), (1,), (0, 1)], iters)
+    qs = _products([(), (0,), (1,), (0, 1)], iters)
+    sbars = [[], [0], [1], [0, 1], [1, 0], [0, 1, 2]]
+    counts = Counter()
+    for q, p, n, sbar in product(qs, ps, range(4), sbars):
+        want = _outcome(lambda: _prod_leq_by_definition(q, p, n, sbar))
+        assert _outcome(lambda: prod_leq(q, p, n, sbar)) == want
+        counts[want if isinstance(want, bool) else want[0]] += 1
+    assert counts == {True: 6243, False: 56512, PreconditionError: 34013}
+
+
+def _mismatch_cut(q, p):
+    """q with p's own coordinate from the first one, in p's order, whose
+    kinds differ from q's on: the coordinates before it decide alone."""
+    order = list(p.coords)
+    first = next(k for k, i in enumerate(order) if i in q.coords
+                 and q.coordinate(i).kinds != p.coordinate(i).kinds)
+    return ProductCondition({**q.coords,
+                             **{i: p.coordinate(i) for i in order[first:]}})
+
+
+def test_prod_leq_matches_its_definition_on_pair_and_guarded_coordinates():
+    pool = [iter_of(t) for t in SMALL]
+    pool += [plain_iter([SINGLE, second], [t, pay])
+             for t in SMALL[:3] for second, pay in
+             [(SINGLE, u) for u in SMALL[:3]]
+             + [(PAIR, PairCondition(u, F)) for u in SMALL[:3]]]
+    pool += [_conditional(c, COLUMN) for c in pool[len(SMALL)::2]]
+    rng = random.Random(2024)
+    counts = Counter()
+    for _ in range(3000):
+        support = rng.sample(range(4), rng.randint(1, 4))
+        p = ProductCondition({i: rng.choice(pool) for i in support})
+        q = {}
+        for i in support + [rng.randrange(5)]:
+            pi = p.coords.get(i, rng.choice(pool))
+            pick = rng.randrange(6)
+            if pick == 0:
+                q[i] = rng.choice(pool)
+            elif pick == 1:
+                q[i] = _shrink(pi, rng.randrange(2))
+            elif pick < 5:
+                sigma = tuple(rng.randrange(2)
+                              for _ in range(rng.randint(0, pi.length)))
+                q[i] = iter_restrict(pi, sigma)
+        q = ProductCondition(q)
+        sbar = rng.sample(support, rng.randint(0, len(support)))
+        if rng.randrange(5) == 0:
+            sbar.insert(rng.randint(0, len(sbar)), 4)
+        # mostly an n whose columns sbar can take
+        n = rng.choice([m for m in range(5) if width(m) <= len(sbar)]
+                       if rng.randrange(5) else range(5))
+        want = _outcome(lambda: _prod_leq_by_definition(q, p, n, sbar))
+        got = _outcome(lambda: prod_leq(q, p, n, sbar))
+        if got != want:
+            # the one corner where they differ: the definition meets a
+            # kind mismatch at the first index, while prod_leq finishes
+            # each coordinate first and finds an earlier one failing
+            assert want[0] is IncompatibleError and got is False
+            assert not _prod_leq_by_definition(_mismatch_cut(q, p), p, n,
+                                               sbar)
+            want = "corner"
+        counts[want if not isinstance(want, tuple) else want[0]] += 1
+    assert counts[True] and counts[False] and counts[IncompatibleError]
+    assert counts["corner"]
+
+
+def test_prod_leq_finishes_each_coordinate_before_the_next():
+    # coordinate 0 passes at column value 0 and fails at 1; coordinate 1
+    # holds iterations of different kinds.  Asked index by index, the
+    # mismatch would be met at the first index; asked coordinate by
+    # coordinate, coordinate 0 fails first.
+    s1 = make_tree(1, {"": "0", "0": "00", "1": "010"})
+    p = ProductCondition({0: iter_of(T1), 1: full_iter([SINGLE])})
+    q = ProductCondition({0: iter_of(s1), 1: full_iter([SINGLE, PAIR])})
+    assert iter_leq(iter_restrict(q.coordinate(0), bits("0")),
+                    iter_restrict(p.coordinate(0), bits("0")))
+    assert prod_leq(q, p, 1, [0]) is False
+    with pytest.raises(IncompatibleError, match="kind mismatch"):
+        _prod_leq_by_definition(q, p, 1, [0])
+    with pytest.raises(IncompatibleError, match="kind mismatch"):
+        prod_leq(q, ProductCondition({0: iter_of(s1), 1: p.coordinate(1)}),
+                 1, [0])

@@ -1,6 +1,6 @@
 """Every argument that must be a natural number goes through
-errors.check_natural: a negative int, a float, a bool or a string is
-refused with PreconditionError, before any work, in every layer."""
+errors.check_natural: a negative int, a float, a bool, a string or None
+is refused with PreconditionError, before any work, in every layer."""
 
 import time
 
@@ -11,14 +11,15 @@ from sacksforcing.conditions import (
     SINGLE, ProductCondition, ScSchedule, iter_leq_n, plain_iter, prod_leq,
     sc_schedule,
 )
-from sacksforcing.degrees import Ordinal2
+from sacksforcing.degrees import Ordinal2, census_encode, sc_census_encode
 from sacksforcing.errors import PreconditionError, check_natural
 from sacksforcing.implicit import (
     FinStructure, imp_levels, implicit_subsets, set_members, set_of,
     vn_levels,
 )
 from sacksforcing.trees import (
-    SkeletonTree, full_tree, fusion_prefix, leq_n, leq_n_cellwise,
+    SkeletonTree, enumerate_trees, full_tree, fusion_prefix, leq_n,
+    leq_n_cellwise,
 )
 
 T = full_tree()
@@ -41,12 +42,18 @@ CALLS = {
     "iter_leq_n": lambda v: iter_leq_n(P, P, v),
     "prod_leq": lambda v: prod_leq(PROD, PROD, v, [0]),
     "fusion_prefix": lambda v: fusion_prefix([T], [0], v),
+    "fusion_prefix schedule": lambda v: fusion_prefix([T], [v], 0),
+    "enumerate_trees max_depth": lambda v: enumerate_trees(v, 0),
+    "enumerate_trees slack": lambda v: enumerate_trees(0, v),
     "sc_schedule n": lambda v: sc_schedule(v, (), 0),
     "sc_schedule K": lambda v: sc_schedule(0, (), v),
     "ScSchedule n": lambda v: ScSchedule(v, 0),
     "ScSchedule length": lambda v: ScSchedule(0, v),
     "Ordinal2 a": lambda v: Ordinal2(v, 0),
     "Ordinal2 b": lambda v: Ordinal2(0, v),
+    "census_encode limit_bound": lambda v: census_encode({}, v, 5),
+    "census_encode n_bound": lambda v: census_encode({}, 5, v),
+    "sc_census_encode": lambda v: sc_census_encode((1,), v),
     "set_members": set_members,
     "set_of": lambda v: set_of([v]),
     "FinStructure": lambda v: FinStructure([v]),
@@ -57,7 +64,7 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [-1, 1.5, True, "1"], ids=repr)
+@pytest.mark.parametrize("value", [-1, 1.5, True, "1", None], ids=repr)
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_natural_arguments_refuse_other_values(call, value):
     start = time.perf_counter()

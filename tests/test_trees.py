@@ -18,9 +18,9 @@ from sacksforcing.errors import (
     ResourceError,
 )
 from sacksforcing.trees import (
-    SkeletonTree, all_bitstrings, amalgamate, bitstrings_upto, enumerate_trees,
-    full_tree, fusion_prefix, leq_n, leq_n_cellwise, subtree_leq,
-    tree_dot,
+    SkeletonTree, _enumeration_size, all_bitstrings, amalgamate,
+    bitstrings_upto, enumerate_trees, full_tree, fusion_prefix, leq_n,
+    leq_n_cellwise, subtree_leq, tree_dot,
 )
 
 
@@ -628,3 +628,41 @@ def test_amalgamate_refuses_past_the_bound_before_comparing():
         amalgamate(T1, bits("1" * 14 + "0"), full_tree())
     assert amalgamate(full_tree(), bits("1" * 15),
                       full_tree().restrict_cell(bits("1" * 15))) == full_tree()
+
+
+def test_fusion_prefix_refuses_a_schedule_entry_that_is_no_index():
+    for entry in (-1, 1, 0.0, True, None, "0"):
+        with pytest.raises(FusionError, match="^schedule\\[0\\] must be a "
+                           "natural number below 1, the sequence's length$"):
+            fusion_prefix([full_tree()], [entry], 0)
+
+
+def test_enumeration_size_is_counted_before_building():
+    for max_depth, slack in product(range(4), repeat=2):
+        trees = enumerate_trees(max_depth, slack)
+        assert _enumeration_size(max_depth, slack) == (
+            len(trees), sum(len(t.skeleton) for t in trees))
+    assert _enumeration_size(2, 2) == (165, 989)
+    assert _enumeration_size(3, 3) == (6876, 95206)
+
+
+@pytest.mark.parametrize("max_depth, slack",
+                         [(4, 4), (3, 8), (25, 0), (0, 10 ** 18)])
+def test_enumerate_trees_refuses_past_the_bound(max_depth, slack):
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="enumerate_trees would build at "
+                       "least [0-9]+ trees of [0-9]+ skeleton entries in "
+                       "all; the bound is 1048576 entries$"):
+        enumerate_trees(max_depth, slack)
+    assert time.perf_counter() - start < 1
+
+
+def test_tree_repr_lists_the_canonical_skeleton():
+    # pytest prints this in every failed tree assertion
+    assert repr(T1) == "SkeletonTree(depth=1, {e:0, 0:00, 1:011})"
+    assert repr(full_tree().deepen(1)) == "SkeletonTree(depth=0, {e:e})"
+
+
+def test_a_tree_equals_no_other_kind_of_value():
+    assert T1.__eq__(bits("0")) is NotImplemented
+    assert T1 != bits("0") and T1 != "0"

@@ -12,12 +12,13 @@ for example
 It runs pytest in this process under a ``sys.settrace`` line tracer
 (standard library only), then prints each executable line inside a
 function, method, lambda or comprehension of ``src/sacksforcing`` that no
-traced frame reached, as ``path:line: source``, and a count.  Module and
-class bodies run at import and are not counted.  Code run in a child
-process or in a thread other than the main one is not traced.  Line
-tracing slows every call several times, so a test that bounds its own
-wall time may fail under it; pytest's exit status is printed, and the
-report is made all the same.  The tool exits 0 once it has reported.
+traced frame reached, as ``path:line: source``, then a count for each
+module and the total.  Module and class bodies run at import and are not
+counted.  Code run in a child process or in a thread other than the main
+one is not traced.  Line tracing slows every call several times, so a
+test that bounds its own wall time may fail under it; pytest's exit
+status is printed, and the report is made all the same.  The tool exits
+0 once it has reported.
 """
 
 from __future__ import annotations
@@ -71,16 +72,19 @@ def trace(pytest_args):
 def main(argv):
     sys.path.insert(0, str(ROOT / "src"))
     status, reached = trace(argv)
-    total = unreached = 0
+    counts = {}
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
         lines = body_lines(path)
-        total += len(lines)
-        for line in sorted(lines):
-            if (str(path), line) not in reached:
-                unreached += 1
-                print(f"{path.relative_to(ROOT)}:{line}: "
-                      f"{source[line - 1].strip()}")
+        missed = sorted(line for line in lines
+                        if (str(path), line) not in reached)
+        counts[path.name] = len(missed), len(lines)
+        for line in missed:
+            print(f"{path.relative_to(ROOT)}:{line}: "
+                  f"{source[line - 1].strip()}")
+    for name, (missed, lines) in counts.items():
+        print(f"{name}: {missed} of {lines} never reached")
+    unreached, total = map(sum, zip(*counts.values()))
     print(f"{unreached} of {total} function-body lines in "
           f"{PACKAGE.relative_to(ROOT)} never reached (pytest exit "
           f"status {int(status)})")
