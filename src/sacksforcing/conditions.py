@@ -25,8 +25,8 @@ tower is built from, is also the fixed schedule of an iteration, and
 ScSchedule reads the data bits of the self-coding rule off the context
 and hands them to sc_schedule, so IterCondition takes its kinds from
 schedule.recipe(context).  What a coordinate does with its payload
-(type, full value, membership, restriction, order, amalgamation) is
-looked up by kind in one table, _PAYLOADS.
+(type, full value, membership, restriction, graded order, amalgamation)
+is looked up by kind in one table, _PAYLOADS.
 
 Each public operation checks its arguments once, at the top: sigma, the
 mode and sbar, and, before anything is grafted, that q extends the
@@ -34,9 +34,9 @@ restriction of p.  It then works through private twins that trust their
 input: _iter_restrict, _iter_graft and the payload grafts _graft and
 _pair_graft.  The grafts check only the resource bounds (complement rows
 and skeleton entries), which hold on every path; _iter_restrict checks
-nothing.  The graded orders check one index of length n for all 2^n;
-prod_leq then asks iter_leq_n, the one loop over cells, once for each
-coordinate that the index reaches, at the length of its column.
+nothing.  The graded orders check one index of length n for all 2^n
+and restrict nothing: iter_leq, iter_leq_n and prod_leq share one loop
+that compares pairs of rows at the lengths of their addresses.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import repeat
 from types import MappingProxyType
 
 from .bitseq import (_column, bits, bits_str, check_bits, pair_split,
@@ -54,7 +54,7 @@ from .errors import (AmalgamationError, IncompatibleError, InputError,
                      json_choice, json_fields, json_int, json_int_keys,
                      json_list)
 from .trees import (SkeletonTree, _check_cells, _graft, _is_prefix,
-                    _strings, amalgamate, full_tree, subtree_leq)
+                    _strings, amalgamate, full_tree, leq_n, subtree_leq)
 
 SINGLE = "single"
 PAIR = "pair"
@@ -62,7 +62,6 @@ PAIR = "pair"
 COLUMN = "column"
 PAIRWISE = "pairwise"
 
-MAX_CELL_ROWS = 1 << 16        # skeleton entries a graded order restricts
 MAX_COMPLEMENT_ROWS = 1 << 12  # complement rows iter_amalgamate builds
 
 
@@ -123,16 +122,16 @@ def _pair_contains(p: PairCondition, node) -> bool:
     return p.left._contains(lhs) and p.right._contains(rhs)
 
 
-# what the condition layer does with a coordinate's payload, by its kind
-_Payload = namedtuple(
-    "_Payload", "type full entries contains restrict leq graft")
+# what the condition layer does with a coordinate's payload, by its kind;
+# leq is the graded order at a level n, where a pair's left trees take
+# n - n//2 bits of the index and its right trees n//2
+_Payload = namedtuple("_Payload", "type full contains restrict leq graft")
 _PAYLOADS = {
-    SINGLE: _Payload(SkeletonTree, full_tree(), lambda t: len(t._skel),
-                     SkeletonTree._contains, SkeletonTree._restrict_cell,
-                     subtree_leq, _graft),
-    PAIR: _Payload(PairCondition, full_pair(),
-                   lambda p: len(p.left._skel) + len(p.right._skel),
-                   _pair_contains, pair_restrict, pair_leq, _pair_graft),
+    SINGLE: _Payload(SkeletonTree, full_tree(), SkeletonTree._contains,
+                     SkeletonTree._restrict_cell, leq_n, _graft),
+    PAIR: _Payload(PairCondition, full_pair(), _pair_contains, pair_restrict,
+                   lambda q, p, n: leq_n(q.left, p.left, n - n // 2)
+                   and leq_n(q.right, p.right, n // 2), _pair_graft),
 }
 
 
@@ -474,18 +473,11 @@ def _addresses(sigma, mode, length):
     sigma = check_bits(sigma)
     if mode == COLUMN:
         _check_columns(len(sigma), length)
-    elif mode == PAIRWISE:
-        if length != 2:
-            raise PreconditionError("pairwise mode needs a length-2 iteration")
-    else:
-        raise PreconditionError(f"unknown mode {mode!r}")
-    return _split(sigma, mode, length)
-
-
-def _split(sigma, mode, length):
-    """_addresses for a checked sigma and mode; checks nothing."""
-    if mode == COLUMN:
         return [_column(sigma, k) for k in range(length)]
+    if mode != PAIRWISE:
+        raise PreconditionError(f"unknown mode {mode!r}")
+    if length != 2:
+        raise PreconditionError("pairwise mode needs a length-2 iteration")
     return [sigma[0::2], sigma[1::2]]
 
 
@@ -521,55 +513,46 @@ def _iter_restrict(p: IterCondition, addrs) -> IterCondition:
     return IterCondition._trusted(p.kinds, new_coords)
 
 
+def _graded_leq(q: IterCondition, p: IterCondition, levels) -> bool:
+    """Wherever two rows of a coordinate m can both apply, q's payload
+    extends p's in the kind's graded order at level levels[m]."""
+    if q.kinds != p.kinds:
+        raise IncompatibleError(f"kind mismatch: {q.kinds} vs {p.kinds}")
+    for kind, level, qs, ps in zip(p.kinds, levels, q.coords, p.coords):
+        leq = _PAYLOADS[kind].leq
+        for gq, pay_q in qs:
+            for gp, pay_p in ps:
+                if _guards_compatible(gq, gp) and not leq(pay_q, pay_p, level):
+                    return False
+    return True
+
+
 def iter_leq(q: IterCondition, p: IterCondition) -> bool:
     """Extension order, evaluated per shared guard refinement: wherever
     two rows can both apply, q's payload must extend p's."""
-    if q.kinds != p.kinds:
-        raise IncompatibleError(
-            f"kind mismatch: {q.kinds} vs {p.kinds}")
-    for kind, q_table, p_table in zip(p.kinds, q.coords, p.coords):
-        leq = _PAYLOADS[kind].leq
-        for gq, pay_q in q_table:
-            for gp, pay_p in p_table:
-                if _guards_compatible(gq, gp) and not leq(pay_q, pay_p):
-                    return False
-    return True
+    return _graded_leq(q, p, repeat(0))
 
 
 def iter_equal(q: IterCondition, p: IterCondition) -> bool:
     return iter_leq(q, p) and iter_leq(p, q)
 
 
-def _check_cell_rows(op, n, conds, extra=0, what="rows"):
-    """Refuse a level-n order that would restrict the payloads of conds
-    (and handle extra entries) in each of 2^n cells, past MAX_CELL_ROWS
-    skeleton entries in all; a pair payload counts both its trees."""
-    _check_cells(op, n)
-    charge = extra + sum(_PAYLOADS[kind].entries(payload) for cond in conds
-                         for kind, table in zip(cond.kinds, cond.coords)
-                         for _, payload in table)
-    if charge << n > MAX_CELL_ROWS:
-        raise ResourceError(
-            f"{op} would handle {charge} {what} in each of 2^{n} cells, "
-            f"{charge << n} in all; the bound is {MAX_CELL_ROWS}, a row "
-            f"counting the skeleton entries of its payload")
-
-
 def iter_leq_n(q: IterCondition, p: IterCondition, n: int, mode=COLUMN) -> bool:
-    _check_cell_rows("iter_leq_n", n, (q, p))
-    # what is checked of sigma depends only on its length, so the first
-    # index stands for all 2^n of them
-    first = _strings(n)[0]
+    """The graded order: every length-n index restricts q to an
+    extension of the matching restriction of p.
+
+    Coordinate m's rows are restricted to m's address, of length L_m, and
+    kept or cut by their guard keys' addresses: in both modes, positions
+    of the index disjoint from m's.  Two rows outlive those with
+    compatible residual guards at some index exactly when their guards
+    are compatible, m's address still taking all 2^L_m values.  So the
+    order holds exactly when every compatible pair of rows passes the
+    kind's graded order at level L_m.  The first index's checks stand
+    for all 2^n."""
+    _check_cells("iter_leq_n", n)
+    first = (0,) * n
     _addresses(first, mode, q.length)
-    _addresses(first, mode, p.length)
-    # addresses for the longer side; iter_leq refuses a kind mismatch at
-    # the first index
-    length = max(q.length, p.length)
-    for sigma in _strings(n):
-        addrs = _split(sigma, mode, length)
-        if not iter_leq(_iter_restrict(q, addrs), _iter_restrict(p, addrs)):
-            return False
-    return True
+    return _graded_leq(q, p, map(len, _addresses(first, mode, p.length)))
 
 
 def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
@@ -754,7 +737,7 @@ def _shares(sigma, sbar, *prods):
                 continue
             _check_columns(len(addr), cond.length)
             lengths[i] = max(lengths.get(i, 0), cond.length)
-    return [(i, _split(addr, COLUMN, lengths[i]))
+    return [(i, [_column(addr, k) for k in range(lengths[i])])
             for i, addr in zip(sbar, cols) if i in lengths]
 
 
@@ -791,17 +774,15 @@ def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     Coordinate i's comparison reads only i's column of the index, L_i
     distinct positions, which take all 2^L_i values as the index runs
     over all 2^n.  So the order holds exactly when each coordinate passes
-    at every value of its column: iter_leq_n(q_i, p_i, L_i).  The checks
-    of one index stand for all 2^n, and imply iter_leq_n's."""
+    iter_leq_n at level L_i, which compares its rows at the lengths of
+    the column's addresses; one index's checks stand for all 2^n."""
     sbar = _sbar_list(sbar)
-    _check_cell_rows("prod_leq", n, chain(q._coords.values(),
-                                          p._coords.values()),
-                     len(sbar), "rows and sbar entries")
-    sizes = {i: sum(map(len, addrs))
-             for i, addrs in _shares(_strings(n)[0], _sbar(sbar), q, p)}
-    return all(iter_leq_n(q._coords[i], cond, sizes[i]) if sizes.get(i)
-               else iter_leq(q._coords[i], cond) if i in q._coords
-               else is_full_iter(cond) for i, cond in p._coords.items())
+    _check_cells("prod_leq", n)
+    levels = {i: map(len, addrs)
+              for i, addrs in _shares((0,) * n, _sbar(sbar), q, p)}
+    return all(_graded_leq(q._coords[i], cond, levels.get(i, repeat(0)))
+               if i in q._coords else is_full_iter(cond)
+               for i, cond in p._coords.items())
 
 
 def prod_amalgamate(p: ProductCondition, sigma, sbar,

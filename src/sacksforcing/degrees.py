@@ -174,12 +174,15 @@ def _label_key(label):
 
 
 def poset_dot(poset: DegreePoset) -> str:
+    # a DOT ID in quotes escapes its backslashes and quotes
+    ids = {v: '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
+           for v in poset.nodes}
     lines = ["digraph degrees {", "  rankdir=BT;"]
     for v in sorted(poset.nodes, key=_label_key):
-        lines.append(f'  "{v}";')
+        lines.append(f"  {ids[v]};")
     for lo, hi in sorted(poset.edges, key=lambda e: (_label_key(e[0]),
                                                      _label_key(e[1]))):
-        lines.append(f'  "{lo}" -> "{hi}";')
+        lines.append(f"  {ids[lo]} -> {ids[hi]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

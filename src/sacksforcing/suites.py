@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from .bitseq import (bits_str, column, join_family, join_pair, pair_index,
                      pair_split, split_pair, width)
-from .conditions import (COLUMN, PAIRWISE, SINGLE, ProductCondition,
-                         iter_amalgamate, iter_equal, iter_leq, iter_leq_n,
-                         iter_restrict, plain_iter, prod_amalgamate,
-                         prod_restrict)
+from .conditions import (COLUMN, PAIRWISE, SINGLE, PairCondition,
+                         ProductCondition, iter_amalgamate, iter_equal,
+                         iter_leq, iter_leq_n, iter_restrict, plain_iter,
+                         prod_amalgamate, prod_restrict)
 from .degrees import (ONE, PAIR, Ordinal2, TowerCensus, TowerRecipe,
                       census_decode, census_encode, sc_census_decode,
                       sc_census_encode, sc_decode, sc_pattern, sc_schedule,
@@ -160,10 +161,7 @@ def run_tree(seed):
                           f"{bits_str(a)},{bits_str(b)}")
 
     graded = PropertyResult("graded order agrees with cellwise form")
-    seen = {}
-    for t in trees:
-        seen.setdefault(t.canonical(), t)
-    family = list(seen)
+    family = list({t.canonical(): t for t in trees})
     rng = random.Random(seed)
     if len(family) > 40:
         family = rng.sample(family, 40)
@@ -238,10 +236,8 @@ def run_conditions(seed):
                     ok = ok and iter_equal(rt_, pt)
                 partial.check(ok, f"tau={bits_str(tau)}")
 
-    product = PropertyResult("product partial-equality after amalgamation")
-    depth1 = {}
-    for t in enumerate_trees(1, 1):
-        depth1.setdefault(t.canonical(), t)
+    prods = PropertyResult("product partial-equality after amalgamation")
+    depth1 = {t.canonical(): t for t in enumerate_trees(1, 1)}
     sbar = [0, 1]
     for t0 in list(depth1)[:4]:
         pp = ProductCondition({0: plain_iter([SINGLE], [t0]),
@@ -252,11 +248,30 @@ def run_conditions(seed):
             b_sigma = column(column(sigma, 0), 0)
             for tau in all_bitstrings(2):
                 if column(column(tau, 0), 0) != b_sigma:
-                    product.check(iter_equal(
+                    prods.check(iter_equal(
                         prod_restrict(rr, tau, sbar).coordinate(0),
                         prod_restrict(pp, tau, sbar).coordinate(0)),
                         f"sigma={bits_str(sigma)} tau={bits_str(tau)}")
-    return [worked, partial, product]
+
+    graded = PropertyResult(
+        "iteration graded order agrees with its cellwise definition")
+    for k, mode in ((1, COLUMN), (2, COLUMN), (2, PAIRWISE), (3, COLUMN)):
+        for kinds in product((SINGLE,), *[(SINGLE, PAIR)] * (k - 1)):
+            p = plain_iter(kinds, [PairCondition(t_prime, full) if kind == PAIR
+                                   else t_prime for kind in kinds])
+            # p with guarded rows, and the cells of both at two-bit indices
+            conds = [p] if k == 1 else [p, iter_amalgamate(
+                p, (0, 0), iter_restrict(p, (0, 0, 1, 1), mode), mode)]
+            conds += [iter_restrict(c, s, mode) for c in conds
+                      for s in all_bitstrings(2)]
+            levels = range(3 if k == 1 else 4)  # n = 3 needs two columns
+            for q, r, n in product(conds, conds, levels):
+                cells = all(iter_leq(iter_restrict(q, s, mode),
+                                     iter_restrict(r, s, mode))
+                            for s in all_bitstrings(n))
+                graded.check(iter_leq_n(q, r, n, mode) == cells,
+                             f"{kinds} {mode} n={n}")
+    return [worked, partial, prods, graded]
 
 
 # -- degrees --------------------------------------------------------------------

@@ -352,12 +352,11 @@ def leq_n(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:
     levels that agree at the larger depth agree at every later one and
     only the levels below min(n, larger depth + 1) are compared.
     """
-    check_natural(n, "level n")
-    if not subtree_leq(sub, sup):
-        return False
+    if check_natural(n, "level n") == 0:
+        return subtree_leq(sub, sup)
     top = min(n, max(sub.depth, sup.depth) + 1)
-    return all(sub.splitting_level(m) == sup.splitting_level(m)
-               for m in range(top))
+    return subtree_leq(sub, sup) and all(
+        sub.splitting_level(m) == sup.splitting_level(m) for m in range(top))
 
 
 def leq_n_cellwise(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:

@@ -603,9 +603,10 @@ def test_eval_sc_schedule_past_the_step_bound(tmp_path, capsys):
 
 
 def _iter_payloads():
-    """Small guard-table payloads with costly answers: a partition check
-    over 2^22 assignments, an amalgamation that would print 41.7 MB, and
-    graded orders that restrict every row in each of 2^n cells."""
+    """Small guard-table payloads that look costly: a partition check over
+    2^22 assignments and an amalgamation that would print 41.7 MB, both
+    refused, and graded orders over 2^16 cells, which compare each pair
+    of rows once and answer."""
     full = {"depth": 0, "skeleton": {"": ""}}
     single = {"kinds": ["single", "single"]}
     q = {"kind": "iter", "schedule": single, "coords": [
@@ -613,49 +614,52 @@ def _iter_payloads():
         [{"guard": {"0": "0" * 22}, "payload": full}]]}
     p = {"kind": "iter", "schedule": single,
          "coords": [[{"guard": {}, "payload": full}]] * 2}
-    yield "iter_leq", {"q": q, "p": p}, "PreconditionError: coordinate 1: " \
-        "guards are not exhaustive"
+    yield "iter_leq", {"q": q, "p": p}, (1, "PreconditionError: coordinate "
+                                         "1: guards are not exhaustive")
     p14 = full_iter(["single"] * 14)
     sigma = (0,) * 105
     yield "iter_amalgamate", {
         "p": p14.to_json(), "sigma": "0" * 105,
         "q": iter_restrict(p14, sigma).to_json()}, \
-        "ResourceError: iter_amalgamate would build 393129 complement rows"
+        (1, "ResourceError: iter_amalgamate would build 393129 complement "
+            "rows")
     p8 = full_iter(["single"] * 8).to_json()
-    yield "iter_leq_n", {"q": p8, "p": p8, "n": 16}, \
-        "ResourceError: iter_leq_n would handle 16 rows in each of 2^16 cells"
+    yield "iter_leq_n", {"q": p8, "p": p8, "n": 16}, (0, "true")
     product = ProductCondition(
         {i: full_iter(["single"] * 8) for i in range(8)}).to_json()
     for n in (12, 16):
         yield "prod_leq", {"q": product, "p": product, "n": n,
-                           "sbar": list(range(8))}, \
-            f"ResourceError: prod_leq would handle 136 rows and sbar " \
-            f"entries in each of 2^{n} cells"
+                           "sbar": list(range(8))}, (0, "true")
 
 
-@pytest.mark.parametrize("op, payload, message", list(_iter_payloads()),
+@pytest.mark.parametrize("op, payload, expected", list(_iter_payloads()),
                          ids=["partition", "amalgamate", "iter_leq_n",
                               "prod_leq 12", "prod_leq 16"])
 def test_eval_guard_tables_within_bounds(tmp_path, capsys, op, payload,
-                                         message):
+                                         expected):
     start = time.perf_counter()
     code, out, err = run_eval(tmp_path, op, payload, capsys)
     assert time.perf_counter() - start < 2
-    assert (code, out) == (1, "")
-    assert err.startswith(message)
+    if expected[0]:
+        assert (code, out) == (1, "")
+        assert err.startswith(expected[1])
+    else:
+        assert (code, out, err) == (0, expected[1], "")
     assert "Traceback" not in err
 
 
 def test_eval_graded_order_charges_skeleton_entries(tmp_path, capsys):
-    # eight coordinates, each the full tree presented at depth 6
-    p = plain_iter([SINGLE] * 8, [full_tree().deepen(6)] * 8).to_json()
-    start = time.perf_counter()
-    code, out, err = run_eval(tmp_path, "iter_leq_n",
-                              {"q": p, "p": p, "n": 12}, capsys)
-    assert time.perf_counter() - start < 2
-    assert (code, out) == (1, "")
-    assert err.startswith("ResourceError: iter_leq_n would handle 2032 rows "
-                          "in each of 2^12 cells")
+    # eight coordinates, each the full tree presented at depth 6, are
+    # compared once each; cutting coordinate 0 to a cell fails at n = 12
+    deep = plain_iter([SINGLE] * 8, [full_tree().deepen(6)] * 8)
+    for q, answer in ((deep, "true"),
+                      (iter_restrict(deep, (0,)), "false")):
+        start = time.perf_counter()
+        code, out, err = run_eval(tmp_path, "iter_leq_n",
+                                  {"q": q.to_json(), "p": deep.to_json(),
+                                   "n": 12}, capsys)
+        assert time.perf_counter() - start < 2
+        assert (code, out, err) == (0, answer, "")
 
 
 @pytest.mark.parametrize("op, payload, message", [
@@ -805,6 +809,18 @@ def test_dot_long_chain_poset(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     nodes, edges = dot_lines(capsys.readouterr().out)
     assert (len(nodes), len(edges)) == (n, n - 1)
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels(tmp_path, capsys):
+    # unescaped, 'a"b' would close its quoted ID early and 'c\\' would
+    # escape the closing quote
+    path = write_json(tmp_path, {"nodes": ["d0", 'a"b', "c\\"],
+                                 "edges": [["d0", 'a"b'], ["d0", "c\\"]]})
+    assert main(["dot", path, "-"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "digraph degrees {", "  rankdir=BT;",
+        '  "d0";', '  "a\\"b";', '  "c\\\\";',
+        '  "d0" -> "a\\"b";', '  "d0" -> "c\\\\";', "}"]
 
 
 @pytest.mark.parametrize("argv", [["eval", "tower_degrees"], ["dot"]])

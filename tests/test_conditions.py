@@ -16,7 +16,7 @@ from sacksforcing.errors import (
     PreconditionError, ResourceError,
 )
 from sacksforcing.conditions import (
-    COLUMN, MAX_CELL_ROWS, MAX_COMPLEMENT_ROWS, PAIR, PAIRWISE, SINGLE,
+    COLUMN, MAX_COMPLEMENT_ROWS, PAIR, PAIRWISE, SINGLE,
     FixedSchedule, GenericContext, IterCondition, PairCondition,
     ProductCondition, ScSchedule, _guards_compatible, _table_is_partition,
     condition_from_json, full_iter, full_pair, full_tree, is_full_iter,
@@ -570,54 +570,55 @@ def test_graded_orders_refuse_past_the_bound():
             call(10 ** 6)
 
 
+def _answers_within_two_seconds(call):
+    start = time.perf_counter()
+    answer = call()
+    assert time.perf_counter() - start < 2
+    return answer
+
+
 def test_graded_orders_charge_rows_per_cell():
-    # 8 + 8 rows in each of 2^12 cells is exactly the bound
+    # each pair of rows is compared once, so neither the 2^n cells nor a
+    # long sbar costs a loop
     eight = full_iter([SINGLE] * 8)
-    assert 16 << 12 == MAX_CELL_ROWS
-    assert iter_leq_n(eight, eight, 12)
-    with pytest.raises(ResourceError, match="iter_leq_n would handle 16 rows "
-                       "in each of 2\\^13 cells, 131072 in all; the bound "
-                       "is 65536"):
-        iter_leq_n(eight, eight, 13)
+    shrunk = plain_iter([SINGLE] * 8,
+                        [F] * 3 + [F.restrict_cell((0,))] + [F] * 4)
+    for n in (9, 10, 12, 13, 16):
+        assert _answers_within_two_seconds(lambda: iter_leq_n(eight, eight, n))
+        # coordinate 3 gets a nonempty column from n = 10 on
+        assert _answers_within_two_seconds(
+            lambda: iter_leq_n(shrunk, eight, n)) is (n < 10)
     product = ProductCondition({i: eight for i in range(8)})
-    assert prod_leq(product, product, 8, range(8))
-    with pytest.raises(ResourceError, match="prod_leq would handle 136 rows "
-                       "and sbar entries in each of 2\\^9 cells, 69632 in "
-                       "all; the bound is 65536"):
-        prod_leq(product, product, 9, range(8))
-    # every sbar entry is visited in each cell, so a long sbar is charged
+    for n in (8, 9, 16):
+        assert _answers_within_two_seconds(
+            lambda: prod_leq(product, product, n, range(8)))
     one = ProductCondition({0: iter_of(F)})
-    assert prod_leq(one, one, 0, range(MAX_CELL_ROWS - 2))
-    with pytest.raises(ResourceError, match="65538 in all"):
-        prod_leq(one, one, 0, range(MAX_CELL_ROWS))
+    assert _answers_within_two_seconds(
+        lambda: prod_leq(one, one, 0, range(1 << 16)))
 
 
 def test_graded_orders_charge_skeleton_entries():
-    # every cell restricts whole payloads: a depth-6 tree has 127 entries
+    # deep payloads are compared once each, not restricted in every cell
     deep = plain_iter([SINGLE] * 8, [F.deepen(6)] * 8)
-    start = time.perf_counter()
-    with pytest.raises(ResourceError, match="iter_leq_n would handle 2032 "
-                       "rows in each of 2\\^12 cells, 8323072 in all"):
-        iter_leq_n(deep, deep, 12)
-    assert time.perf_counter() - start < 2
-    # a pair counts both its trees: 1 + 2 + 2 + 2 + 1 entries per side
+    cell = iter_restrict(deep, (0,))
+    assert _answers_within_two_seconds(lambda: iter_leq_n(deep, deep, 12))
+    assert iter_leq_n(cell, deep, 0)
+    assert not _answers_within_two_seconds(
+        lambda: iter_leq_n(cell, deep, 12))
     mixed = full_iter([SINGLE, PAIR, PAIR, PAIR, SINGLE])
-    assert iter_leq_n(mixed, mixed, 12)
-    with pytest.raises(ResourceError, match="handle 16 rows in each of "
-                       "2\\^13 cells"):
-        iter_leq_n(mixed, mixed, 13)
+    for n in (12, 13):
+        assert _answers_within_two_seconds(
+            lambda: iter_leq_n(mixed, mixed, n))
     pair = plain_iter([SINGLE, PAIR], [F, PairCondition(F.deepen(1), F)])
-    with pytest.raises(ResourceError, match="handle 10 rows in each of "
-                       "2\\^14 cells"):
+    assert _answers_within_two_seconds(
+        lambda: iter_leq_n(pair, pair, 14, PAIRWISE))
+    with pytest.raises(PreconditionError, match="4 nonempty columns"):
         iter_leq_n(pair, pair, 14)
-    # products charge their coordinates' entries and sbar: 2 * 4 * 8 * 3
-    # entries of depth-1 trees and 4 sbar entries
     eights = plain_iter([SINGLE] * 8, [F.deepen(1)] * 8)
     product = ProductCondition({i: eights for i in range(4)})
-    assert prod_leq(product, product, 8, range(4))
-    with pytest.raises(ResourceError, match="prod_leq would handle 196 rows "
-                       "and sbar entries in each of 2\\^9 cells"):
-        prod_leq(product, product, 9, range(4))
+    for n in (8, 9):
+        assert _answers_within_two_seconds(
+            lambda: prod_leq(product, product, n, range(4)))
 
 
 def test_prod_amalgamate_where_q_lacks_an_sbar_coordinate():
@@ -1145,3 +1146,106 @@ def test_prod_leq_finishes_each_coordinate_before_the_next():
     with pytest.raises(IncompatibleError, match="kind mismatch"):
         prod_leq(q, ProductCondition({0: iter_of(s1), 1: p.coordinate(1)}),
                  1, [0])
+
+
+# -- the graded order of iterations against its definition --------------------
+
+def _iter_leq_n_by_definition(q, p, n, mode):
+    """The graded order as defined: restrict both iterations at every
+    index of length n and compare them."""
+    return all(iter_leq(iter_restrict(q, sigma, mode),
+                        iter_restrict(p, sigma, mode))
+               for sigma in all_bitstrings(n))
+
+
+def _iter_leq_n_outcome(q, p, n, mode):
+    """iter_leq_n's outcome, asserted equal to the definition's, message
+    included; an error outcome is counted by its class."""
+    want = _outcome(lambda: _iter_leq_n_by_definition(q, p, n, mode))
+    assert _outcome(lambda: iter_leq_n(q, p, n, mode)) == want, \
+        (q.to_json(), p.to_json(), n, mode)
+    return want if isinstance(want, bool) else want[0]
+
+
+PAIRS = [PairCondition(a, b) for a, b in product(SMALL, repeat=2)]
+
+
+def _has_guards(cond):
+    return any(guard for table in cond.coords for guard, _ in table)
+
+
+def test_iter_leq_n_matches_its_definition_on_small_iterations():
+    plain = [[iter_of(t) for t in SMALL],
+             [plain_iter([SINGLE, SINGLE], [a, b])
+              for a, b in product(SMALL, repeat=2)],
+             [plain_iter([SINGLE, PAIR], [F, pair]) for pair in PAIRS]]
+    fulls = [full_iter(group[0].kinds) for group in plain]
+    counts = Counter()
+    for mode in (COLUMN, PAIRWISE):
+        # a third of the two-step iterations also come with guarded rows
+        groups = [plain[0]] + [
+            conds + [_conditional(c, mode) for c in conds[::3]]
+            for conds in plain[1:]]
+        assert all(map(_has_guards, groups[1][49:] + groups[2][49:]))
+        for group in groups:
+            for q, p, n in product(group, group, range(4)):
+                counts[_iter_leq_n_outcome(q, p, n, mode)] += 1
+        # against an iteration of other kinds
+        for q, group in product(fulls, groups):
+            for p, n in product(group, range(4)):
+                if q.kinds != p.kinds:
+                    counts[_iter_leq_n_outcome(q, p, n, mode)] += 1
+    assert counts == {True: 5278, False: 64565, IncompatibleError: 1494,
+                      PreconditionError: 975}
+
+
+def _random_guarded(rng, kinds, mode):
+    """A plain iteration of these kinds over SMALL, amalgamated with finer
+    conditions until some later coordinate carries guards."""
+    p = plain_iter(kinds, [rng.choice(SMALL if kind == SINGLE else PAIRS)
+                           for kind in kinds])
+    top = 3 if mode == PAIRWISE else max(m for m in range(6)
+                                         if width(m) <= len(kinds))
+    while not _has_guards(p) or rng.randrange(3) == 0:
+        size = rng.randint(1, top - 1)
+        sigma = tuple(rng.randrange(2) for _ in range(size))
+        ext = tuple(rng.randrange(2) for _ in range(rng.randint(1, top - size)))
+        cell = iter_restrict(p, sigma + ext, mode)
+        if rng.randrange(2):
+            cell = _shrink(cell, rng.randrange(2))
+        try:
+            p = iter_amalgamate(p, sigma, cell, mode)
+        except AmalgamationError:
+            pass
+    return p
+
+
+def test_iter_leq_n_matches_its_definition_on_guarded_iterations():
+    kinds_pool = [(SINGLE,) + rest for k in (1, 2)
+                  for rest in product((SINGLE, PAIR), repeat=k)]
+    rng = random.Random(2026)
+    counts = Counter()
+    for _ in range(3000):
+        kinds = rng.choice(kinds_pool)
+        mode = PAIRWISE if len(kinds) == 2 and rng.randrange(2) else COLUMN
+        p = _random_guarded(rng, kinds, mode)
+        pick = rng.randrange(6)
+        if pick == 0:
+            q = _random_guarded(rng, kinds, mode)
+        elif pick == 1:
+            q = _shrink(p, rng.randrange(2))
+        elif pick == 2:
+            q = _random_guarded(rng, rng.choice(kinds_pool), COLUMN)
+        else:
+            size = rng.randint(0, 4 if mode == PAIRWISE else 2 * len(kinds))
+            sigma = tuple(rng.randrange(2) for _ in range(size))
+            q = _outcome(lambda: iter_restrict(p, sigma, mode))
+            if not isinstance(q, IterCondition):
+                q = p
+            elif pick > 3:
+                q = iter_amalgamate(p, sigma, _shrink(q, rng.randrange(2)),
+                                    mode)
+        n = rng.randrange(5)
+        counts[_iter_leq_n_outcome(q, p, n, mode)] += 1
+    assert min(counts[True], counts[False]) >= 500
+    assert counts[IncompatibleError] and counts[PreconditionError]

@@ -2,9 +2,11 @@
 failing branches of the suites are reached by seeding one fault with
 monkeypatch and reading the property's result."""
 
-from sacksforcing import suites
+from sacksforcing import conditions, suites
+from sacksforcing.conditions import PAIR, PairCondition
 from sacksforcing.suites import (
-    DEFAULT_SEED, TREE_DEPTH, PropertyResult, _expect_raises, run_tree,
+    DEFAULT_SEED, TREE_DEPTH, PropertyResult, _expect_raises, run_conditions,
+    run_tree,
 )
 from sacksforcing.trees import SkeletonTree, amalgamate, enumerate_trees
 
@@ -58,3 +60,17 @@ def test_tree_suite_fails_when_amalgamation_moves_another_cell(monkeypatch):
     # only the two grafts per tree at the root index pass
     assert glue.failed == glue.cases - 2 * len(enumerate_trees(TREE_DEPTH, 2))
     assert glue.samples[0] == "sigma=0"
+
+
+def test_conditions_suite_fails_when_pair_halves_swap_levels(monkeypatch):
+    # the left trees of a pair take the floor of an odd level, not the
+    # ceiling: only a pair coordinate whose address has odd length shows it
+    pair = conditions._PAYLOADS[PAIR]
+    monkeypatch.setitem(conditions._PAYLOADS, PAIR, pair._replace(
+        leq=lambda q, p, n: pair.leq(PairCondition(q.right, q.left),
+                                     PairCondition(p.right, p.left), n)))
+    graded = _by_name(run_conditions(DEFAULT_SEED))[
+        "iteration graded order agrees with its cellwise definition"]
+    assert 0 < graded.failed < graded.cases
+    assert all(sample.startswith("('single', 'pair")
+               for sample in graded.samples)
