@@ -29,22 +29,22 @@ schedule.recipe(context).  What a coordinate does with its payload
 is looked up by kind in one table, _PAYLOADS.
 
 Each public operation checks its arguments once, at the top: sigma, the
-mode and sbar, and, before anything is grafted, that q extends the
-restriction of p.  It then works through private twins that trust their
-input: _iter_restrict, _iter_graft and the payload grafts _graft and
-_pair_graft.  The grafts check only the resource bounds (complement rows
-and skeleton entries), which hold on every path; _iter_restrict checks
-nothing.  The graded orders check one index of length n for all 2^n
-and restrict nothing: iter_leq, iter_leq_n and prod_leq share one loop
-that compares pairs of rows at the lengths of their addresses.
+mode and sbar.  It then works through private twins that trust their
+input.  Amalgamation restricts nothing: _iter_graft walks the pairs of
+rows a graft joins, checks each in place, q's payload against the cell
+of p's, and only then counts complement rows and builds, the payload
+grafts _graft and _pair_graft checking the skeleton bound; a product
+checks every coordinate before it grafts any.  The graded orders check
+one index of length n for all 2^n and restrict nothing: iter_leq,
+iter_leq_n and prod_leq share one loop that compares pairs of rows at
+the lengths of their addresses.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .bitseq import (_column, bits, bits_str, check_bits, pair_split,
@@ -53,8 +53,8 @@ from .errors import (AmalgamationError, IncompatibleError, InputError,
                      PreconditionError, ResourceError, check_natural,
                      json_choice, json_fields, json_int, json_int_keys,
                      json_list)
-from .trees import (SkeletonTree, _check_cells, _graft, _is_prefix,
-                    _strings, amalgamate, full_tree, leq_n, subtree_leq)
+from .trees import (SkeletonTree, _cell_leq, _check_cells, _graft,
+                    _is_prefix, _strings, full_tree, leq_n, subtree_leq)
 
 SINGLE = "single"
 PAIR = "pair"
@@ -104,17 +104,15 @@ def pair_leq(q: PairCondition, p: PairCondition) -> bool:
 
 
 def pair_amalgamate(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
-    """Amalgamate each half; amalgamate checks that q extends p there."""
-    left_addr, right_addr = split_pair(sigma)
-    return PairCondition(amalgamate(p.left, left_addr, q.left),
-                         amalgamate(p.right, right_addr, q.right))
+    """Amalgamate each half, checking that q extends p there."""
+    return _pair_graft(p, check_bits(sigma), q, check=True)
 
 
-def _pair_graft(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
-    """pair_amalgamate for a bit tuple sigma and a q known to extend the
-    sigma cell of p: only the skeleton bound is checked."""
-    return PairCondition(_graft(p.left, sigma[0::2], q.left),
-                         _graft(p.right, sigma[1::2], q.right))
+def _pair_graft(p: PairCondition, sigma, q: PairCondition, check=False):
+    """pair_amalgamate for a bit tuple sigma; unless check is set, q must
+    extend the sigma cell of p, and only the skeleton bound is checked."""
+    return PairCondition(_graft(p.left, sigma[0::2], q.left, check),
+                         _graft(p.right, sigma[1::2], q.right, check))
 
 
 def _pair_contains(p: PairCondition, node) -> bool:
@@ -124,14 +122,18 @@ def _pair_contains(p: PairCondition, node) -> bool:
 
 # what the condition layer does with a coordinate's payload, by its kind;
 # leq is the graded order at a level n, where a pair's left trees take
-# n - n//2 bits of the index and its right trees n//2
-_Payload = namedtuple("_Payload", "type full contains restrict leq graft")
+# n - n//2 bits of the index and its right trees n//2, and cell_leq the
+# order into the cell at an index, by default the root: the plain order
+_Payload = namedtuple("_Payload", "type full contains restrict leq cell_leq "
+                                  "graft")
 _PAYLOADS = {
     SINGLE: _Payload(SkeletonTree, full_tree(), SkeletonTree._contains,
-                     SkeletonTree._restrict_cell, leq_n, _graft),
+                     SkeletonTree._restrict_cell, leq_n, _cell_leq, _graft),
     PAIR: _Payload(PairCondition, full_pair(), _pair_contains, pair_restrict,
                    lambda q, p, n: leq_n(q.left, p.left, n - n // 2)
-                   and leq_n(q.right, p.right, n // 2), _pair_graft),
+                   and leq_n(q.right, p.right, n // 2),
+                   lambda q, p, s=(): _cell_leq(q.left, p.left, s[0::2])
+                   and _cell_leq(q.right, p.right, s[1::2]), _pair_graft),
 }
 
 
@@ -311,13 +313,8 @@ def _complement_guards(guard):
     """Pairwise-incompatible guards jointly covering the complement of
     ``guard``, by first point of difference."""
     items = sorted(guard.items())
-    out = []
-    for i, (k, addr) in enumerate(items):
-        prefix = dict(items[:i])
-        for other in _strings(len(addr)):
-            if other != addr:
-                out.append({**prefix, k: other})
-    return out
+    return [{**dict(items[:i]), k: other} for i, (k, addr) in enumerate(items)
+            for other in _strings(len(addr)) if other != addr]
 
 
 def _table_is_partition(rows, beta):
@@ -497,32 +494,30 @@ def _iter_restrict(p: IterCondition, addrs) -> IterCondition:
         rows = []
         for guard, payload in table:
             residual = {}
-            dead = False
             for k, b in guard.items():
                 a = addrs[k]
-                if _is_prefix(b, a):
-                    continue
-                if _is_prefix(a, b):
+                if not _is_prefix(b, a):
+                    if not _is_prefix(a, b):
+                        break  # the row dies
                     residual[k] = b[len(a):]
-                else:
-                    dead = True
-                    break
-            if not dead:
+            else:
                 rows.append((residual, restrict(payload, addrs[m])))
         new_coords.append(rows)
     return IterCondition._trusted(p.kinds, new_coords)
 
 
-def _graded_leq(q: IterCondition, p: IterCondition, levels) -> bool:
+def _graded_leq(q: IterCondition, p: IterCondition, levels=()) -> bool:
     """Wherever two rows of a coordinate m can both apply, q's payload
-    extends p's in the kind's graded order at level levels[m]."""
+    extends p's in the kind's graded order at level levels[m] or 0."""
     if q.kinds != p.kinds:
         raise IncompatibleError(f"kind mismatch: {q.kinds} vs {p.kinds}")
-    for kind, level, qs, ps in zip(p.kinds, levels, q.coords, p.coords):
-        leq = _PAYLOADS[kind].leq
-        for gq, pay_q in qs:
-            for gp, pay_p in ps:
-                if _guards_compatible(gq, gp) and not leq(pay_q, pay_p, level):
+    for m, kind in enumerate(p.kinds):
+        leq = _PAYLOADS[kind].cell_leq
+        if levels and levels[m]:
+            leq = partial(_PAYLOADS[kind].leq, n=levels[m])
+        for gq, pay_q in q.coords[m]:
+            for gp, pay_p in p.coords[m]:
+                if _guards_compatible(gq, gp) and not leq(pay_q, pay_p):
                     return False
     return True
 
@@ -530,7 +525,7 @@ def _graded_leq(q: IterCondition, p: IterCondition, levels) -> bool:
 def iter_leq(q: IterCondition, p: IterCondition) -> bool:
     """Extension order, evaluated per shared guard refinement: wherever
     two rows can both apply, q's payload must extend p's."""
-    return _graded_leq(q, p, repeat(0))
+    return _graded_leq(q, p)
 
 
 def iter_equal(q: IterCondition, p: IterCondition) -> bool:
@@ -552,7 +547,7 @@ def iter_leq_n(q: IterCondition, p: IterCondition, n: int, mode=COLUMN) -> bool:
     _check_cells("iter_leq_n", n)
     first = (0,) * n
     _addresses(first, mode, q.length)
-    return _graded_leq(q, p, map(len, _addresses(first, mode, p.length)))
+    return _graded_leq(q, p, [*map(len, _addresses(first, mode, p.length))])
 
 
 def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
@@ -566,64 +561,68 @@ def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
     gives p's restriction.
     """
     addrs = _addresses(sigma, mode, p.length)
-    if not iter_leq(q, _iter_restrict(p, addrs)):
+    build = _iter_graft(p, addrs, q, check=True)
+    if build is None:
         raise AmalgamationError("q does not extend the sigma cell of p")
-    return _iter_graft(p, addrs, q)
+    return build()
 
 
-def _iter_graft(p: IterCondition, addrs, q: IterCondition) -> IterCondition:
-    """iter_amalgamate with coordinate k's address at addrs[k], for a q of
-    p's kinds that extends _iter_restrict(p, addrs).  Only the
-    complement-row and skeleton bounds are checked."""
-    # Why iter_leq(q, _iter_restrict(p, addrs)) implies the precondition
-    # of every payload graft below.  A graft joins a row (guard, payload)
-    # of p that is compatible with sguard to a row (gq, pay_q) of q whose
-    # lifted guard is compatible with meet(guard, sguard); it needs pay_q
-    # to extend the addrs[m] cell of payload (for a pair, each half's
-    # cell), which is what the kind's leq asks of pay_q against the
-    # kind's restrict of payload.  A row of p outlives _iter_restrict
-    # exactly when its guard is compatible with sguard, since an empty
-    # a_k = addrs[k] is comparable with every address.  iter_leq then
-    # compares pay_q with the restricted payload exactly when gq is
-    # compatible with the row's residual guard.  Key by key, with
-    # c = gq[k]:
-    # - an entry of guard that a_k extends drops out of the residual, and
-    #   meet(guard, sguard) holds a_k there, which a_k + c extends;
-    # - an entry a_k + r with r nonempty stays as r, the meet holds
-    #   a_k + r, and a_k + c meets a_k + r exactly when c meets r;
-    # - a key of gq that guard lacks is unconstrained on both sides: the
-    #   meet holds a_k there, or nothing when a_k is empty.
-    # So the pairs grafted are exactly the pairs compared.
-
+def _iter_graft(p: IterCondition, addrs, q: IterCondition, check):
+    """Walk the pairs of rows that grafting q onto the cell of p at the
+    coordinate addresses addrs joins; answer the function that bounds the
+    complement rows and builds.  The check shares the walk: with it, the
+    answer is None exactly when not iter_leq(q, _iter_restrict(p, addrs))."""
+    if check and q.kinds != p.kinds:
+        raise IncompatibleError(f"kind mismatch: {q.kinds} vs {p.kinds}")
     # coordinate m's rows meet 2^|addr_k| - 1 complement guards per k < m
-    count = guards = 0
-    for table, addr in zip(p.coords, addrs):
+    plan, count, guards = [], 0, 0
+    for m, table in enumerate(p.coords):
+        addr, cell_leq = addrs[m], _PAYLOADS[p.kinds[m]].cell_leq
+        sguard = {k: addrs[k] for k in range(m) if addrs[k]}
         count += len(table) * guards
         guards += (1 << len(addr)) - 1
-    if count > MAX_COMPLEMENT_ROWS:
-        raise ResourceError(
-            f"iter_amalgamate would build {count} complement rows; the "
-            f"bound is {MAX_COMPLEMENT_ROWS}")
-    new_coords = []
-    for m, table in enumerate(p.coords):
-        graft = _PAYLOADS[p.kinds[m]].graft
-        sguard = {k: addrs[k] for k in range(m) if addrs[k]}
         rows = []
         for guard, payload in table:
-            if not _guards_compatible(guard, sguard):
-                rows.append((guard, payload))
+            if guard and not _guards_compatible(guard, sguard):
+                rows.append((guard, payload, None))
                 continue
-            inside = _guard_meet(guard, sguard)
+            inside = _guard_meet(guard, sguard) if guard else sguard
+            pairs = []
             for gq, pay_q in q.coords[m]:
-                lifted = {k: addrs[k] + b for k, b in gq.items()}
-                if _guards_compatible(inside, lifted):
-                    rows.append((_guard_meet(inside, lifted),
-                                 graft(payload, addrs[m], pay_q)))
-            for comp in _complement_guards(sguard):
-                if _guards_compatible(guard, comp):
-                    rows.append((_guard_meet(guard, comp), payload))
-        new_coords.append(rows)
-    return IterCondition._trusted(p.kinds, new_coords)
+                if gq:  # q's guards address cells of the sigma cell
+                    gq = {k: addrs[k] + b for k, b in gq.items()}
+                    if not _guards_compatible(inside, gq):
+                        continue
+                if check and not cell_leq(pay_q, payload, addr):
+                    return None
+                pairs.append((_guard_meet(inside, gq) if gq else inside, pay_q))
+            rows.append((guard, payload, pairs))
+        plan.append((sguard, rows))
+
+    def build():
+        if count > MAX_COMPLEMENT_ROWS:
+            raise ResourceError(
+                f"iter_amalgamate would build {count} complement rows; the "
+                f"bound is {MAX_COMPLEMENT_ROWS}")
+        coords = []
+        for m, (sguard, planned) in enumerate(plan):
+            graft = _PAYLOADS[p.kinds[m]].graft
+            comps = _complement_guards(sguard) if sguard else ()
+            rows = []
+            for guard, payload, pairs in planned:
+                if pairs is None:
+                    rows.append((guard, payload))
+                    continue
+                for g, pay_q in pairs:
+                    rows.append((g, graft(payload, addrs[m], pay_q)))
+                for comp in comps:
+                    if not guard:
+                        rows.append((comp, payload))
+                    elif _guards_compatible(guard, comp):
+                        rows.append((_guard_meet(guard, comp), payload))
+            coords.append(rows)
+        return IterCondition._trusted(p.kinds, coords)
+    return build
 
 
 # -- product conditions --------------------------------------------------------
@@ -649,10 +648,6 @@ def index_from_json(v, name="index"):
     return v
 
 
-def _sorted_indices(indices):
-    return tuple(sorted(indices, key=_index_sort_key))
-
-
 class ProductCondition:
     """Finite-support product of iteration conditions, indexed by opaque
     ordered labels."""
@@ -668,7 +663,7 @@ class ProductCondition:
 
     @property
     def support(self):
-        return _sorted_indices(self._coords)
+        return tuple(sorted(self._coords, key=_index_sort_key))
 
     @property
     def coords(self):
@@ -741,19 +736,14 @@ def _shares(sigma, sbar, *prods):
             for i, addr in zip(sbar, cols) if i in lengths]
 
 
-def _prod_restrict(p: ProductCondition, shares) -> ProductCondition:
-    """prod_restrict with _shares' addresses; checks nothing."""
-    coords = p.coords
-    for i, addrs in shares:
-        if any(addrs):  # an empty column leaves its coordinate as it is
-            coords[i] = _iter_restrict(coords[i], addrs)
-    return ProductCondition(coords)
-
-
 def prod_restrict(p: ProductCondition, sigma, sbar) -> ProductCondition:
     """Distribute the columns of sigma over the coordinates listed in
     sbar; everything else is untouched."""
-    return _prod_restrict(p, _shares(sigma, _sbar(sbar), p))
+    coords = p.coords
+    for i, addrs in _shares(sigma, _sbar(sbar), p):
+        if any(addrs):  # an empty column leaves its coordinate as it is
+            coords[i] = _iter_restrict(coords[i], addrs)
+    return ProductCondition(coords)
 
 
 def prod_extends(q: ProductCondition, p: ProductCondition) -> bool:
@@ -778,9 +768,9 @@ def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     the column's addresses; one index's checks stand for all 2^n."""
     sbar = _sbar_list(sbar)
     _check_cells("prod_leq", n)
-    levels = {i: map(len, addrs)
+    levels = {i: [len(a) for a in addrs]
               for i, addrs in _shares((0,) * n, _sbar(sbar), q, p)}
-    return all(_graded_leq(q._coords[i], cond, levels.get(i, repeat(0)))
+    return all(_graded_leq(q._coords[i], cond, levels.get(i, ()))
                if i in q._coords else is_full_iter(cond)
                for i, cond in p._coords.items())
 
@@ -790,20 +780,21 @@ def prod_amalgamate(p: ProductCondition, sigma, sbar,
     """Coordinatewise amalgamation along sbar; off sbar the result simply
     takes q's coordinates.
 
-    On each sbar coordinate that q holds, the one extension check is
-    iter_amalgamate's, so every coordinate is grafted unchecked.  One that
-    q lacks grafts p's own restriction there, which extends itself: the
-    guards of one table are pairwise incompatible, so iter_leq compares
-    each row only with itself."""
-    shares = _shares(sigma, _sbar(sbar), p)
-    cell = _prod_restrict(p, shares)
-    if not prod_extends(q, cell):
-        raise AmalgamationError("q does not extend the restriction of p")
-    coords = q.coords
-    for i, addrs in shares:
-        qi = coords[i] if i in coords else cell._coords[i]
-        coords[i] = _iter_graft(p._coords[i], addrs, qi)
-    return ProductCondition(coords)
+    Every coordinate of p is checked, in p's order, before any is
+    grafted.  One that q lacks is the weakest condition: p's restriction
+    there must be full, and is grafted."""
+    addrs, builds = dict(_shares(sigma, _sbar(sbar), p)), {}
+    for i, cond in p._coords.items():
+        qi = q._coords.get(i)
+        if i not in addrs:
+            ok = is_full_iter(cond) if qi is None else iter_leq(qi, cond)
+        else:
+            cell = _iter_restrict(cond, addrs[i]) if qi is None else qi
+            builds[i] = _iter_graft(cond, addrs[i], cell, qi is not None)
+            ok = builds[i] and (qi is not None or is_full_iter(cell))
+        if not ok:
+            raise AmalgamationError("q does not extend the restriction of p")
+    return ProductCondition({**q._coords, **{i: builds[i]() for i in addrs}})
 
 
 def condition_from_json(data, name="condition"):

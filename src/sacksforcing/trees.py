@@ -24,9 +24,10 @@ are valid by construction and come from the private ``_trusted``
 constructor, which checks nothing.  Public methods check their bit-string
 arguments once and hand them to unchecked private twins (``_rt``,
 ``_restrict_cell``, ``_contains``, ``_graft``) that internal callers use
-directly.  ``_graft``, amalgamate's twin, skips only the comparison of
-the graft with its cell: the MAX_SKELETON_ENTRIES bound holds on every
-path.
+directly.  ``_graft``, amalgamate's twin, overwrites the cell's entries
+in a deepened copy of the tree's skeleton; it can skip the comparison of
+the graft with its cell, but the MAX_SKELETON_ENTRIES bound holds on
+every path.
 Trees are immutable, so each caches its canonical form the first time
 it is asked for, and ``==`` and ``hash`` reuse it.
 
@@ -34,11 +35,10 @@ Two queries walk the skeleton instead of listing the frontier.
 ``contains`` follows the node down the skeleton, taking at each splitting
 entry the branch the node's next bit dictates, so it costs O(depth)
 steps rather than a scan of all 2^depth frontier entries.
-``subtree_leq`` walks both skeletons together: the s-cell of sub lies in
-the t-cell of sup exactly when rt_sup(t) is a prefix of rt_sub(s) and,
-below sup's stored depth, the matching child cells are contained in turn;
-every step goes one level down sup's skeleton, so the cost is bounded by
-sup's skeleton and not by the length of its entries.
+``_cell_leq`` and ``subtree_leq``, its root cell, walk sub's skeleton
+together with sup's from the cell down, building no cell; each step goes
+one level down sup's skeleton, so the cost is bounded by sup's skeleton
+and not by the length of its entries.
 """
 
 from __future__ import annotations
@@ -87,12 +87,14 @@ def _upto(n: int):
     return out
 
 
-def _check_cells(op, n, work="compare 2^{} pairs of restrictions"):
-    """Before a level-n query loops over its 2^n cells, refuse an n that
-    is not a natural or is past amalgamate's skeleton-entry bound."""
+def _check_cells(op, n, work=None):
+    """Refuse a level n that is not a natural or is past _MAX_LEVEL; work
+    says what a query that loops over the 2^n cells would do there."""
     if check_natural(n, "level n") > _MAX_LEVEL:
-        raise ResourceError(f"{op} would {work.format(n)}; the bound is "
-                            f"{MAX_SKELETON_ENTRIES}")
+        raise ResourceError(
+            f"{op} refuses level {n}, past the cap of {_MAX_LEVEL}"
+            if work is None else f"{op} would {work.format(n)}; the bound "
+            f"is {MAX_SKELETON_ENTRIES}")
 
 
 def all_bitstrings(n: int):
@@ -129,14 +131,14 @@ class SkeletonTree:
             if sigma and not _is_prefix(skel[sigma[:-1]] + sigma[-1:], skel[sigma]):
                 raise PreconditionError(
                     f"entry at {sigma} does not extend its parent entry")
-        self._fill(depth, skel)
+        self._fill(depth, {s: skel[s] for s in _upto(depth)})  # shortest first
 
     @classmethod
     def _trusted(cls, depth: int, skel) -> "SkeletonTree":
         """A tree from a skeleton that is valid by construction: a dict of
-        bit tuples with every index of length <= depth, each entry
-        extending its parent entry plus the last index bit.  Nothing is
-        checked, and the dict is taken over, not copied."""
+        bit tuples with every index of length <= depth, shortest first,
+        each entry extending its parent entry plus the last index bit.
+        Nothing is checked, and the dict is taken over, not copied."""
         tree = object.__new__(cls)
         tree._fill(depth, skel)
         return tree
@@ -318,18 +320,25 @@ def full_tree() -> SkeletonTree:
 
 
 def subtree_leq(sub: SkeletonTree, sup: SkeletonTree) -> bool:
-    """Whether sub is a subtree (i.e. a subset of nodes) of sup.
+    """Whether sub is a subtree (i.e. a subset of nodes) of sup."""
+    return _cell_leq(sub, sup)
+
+
+def _cell_leq(sub: SkeletonTree, sup: SkeletonTree, sigma: Bits = ()) -> bool:
+    """Whether sub is a subtree of sup's sigma-cell, read in place.
 
     Walk both skeletons from the roots, asking whether the s-cell of sub
-    lies in the t-cell of sup.  With a = rt_sub(s) and b = rt_sup(t):
-    unless b is a prefix of a, some node of the s-cell (a itself, or a
-    branch leaving a below b) is outside the t-cell.  Otherwise, at or
-    past sup's stored depth the t-cell is full above b and holds the
-    whole s-cell; before it, if a == b both cells split there and the two
-    child cells must match up, and if a goes past b the s-cell runs into
-    the one child of t that a's next bit names.
+    lies in the sigma + t cell of sup.  With a = rt_sub(s) and b =
+    rt_sup(sigma + t): unless b is a prefix of a, some node of the s-cell
+    (a itself, or a branch leaving a below b) is outside the cell.
+    Otherwise, at or past sup's stored depth the cell is full above b and
+    holds the whole s-cell; before it, if a == b both cells split there
+    and the two child cells must match up, and if a goes past b the
+    s-cell runs into the one child cell that a's next bit names.
     """
-    stack = [((), ())]
+    if len(sigma) >= sup.depth:
+        return _is_prefix(sup._rt(sigma), sub._skel[()])
+    stack = [((), sigma)]
     while stack:
         s, t = stack.pop()
         a, b = sub._rt(s), sup._skel[t]
@@ -351,19 +360,22 @@ def leq_n(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:
     Past both stored depths level m + 1 is {e + (i,) : e in level m}, so
     levels that agree at the larger depth agree at every later one and
     only the levels below min(n, larger depth + 1) are compared.
+
+    Listed by index, a level is strictly increasing in lexicographic
+    order (indices first differing at bit i name nodes past rt(their
+    common prefix) + (0,) and + (1,)), so two levels are equal as sets
+    exactly when they agree index by index.
     """
-    if check_natural(n, "level n") == 0:
-        return subtree_leq(sub, sup)
-    top = min(n, max(sub.depth, sup.depth) + 1)
+    top = min(check_natural(n, "level n"), max(sub.depth, sup.depth) + 1)
     return subtree_leq(sub, sup) and all(
-        sub.splitting_level(m) == sup.splitting_level(m) for m in range(top))
+        sub._rt(s) == sup._rt(s) for m in range(top) for s in _strings(m))
 
 
 def leq_n_cellwise(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:
     """Equivalent formulation of leq_n: cellwise subtree containment at
     every index of length n.  Kept separate so the two can be checked
     against each other."""
-    _check_cells("leq_n_cellwise", n)
+    _check_cells("leq_n_cellwise", n, "compare 2^{} pairs of restrictions")
     return all(
         subtree_leq(sub._restrict_cell(sigma), sup._restrict_cell(sigma))
         for sigma in _strings(n))
@@ -389,19 +401,16 @@ def _graft(tree: SkeletonTree, sigma: Bits, graft: SkeletonTree,
     bound is checked; it comes first either way."""
     n = len(sigma)
     depth = n + max(graft.depth, max(tree.depth, n) - n)
-    if 2 ** (depth + 1) - 1 > MAX_SKELETON_ENTRIES:
+    if depth >= _MAX_LEVEL:  # 2^(depth + 1) - 1 > MAX_SKELETON_ENTRIES
         raise ResourceError(
             f"amalgamate would build 2^{depth + 1} - 1 skeleton entries; "
             f"the bound is {MAX_SKELETON_ENTRIES}")
-    if check and not subtree_leq(graft, tree._restrict_cell(sigma)):
+    if check and not _cell_leq(graft, tree, sigma):
         raise AmalgamationError(
             f"graft is not a subtree of the {bits_str(sigma) or 'root'} cell")
-    skel = {}
-    for rho in _upto(depth):
-        if len(rho) >= n and rho[:n] == sigma:
-            skel[rho] = graft._rt(rho[n:])
-        else:
-            skel[rho] = tree._rt(rho)
+    skel = dict(tree.deepen(depth)._skel)
+    for rho in _upto(depth - n):
+        skel[sigma + rho] = graft._rt(rho)
     return SkeletonTree._trusted(depth, skel)
 
 

@@ -560,14 +560,17 @@ def test_full_iter_recognition():
 
 
 def test_graded_orders_refuse_past_the_bound():
-    # 2^16 pairs of restrictions is the most the graded orders compare
+    # the graded orders answer levels up to 16 and refuse every later one
+    assert iter_leq_n(P2, P2, 16, PAIRWISE)
     product = ProductCondition({0: iter_of(F)})
-    for call in (lambda n: iter_leq_n(P2, P2, n, PAIRWISE),
-                 lambda n: prod_leq(product, product, n, [0])):
-        with pytest.raises(ResourceError, match="2\\^17 pairs.*65536"):
-            call(17)
-        with pytest.raises(ResourceError, match="2\\^1000000 pairs"):
-            call(10 ** 6)
+    for op, call in (("iter_leq_n", lambda n: iter_leq_n(P2, P2, n, PAIRWISE)),
+                     ("prod_leq", lambda n: prod_leq(product, product, n,
+                                                     [0]))):
+        for n in (17, 10 ** 6):
+            with pytest.raises(ResourceError) as e:
+                call(n)
+            assert str(e.value) == \
+                f"{op} refuses level {n}, past the cap of 16"
 
 
 def _answers_within_two_seconds(call):
@@ -881,12 +884,15 @@ def _conditional(p, mode):
     return iter_amalgamate(p, deep, iter_restrict(p, deep + (1,), mode), mode)
 
 
-def _shrink(cond, b):
+def _shrink(cond, b, right=False):
     """cond with every payload cut down to the b side of its first
-    splitting node, guards kept: an extension of cond in the frame of
-    addresses its guards are written in."""
+    splitting node (a pair's left tree, or its right one), guards kept:
+    an extension of cond in the frame of addresses its guards are written
+    in."""
     def cut(pay):
         if isinstance(pay, PairCondition):
+            if right:
+                return PairCondition(pay.left, pay.right.restrict_cell((b,)))
             return PairCondition(pay.left.restrict_cell((b,)), pay.right)
         return pay.restrict_cell((b,))
     return IterCondition(FixedSchedule(cond.kinds), [
@@ -1249,3 +1255,118 @@ def test_iter_leq_n_matches_its_definition_on_guarded_iterations():
         counts[_iter_leq_n_outcome(q, p, n, mode)] += 1
     assert min(counts[True], counts[False]) >= 500
     assert counts[IncompatibleError] and counts[PreconditionError]
+
+
+# -- amalgamation checks its precondition in place ----------------------------
+
+def _random_bits(rng, size):
+    return tuple(rng.randrange(2) for _ in range(size))
+
+
+def _amalgamation_case(rng, kinds_pool):
+    """p, sigma, q and mode for iter_amalgamate: p plain or conditional,
+    q a restriction of p at sigma, at another index, at sigma with one
+    bit flipped or deeper, cut down on either half, or an iteration of
+    its own."""
+    kinds = rng.choice(kinds_pool)
+    mode = PAIRWISE if len(kinds) == 2 and rng.randrange(2) else COLUMN
+    if rng.randrange(2):
+        p = _random_guarded(rng, kinds, mode)
+    else:
+        p = plain_iter(kinds, [rng.choice(SMALL if kind == SINGLE else PAIRS)
+                               for kind in kinds])
+    # a long enough index has more columns than two coordinates take
+    size = rng.randint(0, 4 if mode == PAIRWISE else 2 * len(kinds) + 2)
+    sigma = _random_bits(rng, size)
+    pick = rng.randrange(7)
+    if pick == 5:
+        q = _random_guarded(rng, kinds, mode)
+    elif pick == 6:
+        q = _random_guarded(rng, rng.choice(kinds_pool), COLUMN)
+    else:
+        # one flipped bit leaves the cell in one coordinate's address,
+        # on one half of a pair
+        flip = rng.randrange(size) if size else 0
+        tau = (sigma if pick < 2 else _random_bits(rng, size) if pick == 2
+               else sigma[:flip] + (1 - sigma[flip],) + sigma[flip + 1:]
+               if pick == 3 and size
+               else sigma + _random_bits(rng, rng.randint(1, 2)))
+        q = _outcome(lambda: iter_restrict(p, tau, mode))
+        if not isinstance(q, IterCondition):
+            q = p
+        elif pick:
+            q = _shrink(q, rng.randrange(2), rng.randrange(2))
+    return p, sigma, q, mode
+
+
+def test_iter_amalgamate_refuses_exactly_off_its_precondition():
+    # iter_amalgamate checks each grafted pair of rows in place, and no
+    # restriction of p is built; it must refuse exactly the q that do not
+    # extend that restriction, with the restriction's own errors first
+    kinds_pool = [(SINGLE,) + rest for k in (1, 2)
+                  for rest in product((SINGLE, PAIR), repeat=k)]
+    rng = random.Random(2410)
+    counts = Counter()
+    for _ in range(3000):
+        p, sigma, q, mode = _amalgamation_case(rng, kinds_pool)
+        want = _outcome(lambda: iter_leq(q, iter_restrict(p, sigma, mode)))
+        got = _outcome(lambda: iter_amalgamate(p, sigma, q, mode))
+        case = (p.to_json(), sigma, q.to_json(), mode)
+        if want is True:
+            r = got
+            assert isinstance(r, IterCondition), case
+            assert _is_partition(r)
+            assert iter_equal(iter_restrict(r, sigma, mode), q), case
+            # a cell that leaves sigma's at coordinate 0 is p's; one that
+            # leaves it later holds q's payloads on a frame of guards that
+            # those payloads need not keep, so no law speaks of it
+            for tau in all_bitstrings(len(sigma)):
+                if tau[0::2] != sigma[0::2] if mode == PAIRWISE else \
+                        column(tau, 0) != column(sigma, 0):
+                    assert iter_equal(iter_restrict(r, tau, mode),
+                                      iter_restrict(p, tau, mode)), case
+            assert iter_leq_n(r, p, len(sigma), mode), case
+        elif want is False:
+            assert got == (AmalgamationError,
+                           "q does not extend the sigma cell of p"), case
+        else:
+            assert got == want, case
+        kind = PAIR if PAIR in p.kinds else SINGLE
+        counts[kind, want if isinstance(want, bool) else want[0]] += 1
+    for kind in (SINGLE, PAIR):
+        assert min(counts[kind, True], counts[kind, False]) >= 200, counts
+        assert counts[kind, IncompatibleError], counts
+    assert counts[SINGLE, PreconditionError], counts
+
+
+def test_amalgamation_refuses_a_bad_q_before_counting_rows():
+    # q misses the sigma cell, and the amalgam would need 8191 complement
+    # rows: the refusal comes first
+    p = full_iter([SINGLE, SINGLE])
+    sigma = (0,) * 26
+    q = iter_restrict(p, (1,) + sigma[1:], PAIRWISE)
+    with pytest.raises(AmalgamationError,
+                       match="q does not extend the sigma cell of p"):
+        iter_amalgamate(p, sigma, q, PAIRWISE)
+    with pytest.raises(ResourceError, match="8191 complement rows"):
+        iter_amalgamate(p, sigma, iter_restrict(p, sigma, PAIRWISE),
+                        PAIRWISE)
+
+
+def test_prod_amalgamate_checks_every_coordinate_before_grafting():
+    # coordinate 0's graft passes the skeleton bound, coordinate 1's q
+    # misses the cell or has other kinds: the refusal is coordinate 1's
+    deep = F.restrict_cell(bits("0")).deepen(16)
+    p0 = plain_iter([SINGLE, SINGLE], [F, F])
+    q0 = plain_iter([SINGLE, SINGLE], [deep, F])
+    p = ProductCondition({0: p0, 1: iter_of(TP)})
+    for q1, error, message in (
+            (iter_of(T1), AmalgamationError,
+             "q does not extend the restriction of p"),
+            (full_iter([SINGLE, PAIR]), IncompatibleError, "kind mismatch")):
+        q = ProductCondition({0: q0, 1: q1})
+        with pytest.raises(error, match=message):
+            prod_amalgamate(p, (), [0, 1], q)
+    q = ProductCondition({0: q0, 1: iter_of(TP)})
+    with pytest.raises(ResourceError, match="skeleton entries"):
+        prod_amalgamate(p, (), [0, 1], q)

@@ -18,7 +18,7 @@ from sacksforcing.errors import (
     ResourceError,
 )
 from sacksforcing.trees import (
-    SkeletonTree, _enumeration_size, all_bitstrings, amalgamate,
+    SkeletonTree, _cell_leq, _enumeration_size, all_bitstrings, amalgamate,
     bitstrings_upto, enumerate_trees, full_tree, fusion_prefix, leq_n,
     leq_n_cellwise, subtree_leq, tree_dot,
 )
@@ -227,6 +227,18 @@ def test_leq_n_equals_cellwise_on_small_family():
             for n in range(3):
                 assert leq_n(sub, sup, n) == leq_n_cellwise(sub, sup, n), \
                     (sub, sup, n)
+
+
+def test_cell_order_reads_the_cell_in_place():
+    # 165 presentations of 127 trees; indices up to 3 reach past every
+    # stored depth of the family
+    trees = enumerate_trees(2, 2)
+    assert (len(trees), len(set(trees))) == (165, 127)
+    for sup, sigma in product(trees, bitstrings_upto(3)):
+        cell = sup.restrict_cell(sigma)
+        for sub in trees:
+            assert _cell_leq(sub, sup, sigma) == subtree_leq(sub, cell), \
+                (sub, sup, sigma)
 
 
 def test_leq_zero_is_subtree_order():
