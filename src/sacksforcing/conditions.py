@@ -37,7 +37,8 @@ grafts _graft and _pair_graft checking the skeleton bound; a product
 checks every coordinate before it grafts any.  The graded orders check
 one index of length n for all 2^n and restrict nothing: iter_leq,
 iter_leq_n and prod_leq share one loop that compares pairs of rows at
-the lengths of their addresses.
+the lengths of their addresses.  A coordinate that a product q lacks
+reads as the weakest condition, the full iteration of p's kinds (_at).
 """
 
 from __future__ import annotations
@@ -561,18 +562,18 @@ def iter_amalgamate(p: IterCondition, sigma, q: IterCondition,
     gives p's restriction.
     """
     addrs = _addresses(sigma, mode, p.length)
-    build = _iter_graft(p, addrs, q, check=True)
+    build = _iter_graft(p, addrs, q)
     if build is None:
         raise AmalgamationError("q does not extend the sigma cell of p")
     return build()
 
 
-def _iter_graft(p: IterCondition, addrs, q: IterCondition, check):
+def _iter_graft(p: IterCondition, addrs, q: IterCondition):
     """Walk the pairs of rows that grafting q onto the cell of p at the
     coordinate addresses addrs joins; answer the function that bounds the
-    complement rows and builds.  The check shares the walk: with it, the
-    answer is None exactly when not iter_leq(q, _iter_restrict(p, addrs))."""
-    if check and q.kinds != p.kinds:
+    complement rows and builds.  The check shares the walk: the answer is
+    None exactly when not iter_leq(q, _iter_restrict(p, addrs))."""
+    if q.kinds != p.kinds:
         raise IncompatibleError(f"kind mismatch: {q.kinds} vs {p.kinds}")
     # coordinate m's rows meet 2^|addr_k| - 1 complement guards per k < m
     plan, count, guards = [], 0, 0
@@ -593,7 +594,7 @@ def _iter_graft(p: IterCondition, addrs, q: IterCondition, check):
                     gq = {k: addrs[k] + b for k, b in gq.items()}
                     if not _guards_compatible(inside, gq):
                         continue
-                if check and not cell_leq(pay_q, payload, addr):
+                if not cell_leq(pay_q, payload, addr):
                     return None
                 pairs.append((_guard_meet(inside, gq) if gq else inside, pay_q))
             rows.append((guard, payload, pairs))
@@ -746,11 +747,15 @@ def prod_restrict(p: ProductCondition, sigma, sbar) -> ProductCondition:
     return ProductCondition(coords)
 
 
+def _at(q: ProductCondition, i, kinds) -> IterCondition:
+    """q's iteration at i; where q lacks i, the full one of these kinds."""
+    return q._coords[i] if i in q._coords else full_iter(kinds)
+
+
 def prod_extends(q: ProductCondition, p: ProductCondition) -> bool:
-    """Plain coordinatewise extension; a coordinate missing from q stands
-    for the weakest condition."""
-    return all(iter_leq(q._coords[i], cond) if i in q._coords
-               else is_full_iter(cond) for i, cond in p._coords.items())
+    """Plain coordinatewise extension."""
+    return all(iter_leq(_at(q, i, cond.kinds), cond)
+               for i, cond in p._coords.items())
 
 
 def prod_equal(q: ProductCondition, p: ProductCondition) -> bool:
@@ -770,28 +775,22 @@ def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     _check_cells("prod_leq", n)
     levels = {i: [len(a) for a in addrs]
               for i, addrs in _shares((0,) * n, _sbar(sbar), q, p)}
-    return all(_graded_leq(q._coords[i], cond, levels.get(i, ()))
-               if i in q._coords else is_full_iter(cond)
+    return all(_graded_leq(_at(q, i, cond.kinds), cond, levels.get(i, ()))
                for i, cond in p._coords.items())
 
 
 def prod_amalgamate(p: ProductCondition, sigma, sbar,
                     q: ProductCondition) -> ProductCondition:
-    """Coordinatewise amalgamation along sbar; off sbar the result simply
-    takes q's coordinates.
-
-    Every coordinate of p is checked, in p's order, before any is
-    grafted.  One that q lacks is the weakest condition: p's restriction
-    there must be full, and is grafted."""
+    """Coordinatewise amalgamation along sbar, every coordinate of p
+    checked, in p's order, before any is grafted; off sbar the result
+    takes q's coordinates."""
     addrs, builds = dict(_shares(sigma, _sbar(sbar), p)), {}
     for i, cond in p._coords.items():
-        qi = q._coords.get(i)
-        if i not in addrs:
-            ok = is_full_iter(cond) if qi is None else iter_leq(qi, cond)
+        qi = _at(q, i, cond.kinds)
+        if i in addrs:
+            ok = builds[i] = _iter_graft(cond, addrs[i], qi)
         else:
-            cell = _iter_restrict(cond, addrs[i]) if qi is None else qi
-            builds[i] = _iter_graft(cond, addrs[i], cell, qi is not None)
-            ok = builds[i] and (qi is not None or is_full_iter(cell))
+            ok = iter_leq(qi, cond)
         if not ok:
             raise AmalgamationError("q does not extend the restriction of p")
     return ProductCondition({**q._coords, **{i: builds[i]() for i in addrs}})

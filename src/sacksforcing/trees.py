@@ -280,15 +280,15 @@ class SkeletonTree:
         """The subtree of nodes comparable with tau (tau must be a node).
 
         The result equals restrict_cell at the least index sigma whose
-        splitting node extends tau; we find it by walking the skeleton in
-        the direction tau dictates.
+        splitting node extends tau; one walk down the skeleton in the
+        direction tau dictates finds it, or where tau leaves the tree.
         """
         tau = check_bits(tau)
-        if not self._contains(tau):
-            raise PreconditionError(f"{bits_str(tau) or 'the empty string'} "
-                                    f"is not a node of this tree")
         sigma = ()
         while not _is_prefix(tau, e := self._rt(sigma)):
+            if tau[: len(e)] != e:
+                raise PreconditionError(f"{bits_str(tau) or 'the empty string'}"
+                                        f" is not a node of this tree")
             sigma = sigma + (tau[len(e)],)
         return self._restrict_cell(sigma)
 
@@ -367,7 +367,7 @@ def leq_n(sub: SkeletonTree, sup: SkeletonTree, n: int) -> bool:
     exactly when they agree index by index.
     """
     top = min(check_natural(n, "level n"), max(sub.depth, sup.depth) + 1)
-    return subtree_leq(sub, sup) and all(
+    return _cell_leq(sub, sup) and all(
         sub._rt(s) == sup._rt(s) for m in range(top) for s in _strings(m))
 
 

@@ -1370,3 +1370,60 @@ def test_prod_amalgamate_checks_every_coordinate_before_grafting():
     q = ProductCondition({0: q0, 1: iter_of(TP)})
     with pytest.raises(ResourceError, match="skeleton entries"):
         prod_amalgamate(p, (), [0, 1], q)
+
+
+def test_prod_amalgamate_refuses_exactly_off_its_precondition():
+    # a coordinate that q lacks is the full iteration of p's kinds there,
+    # on sbar and off it; prod_amalgamate must refuse exactly the q that
+    # do not extend p's restriction, with the restriction's own errors
+    pool = [iter_of(t) for t in SMALL]
+    pool += [plain_iter([SINGLE, second], [t, pay])
+             for t in SMALL[:3] for second, pay in
+             [(SINGLE, u) for u in SMALL[:3]]
+             + [(PAIR, PairCondition(u, F)) for u in SMALL[:3]]]
+    pool += [_conditional(c, COLUMN) for c in pool[len(SMALL)::2]]
+    # full iterations, so that a q that leaves one out can still fit
+    pool += [full_iter(kinds) for kinds in
+             ([SINGLE], [SINGLE, SINGLE], [SINGLE, PAIR])] * 3
+    rng = random.Random(2425)
+    counts = Counter()
+    for _ in range(6000):
+        support = rng.sample(range(4), rng.randint(1, 4))
+        p = ProductCondition({i: rng.choice(pool) for i in support})
+        sbar = rng.sample(support, rng.randint(0, len(support)))
+        if rng.randrange(5) == 0:
+            sbar.insert(rng.randint(0, len(sbar)), 4)  # outside p's support
+        # mostly a sigma whose columns sbar can take
+        sigma = _random_bits(rng, rng.choice(
+            [m for m in range(5) if width(m) <= len(sbar)]
+            if rng.randrange(5) else range(5)))
+        cell = _outcome(lambda: prod_restrict(p, sigma, sbar))
+        base = cell if isinstance(cell, ProductCondition) else p
+        q = {}
+        for i in support + [rng.randrange(5)]:
+            pick = rng.randrange(6)
+            if pick == 0:
+                continue  # q lacks i
+            qi = base.coords.get(i, rng.choice(pool))
+            q[i] = (rng.choice(pool) if pick == 1 else
+                    _shrink(qi, rng.randrange(2)) if pick == 2 else qi)
+        q = ProductCondition(q)
+        want = _outcome(lambda: prod_extends(q, prod_restrict(p, sigma,
+                                                              sbar)))
+        got = _outcome(lambda: prod_amalgamate(p, sigma, sbar, q))
+        case = (p.to_json(), sigma, sbar, q.to_json())
+        if want is True:
+            assert isinstance(got, ProductCondition), case
+            assert prod_equal(prod_restrict(got, sigma, sbar), q), case
+        elif want is False:
+            assert got == (AmalgamationError,
+                           "q does not extend the restriction of p"), case
+        else:
+            assert got == want, case
+        lacks = set(p.coords) - set(q.coords)
+        counts[want if isinstance(want, bool) else want[0]] += 1
+        if want is True:
+            counts["lacks on sbar"] += bool(lacks & set(sbar))
+            counts["lacks off sbar"] += bool(lacks - set(sbar))
+    assert min(counts.values()) >= 50, counts
+    assert counts[True] >= 500 and counts[False] >= 500, counts

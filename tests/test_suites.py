@@ -3,7 +3,9 @@ failing branches of the suites are reached by seeding one fault with
 monkeypatch and reading the property's result."""
 
 from sacksforcing import conditions, suites
-from sacksforcing.conditions import PAIR, PairCondition
+from sacksforcing.conditions import (
+    COLUMN, PAIR, PAIRWISE, PairCondition, iter_amalgamate, iter_restrict,
+)
 from sacksforcing.suites import (
     DEFAULT_SEED, TREE_DEPTH, PropertyResult, _expect_raises, run_conditions,
     run_tree,
@@ -74,3 +76,49 @@ def test_conditions_suite_fails_when_pair_halves_swap_levels(monkeypatch):
     assert 0 < graded.failed < graded.cases
     assert all(sample.startswith("('single', 'pair")
                for sample in graded.samples)
+
+
+def test_conditions_suite_fails_when_pairwise_halves_swap(monkeypatch):
+    # the left half of sigma addresses coordinate 1 and the right half
+    # coordinate 0: the graft lands in the right cells only where the
+    # halves agree
+    addresses = conditions._addresses
+
+    def swapped(sigma, mode, length):
+        addrs = addresses(sigma, mode, length)
+        return addrs[::-1] if mode == PAIRWISE else addrs
+
+    monkeypatch.setattr(conditions, "_addresses", swapped)
+    worked = _by_name(run_conditions(DEFAULT_SEED))[
+        "two-step amalgamation worked example"]
+    assert worked.failed == 2
+    assert worked.samples == ["sibling of the graft", "untouched half 0"]
+
+
+def test_conditions_suite_fails_when_amalgamation_moves_another_cell(
+        monkeypatch):
+    def shrink_a_neighbour(p, sigma, q, mode):
+        # the sigma cell is right, the cell next to it is cut down
+        r = iter_amalgamate(p, sigma, q, mode)
+        if mode != COLUMN or not sigma:
+            return r
+        tau = sigma[:-1] + (1 - sigma[-1],)
+        return iter_amalgamate(r, tau, iter_restrict(r, tau + (0,), mode),
+                               mode)
+
+    monkeypatch.setattr(suites, "iter_amalgamate", shrink_a_neighbour)
+    partial = _by_name(run_conditions(DEFAULT_SEED))[
+        "iteration partial-equality after amalgamation"]
+    assert 0 < partial.failed < partial.cases
+    assert all(sample.startswith("tau=") for sample in partial.samples)
+
+
+def test_conditions_suite_fails_when_product_amalgamation_forgets_p(
+        monkeypatch):
+    # the amalgam is q alone: its cells off sigma's are not p's
+    monkeypatch.setattr(suites, "prod_amalgamate",
+                        lambda p, sigma, sbar, q: q)
+    prods = _by_name(run_conditions(DEFAULT_SEED))[
+        "product partial-equality after amalgamation"]
+    assert prods.failed == prods.cases > 0
+    assert prods.samples[0] == "sigma=00 tau=01"

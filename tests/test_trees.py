@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sacksforcing.bitseq import bits, width
+from sacksforcing.bitseq import bits, bits_str, width
 from sacksforcing.conditions import (
     COLUMN, PAIRWISE, SINGLE, FixedSchedule, IterCondition, PairCondition,
     ProductCondition, iter_amalgamate, iter_restrict, plain_iter,
@@ -168,6 +168,26 @@ def test_restrict_node_matches_node_semantics():
                 nu for nu in oracle_nodes(tree, max_len)
                 if nu[: len(tau)] == tau[: len(nu)]}
             assert oracle_nodes(r, max_len) == expected
+
+
+def test_restrict_node_is_the_cell_of_the_shortest_index_above_tau():
+    # every presentation of enumerate_trees(2, 2) against every tau of at
+    # most 6 bits: a node gets the cell of the shortest index whose
+    # splitting node extends it, and anything else is refused
+    refused = 0
+    for tree, tau in product(enumerate_trees(2, 2), bitstrings_upto(6)):
+        if not tree.contains(tau):
+            with pytest.raises(PreconditionError) as e:
+                tree.restrict_node(tau)
+            assert str(e.value) == (f"{bits_str(tau) or 'the empty string'}"
+                                    f" is not a node of this tree")
+            refused += 1
+            continue
+        sigma = next(s for s in bitstrings_upto(len(tau))
+                     if tree.rt(s)[: len(tau)] == tau)
+        assert tree.restrict_node(tau).to_json() == \
+            tree.restrict_cell(sigma).to_json(), (tree, tau)
+    assert refused == 7890
 
 
 def test_cells_partition_long_nodes():
