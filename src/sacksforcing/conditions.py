@@ -55,7 +55,7 @@ from .errors import (AmalgamationError, IncompatibleError, InputError,
                      json_choice, json_fields, json_int, json_int_keys,
                      json_list)
 from .trees import (SkeletonTree, _cell_leq, _check_cells, _graft,
-                    _is_prefix, _strings, full_tree, leq_n, subtree_leq)
+                    _is_prefix, _strings, full_tree, leq_n)
 
 SINGLE = "single"
 PAIR = "pair"
@@ -100,20 +100,11 @@ def pair_restrict(p: PairCondition, sigma) -> PairCondition:
                          p.right._restrict_cell(right_addr))
 
 
-def pair_leq(q: PairCondition, p: PairCondition) -> bool:
-    return subtree_leq(q.left, p.left) and subtree_leq(q.right, p.right)
-
-
-def pair_amalgamate(p: PairCondition, sigma, q: PairCondition) -> PairCondition:
-    """Amalgamate each half, checking that q extends p there."""
-    return _pair_graft(p, check_bits(sigma), q, check=True)
-
-
-def _pair_graft(p: PairCondition, sigma, q: PairCondition, check=False):
-    """pair_amalgamate for a bit tuple sigma; unless check is set, q must
-    extend the sigma cell of p, and only the skeleton bound is checked."""
-    return PairCondition(_graft(p.left, sigma[0::2], q.left, check),
-                         _graft(p.right, sigma[1::2], q.right, check))
+def _pair_graft(p: PairCondition, sigma, q: PairCondition):
+    """Graft q's halves onto p's at the halves of the bit tuple sigma.
+    q must extend the sigma cell of p; only the skeleton bound is checked."""
+    return PairCondition(_graft(p.left, sigma[0::2], q.left),
+                         _graft(p.right, sigma[1::2], q.right))
 
 
 def _pair_contains(p: PairCondition, node) -> bool:
@@ -451,11 +442,6 @@ def full_iter(kinds) -> IterCondition:
     return plain_iter(kinds, [_PAYLOADS[k].full for k in kinds])
 
 
-def is_full_iter(p: IterCondition) -> bool:
-    return all(payload == _PAYLOADS[kind].full
-               for kind, table in zip(p.kinds, p.coords) for _, payload in table)
-
-
 def _check_columns(size, length):
     """Refuse a sigma of this size with more nonempty columns than
     length coordinates to take them."""
@@ -756,10 +742,6 @@ def prod_extends(q: ProductCondition, p: ProductCondition) -> bool:
     """Plain coordinatewise extension."""
     return all(iter_leq(_at(q, i, cond.kinds), cond)
                for i, cond in p._coords.items())
-
-
-def prod_equal(q: ProductCondition, p: ProductCondition) -> bool:
-    return prod_extends(q, p) and prod_extends(p, q)
 
 
 def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:

@@ -204,9 +204,6 @@ class TowerCensus:
             if verdict not in (ONE, MANY):
                 raise PreconditionError(f"bad census verdict {verdict!r}")
 
-    def as_dict(self):
-        return dict(self.entries)
-
     def to_json(self):
         return {"entries": [[h.to_json(), v] for h, v in self.entries]}
 

@@ -72,7 +72,8 @@ def set_of(members) -> int:
 
 
 def set_contains(code: int, member: int) -> bool:
-    return bool((code >> member) & 1)
+    return bool(check_natural(code, "a set code")
+                >> check_natural(member, "a set code") & 1)
 
 
 class FinStructure:
@@ -80,12 +81,16 @@ class FinStructure:
     relation.  It need not be transitive."""
 
     def __init__(self, universe):
-        universe = tuple(sorted(check_natural(c, "a set code")
-                                for c in universe))
-        if len(set(universe)) != len(universe):
+        try:
+            codes = sorted(check_natural(c, "a set code") for c in universe)
+        except TypeError:
+            raise PreconditionError(
+                f"universe must be an iterable of set codes, not "
+                f"{type(universe).__name__}") from None
+        if len(set(codes)) != len(codes):
             raise PreconditionError("universe has repeated elements")
-        self.universe = universe
-        self._index = {c: i for i, c in enumerate(universe)}
+        self.universe = tuple(codes)
+        self._index = {c: i for i, c in enumerate(codes)}
         # see _atom_table
         self._atom_tables = {}
 
@@ -384,7 +389,7 @@ def eval_formula(f, structure: FinStructure, subset, params=()) -> bool:
         if isinstance(g, Pred):
             return term_val(g.term, env) in subset
         if isinstance(g, Member):
-            return set_contains(term_val(g.right, env), term_val(g.left, env))
+            return bool(term_val(g.right, env) >> term_val(g.left, env) & 1)
         if isinstance(g, Eq):
             return term_val(g.left, env) == term_val(g.right, env)
         if isinstance(g, Not):

@@ -398,9 +398,11 @@ def run_imp(seed):
     agree = PropertyResult("unique-subset search agrees with the double "
                            "loop")
     rng = random.Random(seed)
-    for universe in ((), (0,), (0, 1), (0, 2)):
+    # (0, 1) is the one universe here whose membership is not symmetric,
+    # and 7 the least size at which its converse defines other subsets
+    for universe, size in (((), 6), ((0,), 6), ((0, 1), 7), ((0, 2), 6)):
         structure = FinStructure(universe)
-        formulas = _closed_formulas(universe, 6)
+        formulas = _closed_formulas(universe, size)
         if len(formulas) > 3000:
             formulas = rng.sample(formulas, 3000)
         u = len(universe)

@@ -164,16 +164,6 @@ class SkeletonTree:
     def skeleton(self):
         return dict(self._skel)
 
-    def entry(self, sigma) -> Bits:
-        """The stored skeleton entry at an index of at most the stored
-        depth; rt answers for indices of any length."""
-        sigma = check_bits(sigma)
-        if len(sigma) > self.depth:
-            raise PreconditionError(
-                f"an index of length {len(sigma)} is past the stored "
-                f"depth {self.depth}")
-        return self._skel[sigma]
-
     def deepen(self, depth: int) -> "SkeletonTree":
         """Re-present the same tree with a deeper skeleton."""
         if check_natural(depth, "depth") < self.depth:

@@ -14,7 +14,7 @@ bit_strings = st.lists(st.integers(0, 1), max_size=24).map(tuple)
 
 
 @pytest.mark.parametrize("call", [lambda: column(5, 0),
-                                  lambda: full_tree().entry(5),
+                                  lambda: full_tree().rt(5),
                                   lambda: sc_schedule(0, 5, 0)])
 def test_a_value_that_is_not_iterable_is_not_a_bit_sequence(call):
     with pytest.raises(PreconditionError, match="^not a bit sequence: 5$"):

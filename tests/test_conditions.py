@@ -1,5 +1,4 @@
 import copy
-import math
 import pickle
 import random
 import time
@@ -19,10 +18,10 @@ from sacksforcing.conditions import (
     COLUMN, MAX_COMPLEMENT_ROWS, PAIR, PAIRWISE, SINGLE,
     FixedSchedule, GenericContext, IterCondition, PairCondition,
     ProductCondition, ScSchedule, _guards_compatible, _table_is_partition,
-    condition_from_json, full_iter, full_pair, full_tree, is_full_iter,
-    iter_amalgamate, iter_equal, iter_leq, iter_leq_n, iter_restrict,
-    pair_amalgamate, pair_leq, pair_restrict, plain_iter, prod_amalgamate,
-    prod_equal, prod_extends, prod_leq, prod_restrict, schedule_from_json,
+    condition_from_json, full_iter, full_pair, full_tree, iter_amalgamate,
+    iter_equal, iter_leq, iter_leq_n, iter_restrict, pair_restrict,
+    plain_iter, prod_amalgamate, prod_extends, prod_leq, prod_restrict,
+    schedule_from_json,
 )
 from sacksforcing.trees import (
     SkeletonTree, _is_prefix, _strings, all_bitstrings, amalgamate,
@@ -69,26 +68,39 @@ def test_pair_restrict_examples():
 
 
 def test_pair_amalgamate():
-    p = PairCondition(T, TP)
-    sigma = bits("01")  # left cell (0), right cell (1)
-    q = PairCondition(F.restrict_cell(bits("01")),
-                      TP.restrict_cell(bits("1")).restrict_cell(bits("0")))
-    assert pair_leq(q, pair_restrict(p, sigma))
-    r = pair_amalgamate(p, sigma, q)
-    assert pair_restrict(r, sigma) == q
-    for n in range(3):
+    # the pair graft runs inside iter_amalgamate, at a pair coordinate:
+    # sigma gives coordinate 0 the cell 00 and the pair the index 01,
+    # the left tree's cell (0) and the right tree's cell (1)
+    sigma = join_pair(bits("00"), bits("01"))
+    pair = PairCondition(T, TP)
+    graft = PairCondition(F.restrict_cell(bits("01")),
+                          TP.restrict_cell(bits("1")).restrict_cell(bits("0")))
+    p = plain_iter([SINGLE, PAIR], [F, pair])
+    q = plain_iter([SINGLE, PAIR], [F.restrict_cell(bits("00")), graft])
+    assert iter_leq(q, iter_restrict(p, sigma, PAIRWISE))
+    r = iter_amalgamate(p, sigma, q, PAIRWISE)
+    assert iter_equal(iter_restrict(r, sigma, PAIRWISE), q)
+    for n in range(5):
         for tau in all_bitstrings(n):
-            rt, pt = pair_restrict(r, tau), pair_restrict(p, tau)
-            assert pair_leq(rt, pt)
-            if tau[0::2] != sigma[0::2][: math.ceil(len(tau) / 2)]:
-                pass  # left halves incomparable only when same length
-    # partial equality in the untouched component
+            assert iter_leq(iter_restrict(r, tau, PAIRWISE),
+                            iter_restrict(p, tau, PAIRWISE))
+    # inside coordinate 0's cell the pair is grafted, and its left trees
+    # restrict like p's wherever the left halves leave the left cell (0)
+    (grafted,) = [pay for g, pay in r.coords[1] if g == {0: bits("00")}]
+    assert pair_restrict(grafted, bits("01")) == graft
     for tau in all_bitstrings(2):
-        if tau[0::2] != sigma[0::2]:
-            assert pair_restrict(r, tau).left == pair_restrict(p, tau).left
-    assert pair_amalgamate(p, sigma, pair_restrict(p, sigma)) == p
-    with pytest.raises(AmalgamationError):
-        pair_amalgamate(p, sigma, PairCondition(F, F))
+        if tau[0::2] != bits("0"):
+            assert pair_restrict(grafted, tau).left == \
+                pair_restrict(pair, tau).left
+    assert iter_equal(iter_amalgamate(
+        p, sigma, iter_restrict(p, sigma, PAIRWISE), PAIRWISE), p)
+    # each half is refused on its own
+    for bad in (PairCondition(F, graft.right), PairCondition(graft.left, TP),
+                PairCondition(F, F)):
+        with pytest.raises(AmalgamationError):
+            iter_amalgamate(p, sigma, plain_iter(
+                [SINGLE, PAIR], [F.restrict_cell(bits("00")), bad]),
+                PAIRWISE)
 
 
 # -- iteration restriction ----------------------------------------------------
@@ -450,6 +462,10 @@ def iter_of(tree):
     return plain_iter([SINGLE], [tree])
 
 
+def prod_equal(q, p):
+    return prod_extends(q, p) and prod_extends(p, q)
+
+
 def test_prod_restrict_positions():
     p = ProductCondition({0: iter_of(T1), 1: iter_of(TP)})
     sigma = bits("10")
@@ -555,8 +571,11 @@ def test_product_json_round_trip():
 
 
 def test_full_iter_recognition():
-    assert is_full_iter(full_iter([SINGLE, PAIR]))
-    assert not is_full_iter(iter_of(T1))
+    # a full iteration is the full one of its kinds, whatever its guards
+    guarded = IterCondition(FixedSchedule([SINGLE, PAIR]), [
+        [({}, F)], [({0: (0,)}, full_pair()), ({0: (1,)}, full_pair())]])
+    assert iter_equal(guarded, full_iter(guarded.kinds))
+    assert not iter_equal(iter_of(T1), full_iter([SINGLE]))
 
 
 def test_graded_orders_refuse_past_the_bound():
@@ -801,8 +820,6 @@ def test_pair_condition_holds_two_trees():
         with pytest.raises(PreconditionError, match="two trees"):
             PairCondition(left, right)
     with pytest.raises(PreconditionError):
-        pair_leq(PairCondition(1, 2), full_pair())
-    with pytest.raises(PreconditionError):
         plain_iter([SINGLE, PAIR], [full_tree(), PairCondition(1, 2)])
 
 
@@ -959,7 +976,8 @@ def test_prod_amalgamation_laws_on_small_products(support):
                          for i, c in cell.coords.items()}
                     # a coordinate that q leaves full may be left out
                     for qc in (q, {i: c for i, c in q.items()
-                                   if not is_full_iter(c)}):
+                                   if not iter_equal(
+                                       c, full_iter(c.kinds))}):
                         r = prod_amalgamate(p, sigma, sbar,
                                             ProductCondition(qc))
                         assert all(_is_partition(c)

@@ -194,7 +194,7 @@ def grid(limit_bound, n_bound):
 
 def test_census_encode_all_zero():
     x = {key: 0 for key in grid(2, 3)}
-    census = census_encode(x, 2, 3).as_dict()
+    census = dict(census_encode(x, 2, 3).entries)
     for height, verdict in census.items():
         assert verdict == (ONE if height.b % 2 == 1 else MANY)
 
@@ -202,7 +202,7 @@ def test_census_encode_all_zero():
 def test_census_encode_fixture_values():
     x = {key: 0 for key in grid(2, 2)}
     x[Ordinal2(0, 0)] = 1
-    census = census_encode(x, 2, 2).as_dict()
+    census = dict(census_encode(x, 2, 2).entries)
     assert census[Ordinal2(0, 1)] == MANY   # bit 1 at index 0
     assert census[Ordinal2(1, 1)] == ONE    # bit 0 at the first limit
     assert census[Ordinal2(0, 2)] == MANY
@@ -233,7 +233,7 @@ def test_census_encode_compares_the_count_first():
     start = time.perf_counter()
     with pytest.raises(PreconditionError):
         census_encode({Ordinal2(0, 0): 0}, 2 ** 64, 2 ** 64)
-    assert census_encode({}, 2 ** 64, 0).as_dict() == {}
+    assert dict(census_encode({}, 2 ** 64, 0).entries) == {}
     with pytest.raises(PreconditionError,
                        match="^limit_bound must be a natural number$"):
         census_encode({}, -1, -1)
@@ -242,7 +242,7 @@ def test_census_encode_compares_the_count_first():
 
 def test_malformed_census_rejection():
     good = census_encode({key: 0 for key in grid(1, 2)}, 1, 2)
-    table = good.as_dict()
+    table = dict(good.entries)
 
     bad = dict(table)
     bad[Ordinal2(0, 2)] = ONE  # even offset must be many
@@ -263,7 +263,8 @@ def test_malformed_census_rejection():
         census_decode(TowerCensus(()))
 
     # ragged: the second limit block is shallower than the first
-    ragged = census_encode({key: 0 for key in grid(2, 2)}, 2, 2).as_dict()
+    ragged = census_encode({key: 0 for key in grid(2, 2)}, 2, 2)
+    ragged = dict(ragged.entries)
     del ragged[Ordinal2(1, 3)]
     del ragged[Ordinal2(1, 4)]
     with pytest.raises(DecodeError):
@@ -277,7 +278,7 @@ def test_malformed_census_rejection():
 
 def _reference_census_decode(census):
     """census_decode as it stood with hand checks of the encoder's range."""
-    table = census.as_dict()
+    table = dict(census.entries)
     x = {}
     for height, verdict in table.items():
         if height.b % 2 == 0:
@@ -352,7 +353,7 @@ def test_census_reindex_identity():
     census = census_encode(x, 2, 3)
     reindexed = {
         height: (MANY if height.b % 2 == 0 else verdict)
-        for height, verdict in census.as_dict().items()}
+        for height, verdict in census.entries}
     assert TowerCensus(tuple(reindexed.items())) == census
 
 

@@ -48,6 +48,18 @@ def test_negative_codes_rejected():
         set_of([0, -2])
 
 
+def test_set_contains_and_universes_refuse_with_precondition_errors():
+    # a negative member once raised ValueError from the shift, a negative
+    # code answered True, and a universe that is no iterable a TypeError
+    for call in (lambda: set_contains(5, -1), lambda: set_contains(-1, 0)):
+        with pytest.raises(PreconditionError,
+                           match="^a set code must be a natural number$"):
+            call()
+    with pytest.raises(PreconditionError, match="^universe must be an "
+                       "iterable of set codes, not int$"):
+        FinStructure(5)
+
+
 # -- structures -----------------------------------------------------------
 
 def test_structure_universe_sorted_and_distinct():

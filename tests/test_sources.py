@@ -5,6 +5,7 @@ feature_version check is best effort: it catches new syntax, not new
 library names."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -41,3 +42,38 @@ def test_sources_parse_as_python_3_10(folder):
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path),
                   feature_version=(3, 10))
+
+
+def _public_defs(tree):
+    """(name, def line) of each public top-level function of a module,
+    and of each public method of its top-level classes.  A leading
+    underscore, as in a dunder, makes a name private."""
+    for node in tree.body:
+        for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+                yield d.name, d.lineno
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A public function or method that only the tests call is dead
+    code.  Each must be named in src/, other than on its own def line
+    and in the re-exports of __init__.py, or in demos/, perfbench/*.py,
+    tools/ or README.md.  Names match as whole words, and that is all:
+    a name that is also a common word or another symbol's name, such as
+    entry, passes on that word alone."""
+    sources = {path: path.read_text(encoding="utf-8") for path in
+               sorted((ROOT / "src" / PACKAGE).glob("*.py"))
+               if path.name != "__init__.py"}
+    src = "\n".join(sources.values())
+    outside = "\n".join(path.read_text(encoding="utf-8") for path in [
+        *(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+        *(ROOT / "tools").rglob("*.py"), ROOT / "README.md"])
+    unused = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for name, lineno in _public_defs(ast.parse(text, str(path))):
+            word = re.compile(rf"\b{name}\b")
+            own = len(word.findall(lines[lineno - 1]))
+            if len(word.findall(src)) == own and not word.search(outside):
+                unused.append(f"{path.name}: {name}")
+    assert not unused
