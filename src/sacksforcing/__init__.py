@@ -24,8 +24,8 @@ from .errors import (AmalgamationError, DecodeError, EngineError,
                      PreconditionError, ResourceError)
 from .implicit import (FinStructure, eval_formula, formula_size,
                        formula_text, imp_levels, implicit_subsets,
-                       implicitly_defined_by, parse_formula, set_contains,
-                       set_members, set_of, vn_levels)
+                       implicitly_defined_by, parse_formula, set_members,
+                       set_of, vn_levels)
 from .trees import (SkeletonTree, amalgamate, enumerate_trees, full_tree,
                     fusion_prefix, leq_n, subtree_leq, tree_dot)
 

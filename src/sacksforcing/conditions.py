@@ -28,17 +28,18 @@ schedule.recipe(context).  What a coordinate does with its payload
 (type, full value, membership, restriction, graded order, amalgamation)
 is looked up by kind in one table, _PAYLOADS.
 
-Each public operation checks its arguments once, at the top: sigma, the
-mode and sbar.  It then works through private twins that trust their
-input.  Amalgamation restricts nothing: _iter_graft walks the pairs of
-rows a graft joins, checks each in place, q's payload against the cell
-of p's, and only then counts complement rows and builds, the payload
-grafts _graft and _pair_graft checking the skeleton bound; a product
+Each argument is checked once, where it enters: a condition by its
+constructor or from_json, and sigma, the mode and sbar by the public
+operation, whose private twins trust them and build iterations
+unchecked, as full_iter does.  Amalgamation restricts nothing:
+_iter_graft checks each pair of rows a graft joins in place, q's payload
+against the cell of p's, and only then counts complement rows and
+builds, _graft and _pair_graft checking the skeleton bound; a product
 checks every coordinate before it grafts any.  The graded orders check
 one index of length n for all 2^n and restrict nothing: iter_leq,
 iter_leq_n and prod_leq share one loop that compares pairs of rows at
 the lengths of their addresses.  A coordinate that a product q lacks
-reads as the weakest condition, the full iteration of p's kinds (_at).
+reads as the full iteration of p's kinds, the weakest condition (_at).
 """
 
 from __future__ import annotations
@@ -108,8 +109,7 @@ def _pair_graft(p: PairCondition, sigma, q: PairCondition):
 
 
 def _pair_contains(p: PairCondition, node) -> bool:
-    lhs, rhs = split_pair(node)
-    return p.left._contains(lhs) and p.right._contains(rhs)
+    return p.left._contains(node[0::2]) and p.right._contains(node[1::2])
 
 
 # what the condition layer does with a coordinate's payload, by its kind;
@@ -360,32 +360,25 @@ class IterCondition:
             _table_is_partition(rows, beta)
             cooked.append(tuple(rows))
         self.coords = tuple(cooked)
-        if context is not None:
-            self._check_context(context)
+        for beta, committed in self.context.commitments.items():
+            if 0 <= beta < self.length and committed and not any(
+                    _PAYLOADS[self.kinds[beta]].contains(payload, committed)
+                    for _, payload in self.coords[beta]):
+                raise PreconditionError(
+                    f"context commitment for coordinate {beta} is not a "
+                    f"branch of any payload")
 
     @classmethod
     def _trusted(cls, kinds, coords) -> "IterCondition":
-        """An iteration under FixedSchedule(kinds) with no commitments,
-        from tables that are valid by construction: guards with int keys
-        below their coordinate and nonempty bit-tuple addresses, payloads
-        of the coordinate's kind, rows forming a partition.  Nothing is
-        checked."""
+        """An iteration under FixedSchedule(kinds), kinds a checked tuple,
+        with no commitments, from tables valid by construction: guards with
+        int keys below their coordinate and nonempty bit-tuple addresses,
+        payloads of the coordinate's kind, rows forming a partition."""
         cond = object.__new__(cls)
         cond.schedule, cond.context = _plain(kinds)
         cond.kinds = kinds
         cond.coords = tuple(tuple(rows) for rows in coords)
         return cond
-
-    def _check_context(self, context):
-        for beta, committed in context.commitments.items():
-            if not 0 <= beta < self.length or not committed:
-                continue
-            contains = _PAYLOADS[self.kinds[beta]].contains
-            if not any(contains(payload, committed)
-                       for _, payload in self.coords[beta]):
-                raise PreconditionError(
-                    f"context commitment for coordinate {beta} is not a "
-                    f"branch of any payload")
 
     @property
     def length(self):
@@ -393,6 +386,9 @@ class IterCondition:
 
     def coordinate(self, beta):
         """The payload at an unconditional coordinate (single-row table)."""
+        if not 0 <= _coordinate(beta) < self.length:
+            raise PreconditionError(
+                f"no coordinate {beta}: the length is {self.length}")
         table = self.coords[beta]
         if len(table) != 1 or table[0][0]:
             raise PreconditionError(f"coordinate {beta} is conditional")
@@ -415,12 +411,8 @@ class IterCondition:
         sched, tables = json_fields(data, name, "schedule", "coords")
         schedule = schedule_from_json(sched, f"{name}.schedule")
         context = _int_keyed(data.get("context", {}), f"{name}.context")
-        at = f"{name}.coords"
-        if not isinstance(tables, list) or not all(
-                isinstance(table, list) for table in tables):
-            raise InputError(f"{at}: expected a list of row lists")
-        coords = [json_list(table, f"{at}[{beta}]", _row_from_json)
-                  for beta, table in enumerate(tables)]
+        coords = json_list(tables, f"{name}.coords", lambda table, at:
+                           json_list(table, at, _row_from_json))
         return cls(schedule, coords, GenericContext(context))
 
 
@@ -438,8 +430,10 @@ def plain_iter(kinds, payloads) -> IterCondition:
 
 
 def full_iter(kinds) -> IterCondition:
+    """The weakest iteration of these kinds; only the kinds are checked."""
     kinds = TowerRecipe(kinds).kinds
-    return plain_iter(kinds, [_PAYLOADS[k].full for k in kinds])
+    return IterCondition._trusted(kinds, [[({}, _PAYLOADS[k].full)]
+                                          for k in kinds])
 
 
 def _check_columns(size, length):
@@ -640,13 +634,11 @@ class ProductCondition:
     ordered labels."""
 
     def __init__(self, coords):
-        cooked = {}
-        for i, cond in dict(coords).items():
+        self._coords = dict(coords)
+        for i, cond in self._coords.items():
             if not isinstance(cond, IterCondition):
                 raise PreconditionError(
                     f"coordinate {i!r} must be an iteration condition")
-            cooked[i] = cond
-        self._coords = cooked
 
     @property
     def support(self):
@@ -657,7 +649,10 @@ class ProductCondition:
         return dict(self._coords)
 
     def coordinate(self, i):
-        return self._coords[i]
+        try:
+            return self._coords[i]
+        except (KeyError, TypeError):
+            raise PreconditionError(f"no coordinate at index {i!r}") from None
 
     def to_json(self):
         return {
@@ -679,17 +674,13 @@ def _coord_from_json(item, name):
             IterCondition.from_json(cond, f"{name}.cond"))
 
 
-def _sbar_list(sbar):
+def _sbar(sbar):
+    """sbar as a list of product indices that are distinct as keys."""
     try:
-        return list(sbar)
+        sbar = list(sbar)
     except TypeError:
         raise PreconditionError(f"sbar must be an iterable of product "
                                 f"indices, not {type(sbar).__name__}") from None
-
-
-def _sbar(sbar):
-    """sbar as a list of product indices that are distinct as keys."""
-    sbar = _sbar_list(sbar)
     try:
         distinct = len(set(sbar)) == len(sbar)
     except TypeError:
@@ -753,7 +744,6 @@ def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:
     over all 2^n.  So the order holds exactly when each coordinate passes
     iter_leq_n at level L_i, which compares its rows at the lengths of
     the column's addresses; one index's checks stand for all 2^n."""
-    sbar = _sbar_list(sbar)
     _check_cells("prod_leq", n)
     levels = {i: [len(a) for a in addrs]
               for i, addrs in _shares((0,) * n, _sbar(sbar), q, p)}

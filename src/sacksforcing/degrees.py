@@ -12,8 +12,12 @@ ride on them:
   n (the level of the first diamond, minus one) and a bit string g (one
   bit per level after the base block).
 
-Decoders are checked inverses: each encodes its answer again and returns
-it only when that gives back the input, and raises DecodeError otherwise.
+The census decoders are checked inverses: each encodes its answer again
+and returns it only when that gives back the input, and raises
+DecodeError otherwise.  sc_decode is an exact inverse with no such
+check: lines up to level n, a diamond at n+1 and one level per bit of g
+are the whole pattern of (n, g), and a pattern with no diamond raises
+DecodeError.
 
 Step recipes (TowerRecipe) and the self-coding rule (sc_schedule) live
 in the condition layer, where the same kinds schedule iterations; this

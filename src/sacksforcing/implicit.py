@@ -71,11 +71,6 @@ def set_of(members) -> int:
     return code
 
 
-def set_contains(code: int, member: int) -> bool:
-    return bool(check_natural(code, "a set code")
-                >> check_natural(member, "a set code") & 1)
-
-
 class FinStructure:
     """A finite universe of set codes with the induced membership
     relation.  It need not be transitive."""
@@ -99,10 +94,21 @@ class FinStructure:
         return len(self.universe)
 
     def __contains__(self, code):
-        return code in self._index
+        return type(code) is int and code in self._index
 
-    def index(self, code):
-        return self._index[code]
+    def _codes(self, values, name, what):
+        """values, an iterable of codes in the universe, as a tuple; name
+        is the argument, what one of its entries, in messages."""
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise PreconditionError(
+                f"{name} must be an iterable of set codes, not "
+                f"{type(values).__name__}") from None
+        for c in values:
+            if c not in self:
+                raise PreconditionError(f"{what} {c!r} outside the universe")
+        return values
 
 
 # -- formulas ---------------------------------------------------------------------
@@ -375,11 +381,8 @@ def eval_formula(f, structure: FinStructure, subset, params=()) -> bool:
     predicate symbol read as membership in ``subset``.  The whole formula
     is checked first (see _formula_table), so a fault raises even where
     the evaluation would skip it."""
-    subset = frozenset(subset)
-    params = tuple(params)
-    for c in subset:
-        if c not in structure:
-            raise PreconditionError(f"subset element {c} outside the universe")
+    subset = frozenset(structure._codes(subset, "subset", "subset element"))
+    params = structure._codes(params, "params", "parameter")
     _formula_table(structure, f, params, None)
 
     def term_val(t, env):
@@ -443,7 +446,7 @@ def _selectors(structure, width, t):
     over ``width`` slots of a nonempty structure (see _atom_table)."""
     u = structure.size
     if t < 0:
-        return ((structure.index(~t), _repunit(u ** width, 1 << u)),)
+        return ((structure._index[~t], _repunit(u ** width, 1 << u)),)
     stride, selector = _slot(u, width, t)
     return [(k, selector << k * stride) for k in range(u)]
 
@@ -510,11 +513,12 @@ def _formula_table(structure, f, params, atom):
     """Check f against the contract of eval_formula and
     implicitly_defined_by, and return its table over the structure.
 
-    The contract covers the whole formula, whatever an evaluation could
-    skip: every parameter lies in the universe, every ``#k`` names one
-    of them, every variable is bound, and every node is a formula with
-    terms in term positions.  The first violation, left to right, raises
-    PreconditionError, or ResourceError where the cost bound is passed.
+    params is the tuple that FinStructure._codes gave the caller.  The
+    contract covers the whole formula, whatever an evaluation could skip:
+    every ``#k`` names a parameter, every variable is bound, and every
+    node is a formula with terms in term positions.  The first violation,
+    left to right, raises PreconditionError, or ResourceError where the
+    cost bound is passed.
 
     The table semantics is that of implicit_subsets: a subformula under
     d quantifiers becomes a table of u**d * 2**u bits, and a quantifier
@@ -524,9 +528,6 @@ def _formula_table(structure, f, params, atom):
     runs with u = 0, where a table has at most one bit, and counts each
     atom's assignments against MAX_ASSIGNMENTS.
     """
-    for c in params:
-        if c not in structure:
-            raise PreconditionError(f"parameter {c} outside the universe")
     if atom is None:
         u, atom = 0, _counted_atom
     else:
@@ -587,7 +588,8 @@ def implicitly_defined_by(structure: FinStructure, f, params=()):
     subsets at once (see _formula_table).  eval_formula is the reference
     this is tested against.
     """
-    family = _formula_table(structure, f, tuple(params), _atom_table)
+    params = structure._codes(params, "params", "parameter")
+    family = _formula_table(structure, f, params, _atom_table)
     u = structure.size
     if not family or family & (family - 1):
         return None

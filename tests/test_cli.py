@@ -888,6 +888,25 @@ def test_eval_keeps_the_pinned_error_classes(tmp_path, capsys, op, payload,
     assert f"{code}:{err.split(':', 1)[0]}" == token
 
 
+def test_eval_replays_the_pinned_catalogue(tmp_path, capsys, monkeypatch):
+    # every pinned payload keeps its exit code and its output digest or
+    # error class, judged by the benchmark's own reader and token; the
+    # benchmark's folder is only read, so no bytecode is written there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+    catalogue = workloads.load_pinned()["cli_eval"]
+    assert len(catalogue) == 311
+    differ = []
+    for i, (op, payload, _, token) in enumerate(catalogue):
+        code = main(["eval", op, write_json(tmp_path, payload)])
+        out, err = capsys.readouterr()
+        got = workloads.cli_token((code, out, err))
+        if got != token:
+            differ.append((i, op, got, token))
+    assert differ == []
+
+
 GUARDED = {"kind": "iter", "schedule": {"kinds": ["single", "single"]},
            "coords": [[{"guard": {}, "payload": LEAF}],
                       [{"guard": {"0": "2"}, "payload": LEAF},

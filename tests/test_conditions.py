@@ -272,6 +272,30 @@ def test_conditional_coordinate_accessor():
         r.coordinate(1)
 
 
+@pytest.mark.parametrize("beta, message", [
+    (-1, "no coordinate -1: the length is 2"),
+    (2, "no coordinate 2: the length is 2"),
+    (5, "no coordinate 5: the length is 2"),
+    (True, "coordinate True is not an integer"),
+    ("0", "coordinate '0' is not an integer"),
+])
+def test_iteration_coordinate_takes_a_natural_below_the_length(beta, message):
+    # -1 once read the last coordinate, True coordinate 1, 5 an IndexError
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        P2.coordinate(beta)
+
+
+@pytest.mark.parametrize("i, shown", [(9, "9"), ([0], r"\[0\]")],
+                         ids=["9", "[0]"])
+def test_product_coordinate_outside_the_support_is_refused(i, shown):
+    # 9 once raised KeyError, and [0] TypeError: unhashable type
+    p = ProductCondition({0: P2})
+    assert p.coordinate(0) is P2
+    with pytest.raises(PreconditionError,
+                       match=f"^no coordinate at index {shown}$"):
+        p.coordinate(i)
+
+
 def test_finer_guards_still_partition():
     sched = FixedSchedule([SINGLE, SINGLE])
     cond = IterCondition(sched, [
@@ -712,7 +736,7 @@ def _row_json(guard, payload):
     (_iter_json(context={"x": "1"}), "condition.context"),
     (_iter_json(coords=5), "condition.coords"),
     (_iter_json(coords={}), "condition.coords"),
-    (_iter_json(coords=[5]), "condition.coords"),
+    (_iter_json(coords=[5]), "condition.coords[0]"),
     (_iter_json(coords=[[5]]), "condition.coords[0][0]"),
     (_iter_json(coords=_row_json(5, {"depth": 0, "skeleton": {"": ""}})),
      "condition.coords[0][0].guard"),
@@ -1057,9 +1081,11 @@ def test_sbar_that_is_not_iterable_is_refused():
                            match="sbar must be an iterable of product "
                                  "indices, not int"):
             call()
-    # an iterable sbar meets prod_leq's level bound before its own checks
-    with pytest.raises(ResourceError, match="prod_leq"):
-        prod_leq(p, p, 40, [1, True])
+    # prod_leq checks its level n before sbar, in the order of its
+    # arguments, whether sbar is iterable or not
+    for sbar in ([1, True], 5):
+        with pytest.raises(ResourceError, match="prod_leq refuses level 17"):
+            prod_leq(p, p, 17, sbar)
 
 
 # -- the graded order of products against its definition ----------------------

@@ -18,8 +18,8 @@ from sacksforcing.implicit import (MAX_NESTING, And, Eq, Exists,
                                    eval_formula, formula_size, formula_text,
                                    free_vars, imp_levels, implicit_subsets,
                                    implicitly_defined_by,
-                                   parse_formula, set_contains, set_members,
-                                   set_of, vn_levels)
+                                   parse_formula, set_members, set_of,
+                                   vn_levels)
 
 S1 = FinStructure([0])           # just the empty set
 S2 = FinStructure([0, 1])        # empty set and its singleton
@@ -37,8 +37,6 @@ def test_set_members():
     assert set_members(0) == ()
     assert set_members(1) == (0,)
     assert set_members(6) == (1, 2)
-    assert set_contains(6, 2)
-    assert not set_contains(6, 0)
 
 
 def test_negative_codes_rejected():
@@ -48,16 +46,47 @@ def test_negative_codes_rejected():
         set_of([0, -2])
 
 
-def test_set_contains_and_universes_refuse_with_precondition_errors():
-    # a negative member once raised ValueError from the shift, a negative
-    # code answered True, and a universe that is no iterable a TypeError
-    for call in (lambda: set_contains(5, -1), lambda: set_contains(-1, 0)):
-        with pytest.raises(PreconditionError,
-                           match="^a set code must be a natural number$"):
-            call()
+def test_universes_refuse_with_precondition_errors():
+    # a universe that is no iterable once raised a TypeError
     with pytest.raises(PreconditionError, match="^universe must be an "
                        "iterable of set codes, not int$"):
         FinStructure(5)
+
+
+F0 = parse_formula("all x. S(x) <-> x = #0")
+
+
+def test_a_structure_holds_only_int_codes():
+    # True == 1 once let True pass as a member, and so as parameter 1
+    assert 1 in FinStructure([1])
+    assert True not in FinStructure([1])
+    assert [0] not in FinStructure([0])
+    with pytest.raises(PreconditionError,
+                       match="^parameter True outside the universe$"):
+        eval_formula(F0, FinStructure([1]), [1], params=[True])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eval_formula(F0, S2, [], params=5),
+     "params must be an iterable of set codes, not int"),
+    (lambda: implicitly_defined_by(S2, F0, params=5),
+     "params must be an iterable of set codes, not int"),
+    (lambda: eval_formula(F0, S2, 5, params=[0]),
+     "subset must be an iterable of set codes, not int"),
+    (lambda: eval_formula(F0, S2, [], params=[[0]]),
+     r"parameter \[0\] outside the universe"),
+    (lambda: implicitly_defined_by(S2, F0, params=[[0]]),
+     r"parameter \[0\] outside the universe"),
+    (lambda: eval_formula(F0, S2, [[0]], params=[0]),
+     r"subset element \[0\] outside the universe"),
+], ids=["eval_formula params", "implicitly_defined_by params",
+        "eval_formula subset", "eval_formula unhashable params",
+        "implicitly_defined_by unhashable params",
+        "eval_formula unhashable subset"])
+def test_codes_that_are_no_set_codes_are_refused(call, message):
+    # each of these once raised TypeError: no iterable, or unhashable
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        call()
 
 
 # -- structures -----------------------------------------------------------
@@ -755,7 +784,7 @@ def test_four_free_variables_at_size_thirteen_define_no_proper_subset():
 def _membership_isomorphisms(a, b):
     # every bijection of universe a onto universe b that keeps membership
     for image in permutations(b) if len(a) == len(b) else ():
-        if all(set_contains(y, x) == set_contains(image[j], image[i])
+        if all((y >> x & 1) == (image[j] >> image[i] & 1)
                for i, x in enumerate(a) for j, y in enumerate(a)):
             yield dict(zip(a, image))
 

@@ -14,8 +14,8 @@ from sacksforcing.conditions import (
 from sacksforcing.degrees import Ordinal2, census_encode, sc_census_encode
 from sacksforcing.errors import PreconditionError, check_natural
 from sacksforcing.implicit import (
-    FinStructure, imp_levels, implicit_subsets, set_contains, set_members,
-    set_of, vn_levels,
+    FinStructure, imp_levels, implicit_subsets, set_members, set_of,
+    vn_levels,
 )
 from sacksforcing.trees import (
     SkeletonTree, enumerate_trees, full_tree, fusion_prefix, leq_n,
@@ -55,8 +55,6 @@ CALLS = {
     "census_encode n_bound": lambda v: census_encode({}, 5, v),
     "sc_census_encode": lambda v: sc_census_encode((1,), v),
     "set_members": set_members,
-    "set_contains code": lambda v: set_contains(v, 0),
-    "set_contains member": lambda v: set_contains(5, v),
     "set_of": lambda v: set_of([v]),
     "FinStructure": lambda v: FinStructure([v]),
     "implicit_subsets": lambda v: implicit_subsets(FinStructure([]), v),

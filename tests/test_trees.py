@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from sacksforcing.bitseq import bits, bits_str, width
 from sacksforcing.conditions import (
-    COLUMN, PAIRWISE, SINGLE, FixedSchedule, IterCondition, PairCondition,
-    ProductCondition, iter_amalgamate, iter_restrict, plain_iter,
-    prod_amalgamate, prod_restrict,
+    COLUMN, PAIR, PAIRWISE, SINGLE, FixedSchedule, IterCondition,
+    PairCondition, ProductCondition, full_iter, full_pair, iter_amalgamate,
+    iter_restrict, plain_iter, prod_amalgamate, prod_restrict,
 )
 from sacksforcing.errors import (
     AmalgamationError, FusionError, InputError, PreconditionError,
@@ -592,6 +592,18 @@ def test_built_values_pass_the_public_constructors():
                     _revalidate(prod_amalgamate(p, sigma, sbar, q))
                     built += 1
     assert built > 1000
+
+
+def test_full_iter_is_the_checked_iteration_of_full_payloads():
+    # full_iter builds trusted; the public constructors take what it built
+    for length in range(5):
+        for tail in product((SINGLE, PAIR), repeat=max(length - 1, 0)):
+            kinds = ((SINGLE,) + tail)[:length]
+            cond = full_iter(kinds)
+            _revalidate(cond)
+            fulls = [full_tree() if k == SINGLE else full_pair()
+                     for k in kinds]
+            assert cond.to_json() == plain_iter(kinds, fulls).to_json()
 
 
 # -- the JSON boundary and the level bound ----------------------------------
