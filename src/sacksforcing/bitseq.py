@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import InputError, PreconditionError, check_natural
+from .errors import InputError, PreconditionError, check_items, check_natural
 
 Bits = tuple[int, ...]
 
@@ -130,7 +130,7 @@ def join_family(xs, length: int) -> Bits:
     split of p.  Every position below ``length`` must be covered, i.e. the
     family has to supply column n up to the length the codec demands.
     """
-    xs = [check_bits(x) for x in xs]
+    xs = [check_bits(x) for x in check_items(xs, "xs", "bit sequences")]
     out = []
     for p in range(check_natural(length, "length")):
         n, m = pair_split(p)

@@ -30,15 +30,16 @@ is looked up by kind in one table, _PAYLOADS.
 
 Each argument is checked once, where it enters: a condition by its
 constructor or from_json, and sigma, the mode and sbar by the public
-operation, whose private twins trust them and build iterations
-unchecked, as full_iter does.  Amalgamation restricts nothing:
-_iter_graft checks each pair of rows a graft joins in place, q's payload
-against the cell of p's, and only then counts complement rows and
-builds, _graft and _pair_graft checking the skeleton bound; a product
-checks every coordinate before it grafts any.  The graded orders check
-one index of length n for all 2^n and restrict nothing: iter_leq,
-iter_leq_n and prod_leq share one loop that compares pairs of rows at
-the lengths of their addresses.  A coordinate that a product q lacks
+operation, whose private twins trust them.  Operations build iterations
+unchecked, as full_iter does, each under the fixed schedule of its
+kinds, with no commitments.  Amalgamation restricts nothing: _iter_graft
+checks each pair of rows a graft joins in place, q's payload against the
+cell of p's, and only then counts complement rows and builds, _graft and
+_pair_graft checking the skeleton bound; a product checks every
+coordinate before it grafts any.  The graded orders check one index of
+length n for all 2^n and restrict nothing: they share one loop, which
+compares pairs of rows at the lengths of their addresses, and iter_leq
+and prod_extends are their level 0.  A coordinate that a product q lacks
 reads as the full iteration of p's kinds, the weakest condition (_at).
 """
 
@@ -52,9 +53,9 @@ from types import MappingProxyType
 from .bitseq import (_column, bits, bits_str, check_bits, pair_split,
                      split_pair, width)
 from .errors import (AmalgamationError, IncompatibleError, InputError,
-                     PreconditionError, ResourceError, check_natural,
-                     json_choice, json_fields, json_int, json_int_keys,
-                     json_list)
+                     PreconditionError, ResourceError, check_items,
+                     check_natural, json_choice, json_fields, json_int,
+                     json_int_keys, json_list)
 from .trees import (SkeletonTree, _cell_leq, _check_cells, _graft,
                     _is_prefix, _strings, full_tree, leq_n)
 
@@ -139,7 +140,7 @@ class TowerRecipe:
     kinds: tuple
 
     def __post_init__(self):
-        kinds = tuple(self.kinds)
+        kinds = check_items(self.kinds, "kinds", "step kinds")
         object.__setattr__(self, "kinds", kinds)
         if kinds.count(SINGLE) + kinds.count(PAIR) != len(kinds):
             raise PreconditionError(f"bad kinds: {kinds!r}")
@@ -162,9 +163,6 @@ class TowerRecipe:
         # name is already the path of the list, and names a bad kind too
         return cls(tuple(json_list(data.get("kinds"), name, lambda k, _:
                                    json_choice(k, name, (SINGLE, PAIR)))))
-
-
-FixedSchedule = TowerRecipe
 
 MAX_SCHEDULE_STEPS = 1 << 16     # the longest schedule sc_schedule builds
 
@@ -226,9 +224,13 @@ class GenericContext:
     commitments: dict | None = None
 
     def __post_init__(self):
+        try:
+            commitments = dict(self.commitments or ()).items()
+        except (TypeError, ValueError):
+            raise PreconditionError("commitments must be a mapping") from None
         object.__setattr__(self, "commitments", MappingProxyType({
-            _coordinate(k): check_bits(v)
-            for k, v in (self.commitments or {}).items()}))
+            check_natural(_coordinate(k), "a coordinate"): check_bits(v)
+            for k, v in commitments}))
 
     def __reduce__(self):  # a view neither pickles nor deep-copies
         return GenericContext, (dict(self.commitments),)
@@ -242,7 +244,7 @@ def _plain(kinds):
     """The schedule and the empty context of a trusted iteration with
     these kinds, built and validated once per kinds tuple and shared by
     every such iteration; nothing changes either after construction."""
-    return FixedSchedule(kinds), GenericContext()
+    return TowerRecipe(kinds), GenericContext()
 
 
 def _coordinate(k):
@@ -340,7 +342,8 @@ class IterCondition:
 
     def __init__(self, schedule, coords, context: GenericContext | None = None):
         # the coordinate count comes first: it bounds the schedule's length
-        coords = [list(table) for table in coords]
+        coords = [check_items(table, "a coordinate table", "rows")
+                  for table in check_items(coords, "coords", "tables")]
         if len(coords) != schedule.length:
             raise PreconditionError(
                 f"expected {schedule.length} coordinates, got {len(coords)}")
@@ -361,7 +364,7 @@ class IterCondition:
             cooked.append(tuple(rows))
         self.coords = tuple(cooked)
         for beta, committed in self.context.commitments.items():
-            if 0 <= beta < self.length and committed and not any(
+            if beta < self.length and committed and not any(
                     _PAYLOADS[self.kinds[beta]].contains(payload, committed)
                     for _, payload in self.coords[beta]):
                 raise PreconditionError(
@@ -370,7 +373,7 @@ class IterCondition:
 
     @classmethod
     def _trusted(cls, kinds, coords) -> "IterCondition":
-        """An iteration under FixedSchedule(kinds), kinds a checked tuple,
+        """An iteration under TowerRecipe(kinds), kinds a checked tuple,
         with no commitments, from tables valid by construction: guards with
         int keys below their coordinate and nonempty bit-tuple addresses,
         payloads of the coordinate's kind, rows forming a partition."""
@@ -426,7 +429,8 @@ def _row_from_json(row, name):
 
 def plain_iter(kinds, payloads) -> IterCondition:
     """Iteration with unconditional coordinates."""
-    return IterCondition(FixedSchedule(kinds), [[({}, p)] for p in payloads])
+    return IterCondition(TowerRecipe(kinds), [[({}, p)] for p in check_items(
+        payloads, "payloads", "trees or pair conditions")])
 
 
 def full_iter(kinds) -> IterCondition:
@@ -634,7 +638,10 @@ class ProductCondition:
     ordered labels."""
 
     def __init__(self, coords):
-        self._coords = dict(coords)
+        try:
+            self._coords = dict(coords)
+        except (TypeError, ValueError):
+            raise PreconditionError("coords must be a mapping") from None
         for i, cond in self._coords.items():
             if not isinstance(cond, IterCondition):
                 raise PreconditionError(
@@ -675,12 +682,8 @@ def _coord_from_json(item, name):
 
 
 def _sbar(sbar):
-    """sbar as a list of product indices that are distinct as keys."""
-    try:
-        sbar = list(sbar)
-    except TypeError:
-        raise PreconditionError(f"sbar must be an iterable of product "
-                                f"indices, not {type(sbar).__name__}") from None
+    """sbar as a tuple of product indices that are distinct as keys."""
+    sbar = check_items(sbar, "sbar", "product indices")
     try:
         distinct = len(set(sbar)) == len(sbar)
     except TypeError:
@@ -692,7 +695,7 @@ def _sbar(sbar):
 
 
 def _shares(sigma, sbar, *prods):
-    """Check sigma, its columns distributed over the checked list sbar,
+    """Check sigma, its columns distributed over the checked tuple sbar,
     against each of prods in turn.  For each entry i of sbar in some
     product's support, in sbar's order, give (i, addrs): the addresses
     that i's column of sigma gives the coordinates of the longest
@@ -730,9 +733,8 @@ def _at(q: ProductCondition, i, kinds) -> IterCondition:
 
 
 def prod_extends(q: ProductCondition, p: ProductCondition) -> bool:
-    """Plain coordinatewise extension."""
-    return all(iter_leq(_at(q, i, cond.kinds), cond)
-               for i, cond in p._coords.items())
+    """Plain coordinatewise extension: the graded order at level 0."""
+    return prod_leq(q, p, 0, ())
 
 
 def prod_leq(q: ProductCondition, p: ProductCondition, n: int, sbar) -> bool:

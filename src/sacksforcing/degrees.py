@@ -38,8 +38,8 @@ from .bitseq import Bits, check_bits
 from .conditions import (MAX_SCHEDULE_STEPS, PAIR, SINGLE, TowerRecipe,
                          sc_schedule)
 from .errors import (DecodeError, InputError, PreconditionError,
-                     check_natural, json_choice, json_fields, json_int,
-                     json_list)
+                     check_items, check_natural, json_choice, json_fields,
+                     json_int, json_list)
 
 ONE = "one"
 MANY = "many"
@@ -278,7 +278,7 @@ class ScPattern:
     levels: tuple
 
     def __post_init__(self):
-        levels = tuple(self.levels)
+        levels = check_items(self.levels, "levels", "pattern levels")
         object.__setattr__(self, "levels", levels)
         if any(v not in (LINE, DIAMOND) for v in levels):
             raise PreconditionError(f"bad pattern levels: {levels!r}")

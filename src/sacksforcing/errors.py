@@ -1,9 +1,9 @@
 """Shared exception types, check_natural, the one check of a natural
-argument, and the one reader of each JSON value kind: json_fields for
-named fields, json_int_keys for integer keys, json_int, json_list and
-json_choice; bitseq.bits reads bit strings.  Each reader takes the value
-and name, its path in the input, which opens every message, and raises
-InputError for a value of the wrong type.
+argument, check_items, the one check of an iterable argument, and the one
+reader of each JSON value kind: json_fields for named fields, json_int_keys
+for integer keys, json_int, json_list and json_choice; bitseq.bits reads bit
+strings.  Each reader takes the value and name, its path in the input, which
+opens every message, and raises InputError for a value of the wrong type.
 
 Everything raised intentionally by this package derives from EngineError,
 so callers (the CLI in particular) can distinguish a failed operation from
@@ -56,6 +56,16 @@ def check_natural(value, name):
     if type(value) is not int or value < 0:
         raise PreconditionError(f"{name} must be a natural number")
     return value
+
+
+def check_items(values, name, what):
+    """tuple(values), read once, or PreconditionError if values is not
+    iterable; name is the argument, what its entries, in the message."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an iterable of {what}, not "
+                                f"{type(values).__name__}") from None
 
 
 def json_fields(data, name, *keys):

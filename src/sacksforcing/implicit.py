@@ -48,7 +48,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from types import SimpleNamespace
 
-from .errors import ParseError, PreconditionError, ResourceError, check_natural
+from .errors import (ParseError, PreconditionError, ResourceError,
+                     check_items, check_natural)
 
 # the largest budget the enumerator accepts.  Up to 13 its slots define
 # every subset that a formula of the budget's size defines, and at 14 it
@@ -66,7 +67,7 @@ def set_members(code: int):
 
 def set_of(members) -> int:
     code = 0
-    for m in members:
+    for m in check_items(members, "members", "set codes"):
         code |= 1 << check_natural(m, "a set code")
     return code
 
@@ -76,12 +77,8 @@ class FinStructure:
     relation.  It need not be transitive."""
 
     def __init__(self, universe):
-        try:
-            codes = sorted(check_natural(c, "a set code") for c in universe)
-        except TypeError:
-            raise PreconditionError(
-                f"universe must be an iterable of set codes, not "
-                f"{type(universe).__name__}") from None
+        codes = sorted(check_natural(c, "a set code")
+                       for c in check_items(universe, "universe", "set codes"))
         if len(set(codes)) != len(codes):
             raise PreconditionError("universe has repeated elements")
         self.universe = tuple(codes)
@@ -99,12 +96,7 @@ class FinStructure:
     def _codes(self, values, name, what):
         """values, an iterable of codes in the universe, as a tuple; name
         is the argument, what one of its entries, in messages."""
-        try:
-            values = tuple(values)
-        except TypeError:
-            raise PreconditionError(
-                f"{name} must be an iterable of set codes, not "
-                f"{type(values).__name__}") from None
+        values = check_items(values, name, "set codes")
         for c in values:
             if c not in self:
                 raise PreconditionError(f"{what} {c!r} outside the universe")
@@ -630,8 +622,8 @@ def _var_pool(budget: int) -> int:
 
 # _memo holds one record per universe, for at most _MEMO_ENTRIES of them,
 # the oldest going first: ``answers``, budget -> answer for each budget its
-# runs answered, up to ``full``, the least budget whose answer is every
-# subset, or None, with one frozenset for consecutive equal answers; and
+# runs answered, one frozenset for consecutive equal answers, an answer of
+# every subset at budget s on every budget from s to MAX_BUDGET; and
 # ``run``, (nvars, by_size, seen, found) of its last whole run, or None
 # (see _enumerate).  The kept runs hold at most _RUN_BITS classes times
 # table bits in all; past it the oldest records drop their runs and keep
@@ -639,8 +631,7 @@ def _var_pool(budget: int) -> int:
 # at budget 9 keeps 3,225 classes of 256 bits (0.8 Mbit) in 0.4 MB, {0..4}
 # at 9 keeps 5,380 of 800 bits (4.3 Mbit) in 1.4 MB, and the fullest mix
 # found, 256 universes of three codes at budget 7, holds 14 MB.  {0,1,2,3}
-# at 10, 41,465 classes of 1,024 bits that would hold 11 MB alone, is not
-# kept
+# at 10, 41,465 classes of 1,024 bits that would hold 11 MB, is not kept
 _MEMO_ENTRIES = 256
 _RUN_BITS = 1 << 23
 _memo = {}
@@ -670,19 +661,14 @@ def implicit_subsets(structure: FinStructure, budget: int):
     """
     _check_budget(budget)
     record = _memo.get(structure.universe)
-    if record is not None:
-        full = record.full
-        answer = record.answers.get(
-            budget if full is None or budget < full else full)
-        if answer is not None:
-            return answer
-    return _enumerate(structure, budget)
+    answer = record.answers.get(budget) if record else None
+    return _enumerate(structure, budget) if answer is None else answer
 
 
 def _enumerate(structure, budget):
-    """implicit_subsets on a miss: one run of _tables puts the answers of
-    ``budget`` and of each smaller budget the universe's record lacks on
-    it, up to the first that is every subset, and returns the budget's.
+    """implicit_subsets on a miss: one run of _tables answers ``budget``
+    and each smaller budget the record lacks, up to the first answer of
+    every subset, which answers every larger one too.
     _tables builds a stored size s as a budget-s run on the same slots
     does, and that run's last size finds the closed families size s
     holds: the subsets defined once size s is done answer budget s (every
@@ -708,8 +694,7 @@ def _enumerate(structure, budget):
     width = u ** nvars << u         # table bits
     if width > MAX_TABLE_BITS:
         _refuse(width, "table bits", nvars, u, MAX_TABLE_BITS)
-    record = _memo.get(universe) or SimpleNamespace(
-        answers={}, full=None, run=None)
+    record = _memo.get(universe) or SimpleNamespace(answers={}, run=None)
     run, record.run = record.run, None
     if run is None or run[0] != nvars or len(run[1]) + 2 > budget:
         run = (nvars, {}, set(), 0)
@@ -751,7 +736,7 @@ def _enumerate(structure, budget):
             answers[size] = answer
         answer = answers[size]
         if len(answer) == nsub:
-            record.full = size
+            answers.update(dict.fromkeys(range(size, MAX_BUDGET + 1), answer))
             break
     _memo.pop(universe, None)
     _memo[universe] = record

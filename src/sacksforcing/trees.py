@@ -48,7 +48,8 @@ from math import comb
 
 from .bitseq import Bits, bits, bits_str, check_bits
 from .errors import (AmalgamationError, FusionError, PreconditionError,
-                     ResourceError, check_natural, json_fields, json_int)
+                     ResourceError, check_items, check_natural, json_fields,
+                     json_int)
 
 # amalgamate refuses to build a skeleton with more entries than this, and
 # the level-n queries refuse to list more than this many cells
@@ -414,6 +415,8 @@ def fusion_prefix(seq, schedule, n: int) -> SkeletonTree:
     later member of the sequence, so it over-approximates the limit while
     agreeing with it through the settled levels.
     """
+    seq = check_items(seq, "seq", "trees")
+    schedule = check_items(schedule, "schedule", "naturals")
     if not seq:
         raise FusionError("fusion_prefix needs a nonempty sequence")
     if len(schedule) < check_natural(n, "n") + 1:

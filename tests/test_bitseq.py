@@ -21,6 +21,13 @@ def test_a_value_that_is_not_iterable_is_not_a_bit_sequence(call):
         call()
 
 
+def test_a_family_that_is_not_iterable_is_refused():
+    # it once raised a bare TypeError
+    with pytest.raises(PreconditionError, match="^xs must be an iterable of "
+                       "bit sequences, not int$"):
+        join_family(5, 0)
+
+
 @pytest.mark.parametrize("value", [(0, 2), [1, 0, -1], "01"])
 def test_an_entry_that_is_not_a_bit_is_refused(value):
     with pytest.raises(PreconditionError, match="^not a bit sequence: "):

@@ -3,7 +3,7 @@ import pickle
 import random
 import time
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +16,8 @@ from sacksforcing.errors import (
 )
 from sacksforcing.conditions import (
     COLUMN, MAX_COMPLEMENT_ROWS, PAIR, PAIRWISE, SINGLE,
-    FixedSchedule, GenericContext, IterCondition, PairCondition,
-    ProductCondition, ScSchedule, _guards_compatible, _table_is_partition,
+    GenericContext, IterCondition, PairCondition, ProductCondition,
+    ScSchedule, TowerRecipe, _guards_compatible, _table_is_partition,
     condition_from_json, full_iter, full_pair, full_tree, iter_amalgamate,
     iter_equal, iter_leq, iter_leq_n, iter_restrict, pair_restrict,
     plain_iter, prod_amalgamate, prod_extends, prod_leq, prod_restrict,
@@ -246,7 +246,7 @@ def test_modes_agree_on_balanced_indices():
 # -- guarded tables and schedules ----------------------------------------------
 
 def test_guard_table_validation():
-    sched = FixedSchedule([SINGLE, SINGLE])
+    sched = TowerRecipe([SINGLE, SINGLE])
     with pytest.raises(PreconditionError):  # overlapping guards
         IterCondition(sched, [
             [({}, F)],
@@ -263,7 +263,7 @@ def test_guard_table_validation():
     with pytest.raises(PreconditionError):  # empty table
         IterCondition(sched, [[({}, F)], []])
     with pytest.raises(PreconditionError):  # first coordinate must be single
-        FixedSchedule([PAIR])
+        TowerRecipe([PAIR])
 
 
 def test_conditional_coordinate_accessor():
@@ -297,7 +297,7 @@ def test_product_coordinate_outside_the_support_is_refused(i, shown):
 
 
 def test_finer_guards_still_partition():
-    sched = FixedSchedule([SINGLE, SINGLE])
+    sched = TowerRecipe([SINGLE, SINGLE])
     cond = IterCondition(sched, [
         [({}, T1)],
         [({0: bits("00")}, F), ({0: bits("01")}, TP), ({0: bits("1")}, F)],
@@ -330,10 +330,10 @@ def test_sc_schedule_needs_commitments():
 def test_context_consistency_checked():
     stem0 = make_tree(0, {"": "0"})
     with pytest.raises(PreconditionError):
-        IterCondition(FixedSchedule([SINGLE]), [[({}, stem0)]],
+        IterCondition(TowerRecipe([SINGLE]), [[({}, stem0)]],
                       GenericContext({0: bits("10")}))
     # compatible commitment passes
-    IterCondition(FixedSchedule([SINGLE]), [[({}, stem0)]],
+    IterCondition(TowerRecipe([SINGLE]), [[({}, stem0)]],
                   GenericContext({0: bits("01")}))
 
 
@@ -341,7 +341,7 @@ def test_pair_context_checks_both_halves():
     # the right tree of coordinate 1 has stem 0; the commitment interleaves
     # the two reals, so its odd positions belong to the right one
     stem0 = make_tree(0, {"": "0"})
-    sched = FixedSchedule([SINGLE, PAIR])
+    sched = TowerRecipe([SINGLE, PAIR])
     coords = [[({}, F)], [({}, PairCondition(F, stem0))]]
     with pytest.raises(PreconditionError, match="coordinate 1 is not a "
                                                 "branch of any payload"):
@@ -437,14 +437,14 @@ def test_partition_check_reads_long_addresses():
     start = time.perf_counter()
     one_cell = [[({}, F)], [({0: (0,) * 22}, F)]]
     with pytest.raises(PreconditionError, match="not exhaustive"):
-        IterCondition(FixedSchedule([SINGLE, SINGLE]), one_cell)
+        IterCondition(TowerRecipe([SINGLE, SINGLE]), one_cell)
     # first point of difference from 0^40, then 0^40 itself
     rows = [({0: (0,) * i + (1,)}, F) for i in range(40)]
-    cond = IterCondition(FixedSchedule([SINGLE, SINGLE]),
+    cond = IterCondition(TowerRecipe([SINGLE, SINGLE]),
                          [[({}, F)], rows + [({0: (0,) * 40}, F)]])
     assert len(cond.coords[1]) == 41
     with pytest.raises(PreconditionError, match="not exhaustive"):
-        IterCondition(FixedSchedule([SINGLE, SINGLE]), [[({}, F)], rows])
+        IterCondition(TowerRecipe([SINGLE, SINGLE]), [[({}, F)], rows])
     assert time.perf_counter() - start < 2
 
 
@@ -596,7 +596,7 @@ def test_product_json_round_trip():
 
 def test_full_iter_recognition():
     # a full iteration is the full one of its kinds, whatever its guards
-    guarded = IterCondition(FixedSchedule([SINGLE, PAIR]), [
+    guarded = IterCondition(TowerRecipe([SINGLE, PAIR]), [
         [({}, F)], [({0: (0,)}, full_pair()), ({0: (1,)}, full_pair())]])
     assert iter_equal(guarded, full_iter(guarded.kinds))
     assert not iter_equal(iter_of(T1), full_iter([SINGLE]))
@@ -795,7 +795,7 @@ def test_long_schedule_is_refused_by_the_coordinate_count():
 @pytest.mark.parametrize("key", ["0", "00", 0.5, 0.7, True])
 def test_coordinate_keys_are_ints(key):
     # int(k) would read "00" and 0.5 both as 0, and a float as its floor
-    sched = FixedSchedule([SINGLE, SINGLE])
+    sched = TowerRecipe([SINGLE, SINGLE])
     with pytest.raises(PreconditionError, match="is not an integer"):
         GenericContext({key: bits("1")})
     with pytest.raises(PreconditionError, match="is not an integer"):
@@ -804,6 +804,45 @@ def test_coordinate_keys_are_ints(key):
     with pytest.raises(PreconditionError, match="is not an integer"):
         GenericContext({"00": (1,), 0.5: (0,)})
     assert GenericContext({0: bits("1")}).commitments == {0: (1,)}
+
+
+def test_a_commitment_names_a_natural_coordinate():
+    # a commitment for coordinate -1 once passed, and to_json printed it
+    for commitments in ({-1: (0,)}, {0: (1,), -2: ()}):
+        with pytest.raises(PreconditionError,
+                           match="^a coordinate must be a natural number$"):
+            IterCondition(TowerRecipe([SINGLE]), [[({}, F)]],
+                          GenericContext(commitments))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TowerRecipe(5), "kinds must be an iterable of step kinds, "
+                             "not int"),
+    (lambda: full_iter(5), "kinds must be an iterable of step kinds, not int"),
+    (lambda: plain_iter([SINGLE], 5), "payloads must be an iterable of "
+                                      "trees or pair conditions, not int"),
+    (lambda: IterCondition(TowerRecipe([SINGLE]), 5),
+     "coords must be an iterable of tables, not int"),
+    (lambda: IterCondition(TowerRecipe([SINGLE]), [5]),
+     "a coordinate table must be an iterable of rows, not int"),
+    (lambda: ProductCondition(5), "coords must be a mapping"),
+    (lambda: ProductCondition([5]), "coords must be a mapping"),
+    (lambda: ProductCondition([(0, P2, 1)]), "coords must be a mapping"),
+    (lambda: GenericContext(5), "commitments must be a mapping"),
+    (lambda: GenericContext([(0, (1,), 2)]), "commitments must be a mapping"),
+], ids=["TowerRecipe", "full_iter", "plain_iter", "IterCondition-coords",
+        "IterCondition-table", "ProductCondition", "ProductCondition-entry",
+        "ProductCondition-triple", "GenericContext",
+        "GenericContext-triple"])
+def test_a_value_that_cannot_be_read_is_refused(call, message):
+    # each raised a bare TypeError, ValueError or AttributeError before
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        call()
+
+
+def test_the_two_mappings_read_what_dict_reads():
+    assert ProductCondition([(0, P2)]).coordinate(0) is P2
+    assert GenericContext([(0, (1,))]).commitments == {0: (1,)}
 
 
 def test_trusted_iterations_share_a_context_that_cannot_change():
@@ -818,7 +857,7 @@ def test_trusted_iterations_share_a_context_that_cannot_change():
         a.context.commitments = {0: (1, 1)}
     assert b.to_json()["context"] == {}
     # a context, and an iteration holding one, still copy and pickle
-    cond = IterCondition(FixedSchedule([SINGLE]), [[({}, T1)]],
+    cond = IterCondition(TowerRecipe([SINGLE]), [[({}, T1)]],
                          GenericContext({0: bits("01")}))
     for clone in (copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
         for value in (cond, a):
@@ -850,7 +889,7 @@ def test_pair_condition_holds_two_trees():
 def test_iter_amalgamate_keeps_rows_outside_the_sigma_cell():
     # coordinate 1's row under guard {0: 1} lies outside the 0-cell of
     # coordinate 0, so the graft leaves it as it is
-    p = IterCondition(FixedSchedule([SINGLE, SINGLE]), [
+    p = IterCondition(TowerRecipe([SINGLE, SINGLE]), [
         [({}, F)], [({0: bits("0")}, F), ({0: bits("1")}, T1)]])
     sigma = bits("0")
     q = iter_restrict(p, bits("00"), COLUMN)
@@ -863,9 +902,11 @@ def test_iter_amalgamate_keeps_rows_outside_the_sigma_cell():
 
 
 def test_context_check_skips_empty_and_outside_commitments():
-    # T1's stem is 0, so only the commitment 1 at coordinate 0 is refused
-    sched = FixedSchedule([SINGLE])
-    for commitments in ({0: ()}, {3: bits("1")}, {-1: bits("1")},
+    # T1's stem is 0, so only the commitment 1 at coordinate 0 is refused;
+    # a commitment past the length is skipped (one at -1 is refused by the
+    # context itself, test_a_commitment_names_a_natural_coordinate)
+    sched = TowerRecipe([SINGLE])
+    for commitments in ({0: ()}, {3: bits("1")},
                         {0: bits("0"), 1: bits("1")}):
         cond = IterCondition(sched, [[({}, T1)]], GenericContext(commitments))
         assert cond.coordinate(0) == T1
@@ -909,7 +950,7 @@ def _expected_cell(p, q, sigma, tau, mode):
     b = _cell_addresses(tau, mode, p.length)
     j = next((k for k in range(p.length) if a[k] != b[k]), p.length)
     rest = iter_restrict(p, tau, mode)
-    return IterCondition(FixedSchedule(p.kinds),
+    return IterCondition(TowerRecipe(p.kinds),
                          list(q.coords[:j]) + list(rest.coords[j:]))
 
 
@@ -936,13 +977,13 @@ def _shrink(cond, b, right=False):
                 return PairCondition(pay.left, pay.right.restrict_cell((b,)))
             return PairCondition(pay.left.restrict_cell((b,)), pay.right)
         return pay.restrict_cell((b,))
-    return IterCondition(FixedSchedule(cond.kinds), [
+    return IterCondition(TowerRecipe(cond.kinds), [
         [(g, cut(pay)) for g, pay in table] for table in cond.coords])
 
 
 def _is_partition(r):
     # the public constructor checks every table
-    return iter_equal(IterCondition(FixedSchedule(r.kinds), r.coords), r)
+    return iter_equal(IterCondition(TowerRecipe(r.kinds), r.coords), r)
 
 
 def _check_iter_amalgamation(p, sigma, mode):
@@ -1072,6 +1113,15 @@ def test_sbar_entries_are_judged_as_keys(call):
         call(p, [1, [0]])
 
 
+def test_sbar_generator_is_read_once():
+    p = ProductCondition({0: iter_of(T1), 1: iter_of(TP)})
+    sigma = bits("101")
+    for sbar in ([1, 0], [0, 1]):
+        want = prod_restrict(p, sigma, sbar).to_json()
+        assert prod_restrict(p, sigma, iter(sbar)).to_json() == want
+        assert prod_restrict(p, sigma, (i for i in sbar)).to_json() == want
+
+
 def test_sbar_that_is_not_iterable_is_refused():
     p = ProductCondition({0: iter_of(T1), 1: iter_of(TP)})
     for call in (lambda: prod_restrict(p, (), 5),
@@ -1134,13 +1184,19 @@ def _mismatch_cut(q, p):
                              **{i: p.coordinate(i) for i in order[first:]}})
 
 
-def test_prod_leq_matches_its_definition_on_pair_and_guarded_coordinates():
+def _iteration_pool():
+    """Single iterations, length-2 iterations with a single or a pair
+    second coordinate, and guarded versions of half of the latter."""
     pool = [iter_of(t) for t in SMALL]
     pool += [plain_iter([SINGLE, second], [t, pay])
              for t in SMALL[:3] for second, pay in
              [(SINGLE, u) for u in SMALL[:3]]
              + [(PAIR, PairCondition(u, F)) for u in SMALL[:3]]]
-    pool += [_conditional(c, COLUMN) for c in pool[len(SMALL)::2]]
+    return pool + [_conditional(c, COLUMN) for c in pool[len(SMALL)::2]]
+
+
+def test_prod_leq_matches_its_definition_on_pair_and_guarded_coordinates():
+    pool = _iteration_pool()
     rng = random.Random(2024)
     counts = Counter()
     for _ in range(3000):
@@ -1178,6 +1234,41 @@ def test_prod_leq_matches_its_definition_on_pair_and_guarded_coordinates():
         counts[want if not isinstance(want, tuple) else want[0]] += 1
     assert counts[True] and counts[False] and counts[IncompatibleError]
     assert counts["corner"]
+
+
+def test_prod_extends_is_the_graded_order_at_level_0():
+    # at level 0 every address is empty, so the graded order compares
+    # rows in the plain order, whatever sbar lists: prod_extends agrees
+    # with prod_leq(q, p, 0, sbar) for every sbar drawn from the support,
+    # and with plain extension at each coordinate, a coordinate that q
+    # lacks read as the full iteration
+    pool = _iteration_pool()
+    rng = random.Random(2028)
+    counts = Counter()
+    for _ in range(1000):
+        support = rng.sample(range(4), rng.randint(1, 4))
+        p = ProductCondition({i: rng.choice(pool) for i in support})
+        q = {}
+        for i in support + [rng.randrange(5)]:
+            pi = p.coords.get(i, rng.choice(pool))
+            pick = rng.randrange(4)
+            if pick == 0:
+                q[i] = rng.choice(pool)
+            elif pick < 3:
+                sigma = tuple(rng.randrange(2)
+                              for _ in range(rng.randint(0, pi.length)))
+                q[i] = iter_restrict(pi, sigma)
+        q = ProductCondition(q)
+        want = _outcome(lambda: all(
+            iter_leq(q.coords.get(i, full_iter(cond.kinds)), cond)
+            for i, cond in p.coords.items()))
+        assert _outcome(lambda: prod_extends(q, p)) == want
+        for r in range(len(support) + 1):
+            for sbar in combinations(support, r):
+                for order in (sbar, sbar[::-1]):
+                    assert _outcome(lambda: prod_leq(q, p, 0, order)) == want
+        counts[want if not isinstance(want, tuple) else want[0]] += 1
+    assert counts[True] and counts[False] and counts[IncompatibleError]
 
 
 def test_prod_leq_finishes_each_coordinate_before_the_next():

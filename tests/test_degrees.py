@@ -25,6 +25,13 @@ def all_recipes(max_length):
             yield TowerRecipe((SINGLE,) + tail)
 
 
+def test_a_pattern_that_is_not_iterable_is_refused():
+    # it once raised a bare TypeError
+    with pytest.raises(PreconditionError, match="^levels must be an iterable "
+                       "of pattern levels, not int$"):
+        ScPattern(5)
+
+
 # -- ordinals -------------------------------------------------------------------
 
 def test_ordinal_basics():

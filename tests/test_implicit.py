@@ -56,6 +56,26 @@ def test_universes_refuse_with_precondition_errors():
 F0 = parse_formula("all x. S(x) <-> x = #0")
 
 
+def test_iterable_arguments_are_read_once():
+    # each argument is read into a tuple once, then checked, so a
+    # generator gives what its list gives
+    assert FinStructure(iter([1, 0])).universe == (0, 1)
+    assert set_of(c for c in (0, 1)) == 3
+    for params in ([1], [0]):
+        want = implicitly_defined_by(S2, F0, params)
+        assert want == frozenset(params)
+        assert implicitly_defined_by(S2, F0, iter(params)) == want
+        assert eval_formula(F0, S2, want, params=(c for c in params))
+        assert not eval_formula(F0, S2, [], params=(c for c in params))
+
+
+def test_set_of_refuses_a_value_that_is_not_iterable():
+    # it once raised a bare TypeError
+    with pytest.raises(PreconditionError, match="^members must be an "
+                       "iterable of set codes, not int$"):
+        set_of(5)
+
+
 def test_a_structure_holds_only_int_codes():
     # True == 1 once let True pass as a member, and so as parameter 1
     assert 1 in FinStructure([1])
@@ -876,7 +896,7 @@ def test_cli_implicit_subsets_at_the_budget_cap(tmp_path, capsys):
 
 def test_budget_cap_is_checked_before_the_memo(monkeypatch):
     monkeypatch.setitem(implicit._memo, S2.universe, SimpleNamespace(
-        answers={15: frozenset()}, full=None, run=None))
+        answers={15: frozenset()}, run=None))
     with pytest.raises(ResourceError):
         implicit_subsets(S2, 15)
 
@@ -935,6 +955,22 @@ def test_one_enumeration_answers_smaller_budgets_on_its_slots(monkeypatch):
         assert calls == []
 
 
+def test_an_answer_of_every_subset_answers_every_larger_budget(monkeypatch):
+    # the run that first defines every subset puts that one answer on
+    # every budget up to the cap, so no larger budget enumerates again
+    calls = _count_enumerations(monkeypatch)
+    for universe, full in (((0, 1), 6), ((0, 1, 2), 8)):
+        structure = FinStructure(universe)
+        implicit._memo.clear()
+        answer = implicit_subsets(structure, full)
+        assert len(answer) == 1 << len(universe)
+        assert len(implicit_subsets(structure, full - 1)) < len(answer)
+        del calls[:]
+        for budget in range(full, implicit.MAX_BUDGET + 1):
+            assert implicit_subsets(structure, budget) is answer
+        assert calls == []
+
+
 def test_tables_report_each_stored_size_once_it_is_built():
     structure = FinStructure([0, 1])
     for budget in (0, 2, 4, 7):
@@ -968,9 +1004,11 @@ def test_recorded_sizes_keep_a_full_memo_bounded():
     assert len(implicit._memo) == implicit._MEMO_ENTRIES
     # the record a run adds to is newest, and one went per new record
     assert list(implicit._memo)[-2:] == [S2.universe, structure.universe]
-    # it answers every subset from budget 8 on, so 9 needs no entry
+    # it answers every subset from budget 8 on, and that answer is put on
+    # every budget up to the cap
     record = implicit._memo[structure.universe]
-    assert record.full == 8 and list(record.answers) == list(range(9))
+    assert list(record.answers) == list(range(implicit.MAX_BUDGET + 1))
+    assert len(record.answers[7]) < 8 == len(record.answers[8])
     assert (1,) not in implicit._memo
     assert (2,) in implicit._memo
 
@@ -1041,7 +1079,8 @@ def test_saturated_run_keeps_nothing():
     # the run it continued is gone with it, and the answers stay
     assert len(implicit_subsets(S2, 6)) == 4
     assert record.run is None
-    assert list(record.answers) == list(range(record.full + 1))
+    assert list(record.answers) == list(range(implicit.MAX_BUDGET + 1))
+    assert len(record.answers[5]) < 4 == len(record.answers[6])
 
 
 def _forget_answers():
@@ -1049,7 +1088,6 @@ def _forget_answers():
     # call enumerates and continues that run
     for record in implicit._memo.values():
         record.answers.clear()
-        record.full = None
 
 
 def _kept_runs():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from sacksforcing.bitseq import bits, bits_str, width
 from sacksforcing.conditions import (
-    COLUMN, PAIR, PAIRWISE, SINGLE, FixedSchedule, IterCondition,
-    PairCondition, ProductCondition, full_iter, full_pair, iter_amalgamate,
+    COLUMN, PAIR, PAIRWISE, SINGLE, IterCondition, PairCondition,
+    ProductCondition, TowerRecipe, full_iter, full_pair, iter_amalgamate,
     iter_restrict, plain_iter, prod_amalgamate, prod_restrict,
 )
 from sacksforcing.errors import (
@@ -536,7 +536,7 @@ def _revalidate(value):
         _revalidate(value.left)
         _revalidate(value.right)
     elif isinstance(value, IterCondition):
-        again = IterCondition(FixedSchedule(value.kinds), value.coords)
+        again = IterCondition(TowerRecipe(value.kinds), value.coords)
         assert again.coords == value.coords
         for table in value.coords:
             for _, payload in table:
@@ -670,6 +670,19 @@ def test_fusion_prefix_refuses_a_schedule_entry_that_is_no_index():
         with pytest.raises(FusionError, match="^schedule\\[0\\] must be a "
                            "natural number below 1, the sequence's length$"):
             fusion_prefix([full_tree()], [entry], 0)
+
+
+@pytest.mark.parametrize("seq, schedule, message", [
+    (5, [0], "seq must be an iterable of trees, not int"),
+    ([full_tree()], 5, "schedule must be an iterable of naturals, not int"),
+], ids=["seq", "schedule"])
+def test_fusion_prefix_refuses_an_argument_that_is_not_iterable(
+        seq, schedule, message):
+    # each once raised a bare TypeError
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        fusion_prefix(seq, schedule, 0)
+    # a generator is read once
+    assert fusion_prefix(iter([full_tree()]), iter([0]), 0) == full_tree()
 
 
 def test_enumeration_size_is_counted_before_building():
