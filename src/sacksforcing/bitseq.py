@@ -38,7 +38,7 @@ def bits(text: str, name="text") -> Bits:
 
 
 def bits_str(b: Bits) -> str:
-    return "".join(str(x) for x in b)
+    return "".join(["01"[x] for x in b])
 
 
 def check_bits(b) -> Bits:

@@ -211,8 +211,11 @@ def _run(path, work):
         if path == "-":
             obj = json.load(sys.stdin)
         else:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
+            with open(path, "rb") as fh:  # decoded as text mode would
+                text = fh.read().decode("utf-8")
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            obj = json.loads(text)
     except (OSError, ValueError) as e:     # bad JSON, text or number
         print(f"input error: {e}", file=sys.stderr)
         return 1, None

@@ -30,17 +30,22 @@ is looked up by kind in one table, _PAYLOADS.
 
 Each argument is checked once, where it enters: a condition by its
 constructor or from_json, and sigma, the mode and sbar by the public
-operation, whose private twins trust them.  Operations build iterations
-unchecked, as full_iter does, each under the fixed schedule of its
-kinds, with no commitments.  Amalgamation restricts nothing: _iter_graft
-checks each pair of rows a graft joins in place, q's payload against the
-cell of p's, and only then counts complement rows and builds, _graft and
-_pair_graft checking the skeleton bound; a product checks every
-coordinate before it grafts any.  The graded orders check one index of
-length n for all 2^n and restrict nothing: they share one loop, which
-compares pairs of rows at the lengths of their addresses, and iter_leq
-and prod_extends are their level 0.  A coordinate that a product q lacks
-reads as the full iteration of p's kinds, the weakest condition (_at).
+operation, whose private twins trust them.  An iteration's two doors read
+each guard once, the constructor by _coordinate and check_bits and
+from_json by _int_keyed, and share one check of the rest (_check): the
+keys' range, nonempty addresses, payload kinds, partitions and
+commitments.  A context from JSON checks only its keys' sign.  Operations
+build iterations unchecked, as full_iter does, each under the fixed
+schedule of its kinds, with no commitments.  Amalgamation restricts
+nothing: _iter_graft checks each pair of rows a graft joins in place,
+q's payload against the cell of p's, and only then counts complement
+rows and builds, _graft and _pair_graft checking the skeleton bound; a
+product checks every coordinate before it grafts any.  The graded orders
+check one index of length n for all 2^n and restrict nothing: they share
+one loop, which compares pairs of rows at the lengths of their
+addresses, and iter_leq and prod_extends are their level 0.  A coordinate
+that a product q lacks reads as the full iteration of p's kinds, the
+weakest condition (_at).
 """
 
 from __future__ import annotations
@@ -232,6 +237,14 @@ class GenericContext:
             check_natural(_coordinate(k), "a coordinate"): check_bits(v)
             for k, v in commitments}))
 
+    @classmethod
+    def _decoded(cls, keyed):
+        """From _int_keyed's dict: only the keys' sign is left to check."""
+        context = object.__new__(cls)
+        object.__setattr__(context, "commitments", MappingProxyType({
+            check_natural(k, "a coordinate"): v for k, v in keyed.items()}))
+        return context
+
     def __reduce__(self):  # a view neither pickles nor deep-copies
         return GenericContext, (dict(self.commitments),)
 
@@ -272,20 +285,6 @@ def schedule_from_json(data, name="schedule"):
 
 
 # -- guard calculus -----------------------------------------------------------
-
-def _check_guard(guard, beta):
-    out = {}
-    for k, addr in guard.items():
-        k = _coordinate(k)
-        addr = check_bits(addr)
-        if not 0 <= k < beta:
-            raise PreconditionError(
-                f"guard mentions coordinate {k}, not below {beta}")
-        if not addr:
-            raise PreconditionError("guard addresses must be nonempty")
-        out[k] = addr
-    return out
-
 
 def _guards_compatible(g1, g2) -> bool:
     for k in g1.keys() & g2.keys():
@@ -341,29 +340,51 @@ class IterCondition:
     """A finite iteration condition: one guarded table per coordinate."""
 
     def __init__(self, schedule, coords, context: GenericContext | None = None):
+        tables = []
+        for beta, table in enumerate([
+                check_items(table, "a coordinate table", "rows")
+                for table in check_items(coords, "coords", "tables")]):
+            rows = []
+            for row in table:
+                try:
+                    guard, payload = row
+                    items = guard.items()
+                except (TypeError, ValueError, AttributeError):
+                    raise PreconditionError(
+                        f"coordinate {beta}: a row must be a pair of a guard "
+                        f"mapping and a payload") from None
+                rows.append(({_coordinate(k): check_bits(addr)
+                              for k, addr in items}, payload))
+            tables.append(rows)
+        self._check(schedule, tables, context or GenericContext())
+
+    def _check(self, schedule, coords, context):
+        """Both doors' one check of tables, guards keyed by int to bits."""
         # the coordinate count comes first: it bounds the schedule's length
-        coords = [check_items(table, "a coordinate table", "rows")
-                  for table in check_items(coords, "coords", "tables")]
         if len(coords) != schedule.length:
             raise PreconditionError(
                 f"expected {schedule.length} coordinates, got {len(coords)}")
         self.schedule = schedule
-        self.context = context or GenericContext()
-        self.kinds = schedule.recipe(self.context).kinds
+        self.context = context
+        self.kinds = schedule.recipe(context).kinds
         cooked = []
-        for beta, table in enumerate(coords):
-            rows = []
-            for guard, payload in table:
-                guard = _check_guard(guard, beta)
+        for beta, rows in enumerate(coords):
+            for guard, payload in rows:
+                for k, addr in guard.items():
+                    if not 0 <= k < beta:
+                        raise PreconditionError(
+                            f"guard mentions coordinate {k}, not below {beta}")
+                    if not addr:
+                        raise PreconditionError(
+                            "guard addresses must be nonempty")
                 if not isinstance(payload, _PAYLOADS[self.kinds[beta]].type):
                     raise PreconditionError(
                         f"coordinate {beta} is {self.kinds[beta]} but "
                         f"payload is {type(payload).__name__}")
-                rows.append((guard, payload))
             _table_is_partition(rows, beta)
             cooked.append(tuple(rows))
         self.coords = tuple(cooked)
-        for beta, committed in self.context.commitments.items():
+        for beta, committed in context.commitments.items():
             if beta < self.length and committed and not any(
                     _PAYLOADS[self.kinds[beta]].contains(payload, committed)
                     for _, payload in self.coords[beta]):
@@ -416,7 +437,9 @@ class IterCondition:
         context = _int_keyed(data.get("context", {}), f"{name}.context")
         coords = json_list(tables, f"{name}.coords", lambda table, at:
                            json_list(table, at, _row_from_json))
-        return cls(schedule, coords, GenericContext(context))
+        cond = object.__new__(cls)
+        cond._check(schedule, coords, GenericContext._decoded(context))
+        return cond
 
 
 def _row_from_json(row, name):

@@ -200,7 +200,12 @@ class TowerCensus:
     entries: tuple  # sorted ((height, verdict), ...)
 
     def __post_init__(self):
-        cooked = tuple(sorted(dict(self.entries).items()))
+        try:
+            entries = dict(self.entries)
+        except (TypeError, ValueError):
+            raise PreconditionError("census entries must be (height, "
+                                    "verdict) pairs") from None
+        cooked = tuple(sorted(entries.items()))
         object.__setattr__(self, "entries", cooked)
         for height, verdict in cooked:
             if not isinstance(height, Ordinal2) or height.is_zero:
@@ -242,13 +247,18 @@ def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
     # and past it there are only len(x) of them
     count = (check_natural(limit_bound, "limit_bound")
              * check_natural(n_bound, "n_bound"))
+    try:
+        items = x.items()
+    except AttributeError:
+        raise PreconditionError(f"x must be a mapping, not "
+                                f"{type(x).__name__}") from None
     if len(x) != count or count and set(x) != {
             Ordinal2(a, n) for a in range(limit_bound) for n in range(n_bound)}:
         raise PreconditionError(
             f"x must be defined on exactly {limit_bound} limits x "
             f"{n_bound} offsets")
     entries = {}
-    for key, bit in x.items():
+    for key, bit in items:
         if bit not in (0, 1):
             raise PreconditionError(f"bit function value {bit!r}")
         entries[Ordinal2(key.a, 2 * key.b + 1)] = ONE if bit == 0 else MANY
@@ -325,7 +335,12 @@ def sc_census_encode(h, alpha_bound: int):
 def sc_census_decode(census) -> Bits:
     """Inverse of sc_census_encode, checked by encoding the answer
     again."""
-    h = tuple(1 if census.get(n) == ONE else 0 for n in range(len(census)))
+    try:
+        h = tuple(1 if census.get(n) == ONE else 0
+                  for n in range(len(census)))
+    except (AttributeError, TypeError):
+        raise PreconditionError(f"census must be a mapping, not "
+                                f"{type(census).__name__}") from None
     if sc_census_encode(h, 2) != census:
         raise DecodeError("census is not the encoding of a bit string")
     return h

@@ -17,17 +17,20 @@ node also beyond the stored depth, restrict_cell(sigma) is the subtree of
 nodes comparable with rt(sigma), and splitting_level(n) collects the 2^n
 splitting nodes with index length n.
 
-Trees are validated once, at the boundary.  The public constructor and
-``from_json`` check every entry; the trees this module and the condition
-layer build themselves (deepen, canonical, restrict_cell, amalgamate, ...)
-are valid by construction and come from the private ``_trusted``
-constructor, which checks nothing.  Public methods check their bit-string
-arguments once and hand them to unchecked private twins (``_rt``,
-``_restrict_cell``, ``_contains``, ``_graft``) that internal callers use
-directly.  ``_graft``, amalgamate's twin, overwrites the cell's entries
-in a deepened copy of the tree's skeleton; it can skip the comparison of
-the graft with its cell, but the MAX_SKELETON_ENTRIES bound holds on
-every path.
+Trees are validated once, at the boundary.  Each entry point reads every
+entry once, the public constructor by ``check_bits`` and ``from_json`` by
+``bits``, and both hand the result to one skeleton check, ``_skeleton``:
+the entry count, every index, each entry extending its parent.
+``from_json`` then builds with the private ``_trusted`` constructor, which
+checks nothing, as do the trees this module and the condition layer build
+themselves (deepen, canonical, restrict_cell, amalgamate, ...), valid by
+construction.  Public methods check their bit-string arguments once and
+hand them to unchecked private twins (``_rt``, ``_restrict_cell``,
+``_contains``, ``_graft``) that internal callers use directly.
+``_graft``, amalgamate's twin, overwrites the cell's entries in a
+deepened copy of the tree's skeleton; it can skip the comparison of the
+graft with its cell, but the MAX_SKELETON_ENTRIES bound holds on every
+path.
 Trees are immutable, so each caches its canonical form the first time
 it is asked for, and ``==`` and ``hash`` reuse it.
 
@@ -108,6 +111,22 @@ def bitstrings_upto(n: int):
     return list(_upto(n))
 
 
+def _skeleton(depth, skel):
+    """Both doors' skeleton check: skel, checked, shortest index first."""
+    # compare bit lengths first, so a huge depth never builds 2^depth
+    count = len(skel)
+    if count.bit_length() != depth + 1 or count != (2 << depth) - 1:
+        raise PreconditionError(
+            f"skeleton must have one entry per index of length <= {depth}")
+    for sigma in _upto(depth):
+        if sigma not in skel:
+            raise PreconditionError(f"missing skeleton index {sigma}")
+        if sigma and not _is_prefix(skel[sigma[:-1]] + sigma[-1:], skel[sigma]):
+            raise PreconditionError(
+                f"entry at {sigma} does not extend its parent entry")
+    return {s: skel[s] for s in _upto(depth)}
+
+
 _set = object.__setattr__
 
 
@@ -118,21 +137,13 @@ class SkeletonTree:
 
     def __init__(self, depth: int, skeleton):
         check_natural(depth, "depth")
-        skel = {}
-        for key, entry in skeleton.items():
-            skel[check_bits(key)] = check_bits(entry)
-        # compare bit lengths first, so a huge depth never builds 2^depth
-        count = len(skel)
-        if count.bit_length() != depth + 1 or count != (2 << depth) - 1:
-            raise PreconditionError(
-                f"skeleton must have one entry per index of length <= {depth}")
-        for sigma in _upto(depth):
-            if sigma not in skel:
-                raise PreconditionError(f"missing skeleton index {sigma}")
-            if sigma and not _is_prefix(skel[sigma[:-1]] + sigma[-1:], skel[sigma]):
-                raise PreconditionError(
-                    f"entry at {sigma} does not extend its parent entry")
-        self._fill(depth, {s: skel[s] for s in _upto(depth)})  # shortest first
+        try:
+            items = skeleton.items()
+        except AttributeError:
+            raise PreconditionError(f"skeleton must be a mapping, not "
+                                    f"{type(skeleton).__name__}") from None
+        self._fill(depth, _skeleton(depth, {
+            check_bits(key): check_bits(entry) for key, entry in items}))
 
     @classmethod
     def _trusted(cls, depth: int, skel) -> "SkeletonTree":
@@ -301,8 +312,9 @@ class SkeletonTree:
         depth = json_int(data["depth"], f"{name}: depth")
         at = f"{name}: skeleton"
         json_fields(data["skeleton"], at)
-        return cls(depth, {bits(k, at): bits(v, at)
-                           for k, v in data["skeleton"].items()})
+        skel = {bits(k, at): bits(v, at) for k, v in data["skeleton"].items()}
+        return cls._trusted(depth, _skeleton(check_natural(depth, "depth"),
+                                             skel))
 
 
 def full_tree() -> SkeletonTree:

@@ -570,15 +570,35 @@ def test_output_path_that_cannot_be_written(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["eval", "dot"])
 def test_undecodable_input_bytes(tmp_path, capsys, command):
-    path = str(tmp_path / "bytes.json")
-    (tmp_path / "bytes.json").write_bytes(b'{"k": 1\xff}')
-    argv = ["eval", "width", path] if command == "eval" else ["dot", path, "-"]
-    start = time.perf_counter()
-    assert main(argv) == 1
-    assert time.perf_counter() - start < 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("input error: 'utf-8' codec can't decode byte")
+    # the payload is UTF-8 only: a byte it cannot hold, a byte order mark
+    # and UTF-16 text are all refused, each with the decoder's message
+    cases = [(b'{"k": 1\xff}', "'utf-8' codec can't decode byte"),
+             (b'\xef\xbb\xbf{"k": 3}', "Unexpected UTF-8 BOM"),
+             ('{"k": 3}'.encode("utf-16"),
+              "'utf-8' codec can't decode byte 0xff")]
+    for data, message in cases:
+        path = str(tmp_path / "bytes.json")
+        (tmp_path / "bytes.json").write_bytes(data)
+        argv = (["eval", "width", path] if command == "eval"
+                else ["dot", path, "-"])
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("input error: " + message), out.err
+
+
+@pytest.mark.parametrize("data", [b'{"k":\r\n 3,\r\n x}', b'{"k":\r 3,\r x}',
+                                  b'{"k":\n 3,\n x}'])
+def test_a_line_break_counts_as_one_character(tmp_path, capsys, data):
+    """CRLF and CR read as one newline each, as in text mode, so a JSON
+    error names the same line, column and character in every case."""
+    (tmp_path / "lines.json").write_bytes(data)
+    assert main(["eval", "width", str(tmp_path / "lines.json")]) == 1
+    assert capsys.readouterr().err == (
+        "input error: Expecting property name enclosed in double quotes: "
+        "line 3 column 2 (char 11)\n")
 
 
 def test_eval_unprintable_result(tmp_path, capsys):

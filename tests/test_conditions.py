@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 import time
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from sacksforcing.bitseq import bits, column, join_family, join_pair, width
 from sacksforcing.errors import (
     AmalgamationError, EngineError, IncompatibleError, InputError,
-    PreconditionError, ResourceError,
+    PreconditionError, ResourceError, json_list,
 )
 from sacksforcing.conditions import (
     COLUMN, MAX_COMPLEMENT_ROWS, PAIR, PAIRWISE, SINGLE,
     GenericContext, IterCondition, PairCondition, ProductCondition,
-    ScSchedule, TowerRecipe, _guards_compatible, _table_is_partition,
+    ScSchedule, TowerRecipe, _guards_compatible, _int_keyed,
+    _row_from_json, _table_is_partition,
     condition_from_json, full_iter, full_pair, full_tree, iter_amalgamate,
     iter_equal, iter_leq, iter_leq_n, iter_restrict, pair_restrict,
     plain_iter, prod_amalgamate, prod_extends, prod_leq, prod_restrict,
@@ -264,6 +266,14 @@ def test_guard_table_validation():
         IterCondition(sched, [[({}, F)], []])
     with pytest.raises(PreconditionError):  # first coordinate must be single
         TowerRecipe([PAIR])
+
+
+@pytest.mark.parametrize("row", [5, (5, F)], ids=["row", "guard"])
+def test_a_row_that_is_not_a_guard_and_payload_pair_is_refused(row):
+    # a row 5 once raised a bare TypeError, a guard 5 an AttributeError
+    with pytest.raises(PreconditionError, match="^coordinate 0: a row must "
+                       "be a pair of a guard mapping and a payload$"):
+        IterCondition(TowerRecipe([SINGLE]), [[row]])
 
 
 def test_conditional_coordinate_accessor():
@@ -1193,6 +1203,79 @@ def _iteration_pool():
              [(SINGLE, u) for u in SMALL[:3]]
              + [(PAIR, PairCondition(u, F)) for u in SMALL[:3]]]
     return pool + [_conditional(c, COLUMN) for c in pool[len(SMALL)::2]]
+
+
+def _guard_mutations(data, rng):
+    """data, an iteration's JSON, and copies each broken one way: a guard
+    key not below its coordinate, an empty address, a payload of the other
+    kind, two rows with compatible guards, a table that is not exhaustive
+    and a negative commitment key."""
+    def broken(edit):
+        clone = json.loads(json.dumps(data))
+        edit(clone["coords"], rng.randrange(len(clone["coords"])))
+        return clone
+
+    def out_of_range(coords, beta):
+        rng.choice(coords[beta])["guard"][str(beta + rng.randrange(2))] = "0"
+
+    def other_kind(coords, beta):
+        row = rng.choice(coords[beta])
+        single = row["payload"].get("kind") != "pair"
+        row["payload"] = (full_pair() if single else F).to_json()
+
+    def compatible(coords, beta):
+        coords[beta].append(rng.choice(coords[beta]))
+
+    def not_exhaustive(coords, beta):
+        if len(coords[beta]) > 1:
+            del coords[beta][rng.randrange(len(coords[beta]))]
+        else:
+            coords[-1][0]["guard"]["0"] = "0"
+
+    out = [data] + [broken(edit) for edit in
+                    (out_of_range, other_kind, compatible, not_exhaustive)]
+    if len(data["coords"]) > 1:
+        out.append(broken(lambda coords, _: coords[1][0]["guard"].update(
+            {"0": ""})))
+    out.append(dict(data, context={str(-1 - rng.randrange(3)): "0"}))
+    return out
+
+
+def _decoded_then_constructed(data, name="condition"):
+    """from_json's readers on each field, then the Python constructor."""
+    schedule = schedule_from_json(data["schedule"], f"{name}.schedule")
+    context = _int_keyed(data.get("context", {}), f"{name}.context")
+    coords = json_list(data["coords"], f"{name}.coords", lambda table, at:
+                       json_list(table, at, _row_from_json))
+    return IterCondition(schedule, coords, GenericContext(context))
+
+
+def test_the_iteration_decoder_and_constructor_agree():
+    """from_json reads each guard and context once and hands them to the
+    constructor's own check: on the iteration pool and on broken copies,
+    both doors accept the same iteration or refuse with the same
+    message, and a decoded iteration encodes to the JSON it came from."""
+    rng = random.Random(2030)
+    checks = ("guard mentions coordinate", "guard addresses must be nonempty",
+              "is single but payload is", "is pair but payload is",
+              "rows with compatible guards", "guards are not exhaustive",
+              "a coordinate must be a natural number")
+    refused = set()
+    for cond in _iteration_pool():
+        assert iter_equal(IterCondition.from_json(cond.to_json()), cond)
+        assert IterCondition.from_json(cond.to_json()).to_json() == \
+            cond.to_json()
+        for data in _guard_mutations(cond.to_json(), rng):
+            got = _outcome(lambda: IterCondition.from_json(data))
+            want = _outcome(lambda: _decoded_then_constructed(data))
+            if isinstance(want, IterCondition):
+                assert got.to_json() == want.to_json(), data
+                assert got.coords == want.coords
+            else:
+                assert got == want, data
+                refused.update(m for m in checks if m in want[1])
+    # every mutation met the check that it breaks
+    assert refused == set(checks)
 
 
 def test_prod_leq_matches_its_definition_on_pair_and_guarded_coordinates():

@@ -32,6 +32,27 @@ def test_a_pattern_that_is_not_iterable_is_refused():
         ScPattern(5)
 
 
+def test_a_census_that_is_not_a_sequence_of_pairs_is_refused():
+    # it once raised a bare TypeError
+    with pytest.raises(PreconditionError, match="^census entries must be "
+                       r"\(height, verdict\) pairs$"):
+        TowerCensus(5)
+
+
+def test_a_bit_function_that_is_not_a_mapping_is_refused():
+    # it once raised a bare TypeError
+    with pytest.raises(PreconditionError,
+                       match="^x must be a mapping, not int$"):
+        census_encode(5, 1, 1)
+
+
+def test_a_self_coding_census_that_is_not_a_mapping_is_refused():
+    # it once raised a bare TypeError
+    with pytest.raises(PreconditionError,
+                       match="^census must be a mapping, not int$"):
+        sc_census_decode(5)
+
+
 # -- ordinals -------------------------------------------------------------------
 
 def test_ordinal_basics():

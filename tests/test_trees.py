@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import time
 from itertools import product
 
@@ -14,8 +15,8 @@ from sacksforcing.conditions import (
     iter_restrict, plain_iter, prod_amalgamate, prod_restrict,
 )
 from sacksforcing.errors import (
-    AmalgamationError, FusionError, InputError, PreconditionError,
-    ResourceError,
+    AmalgamationError, EngineError, FusionError, InputError,
+    PreconditionError, ResourceError,
 )
 from sacksforcing.trees import (
     SkeletonTree, _cell_leq, _enumeration_size, all_bitstrings, amalgamate,
@@ -642,6 +643,70 @@ def test_splitting_level_refuses_past_the_bound():
     assert len(full_tree().splitting_level(16)) == 1 << 16
     with pytest.raises(PreconditionError):
         full_tree().splitting_level(-1)
+
+
+@pytest.mark.parametrize("skeleton, shown", [(5, "int"), ([((), ())], "list")],
+                         ids=["int", "pairs"])
+def test_a_skeleton_that_is_not_a_mapping_is_refused(skeleton, shown):
+    # each once raised a bare AttributeError
+    with pytest.raises(PreconditionError,
+                       match=f"^skeleton must be a mapping, not {shown}$"):
+        SkeletonTree(0, skeleton)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EngineError as e:
+        return type(e), str(e)
+
+
+def _skeleton_mutations(data, rng):
+    """data, a tree's JSON, and copies each broken one way: an index
+    missing, one entry too many, a negative depth, an entry that is no bit
+    string and, past depth 0, an entry not extending its parent."""
+    depth, skel = data["depth"], data["skeleton"]
+    longest = [k for k in skel if len(k) == depth]
+    key = rng.choice(longest)
+    missing = {k: v for k, v in skel.items() if k != key}
+    missing[key + "0"] = skel[key] + "0"
+    extra = dict(skel, **{key + "1": skel[key] + "1"})
+    out = [data, {"depth": depth, "skeleton": missing},
+           {"depth": depth, "skeleton": extra},
+           {"depth": -1 - rng.randrange(3), "skeleton": skel},
+           {"depth": depth, "skeleton": dict(skel, **{key: rng.choice(
+               ["2", "0x", " 1"])})}]
+    if depth:
+        # the entry leaves its parent's entry on the other side
+        parent = skel[key[:-1]] + ("1" if key[-1] == "0" else "0")
+        out.append({"depth": depth, "skeleton": dict(skel, **{key: parent})})
+    return out
+
+
+def test_the_decoder_and_the_constructor_agree():
+    """from_json is bits on each entry, then the constructor's own check:
+    on every presentation of enumerate_trees(2, 2) and on broken copies,
+    both doors accept the same tree or refuse with the same message."""
+    rng = random.Random(2029)
+    at = "tree: skeleton"
+    checks = ("skeleton must have one entry", "missing skeleton index",
+              "entry at", "depth must be", "tree: skeleton: not a bit string")
+    refused = set()
+    for tree in enumerate_trees(2, 2):
+        assert SkeletonTree.from_json(tree.to_json()) == tree
+        assert SkeletonTree.from_json(tree.to_json()).skeleton == tree.skeleton
+        for data in _skeleton_mutations(tree.to_json(), rng):
+            got = _outcome(lambda: SkeletonTree.from_json(data))
+            want = _outcome(lambda: SkeletonTree(data["depth"], {
+                bits(k, at): bits(v, at)
+                for k, v in data["skeleton"].items()}))
+            if isinstance(want, SkeletonTree):
+                assert got.skeleton == want.skeleton, data
+            else:
+                assert got == want, data
+                refused.update(m for m in checks if want[1].startswith(m))
+    # every mutation met the check that it breaks
+    assert refused == set(checks)
 
 
 def test_skeleton_needs_every_index():
