@@ -46,9 +46,9 @@ def check_bits(b) -> Bits:
         b = tuple(b)
     except TypeError:
         raise PreconditionError(f"not a bit sequence: {b!r}") from None
-    # every entry equals 0 or 1 exactly when the two counts cover them all
-    if b.count(0) + b.count(1) != len(b):
-        raise PreconditionError(f"not a bit sequence: {b!r}")
+    for x in b:     # an int, not a bool or a float, and 0 or 1
+        if type(x) is not int or x >> 1:
+            raise PreconditionError(f"not a bit sequence: {b!r}")
     return b
 
 

@@ -10,157 +10,184 @@ The payload schema of ``eval`` is data: the operation table ``_OPS``.
 Each field is read by the library: integers, lists and choices by the
 readers in ``errors``, bit strings by ``bitseq.bits``, and each tree,
 condition, recipe, pattern and census by its ``from_json`` decoder.
+The table names each operation and each library reader by its layer
+and attribute, and looks it up there at each call.  So an ``eval``
+loads ``errors``, ``bitseq`` and the layer its operation lives in,
+with the layers that one imports, and no other: ``pair_index`` loads
+no further layer, ``iter_leq`` loads ``trees`` and ``conditions``.
 ``main`` reads a plain ``eval OP INPUT`` argv itself, as argparse
 would; every other argv goes to the argparse parser, which is built
-once per process, when first needed.
+once per process, when first needed.  argparse and the ``verify``
+suites load only then, or on a ``verify``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from functools import cache, partial
+from operator import attrgetter as _ref
 
-from .bitseq import (bits, bits_str, column, join_family, join_pair,
-                     pair_index, pair_split, split_pair, width)
-from .conditions import (COLUMN, PAIRWISE, IterCondition, ProductCondition,
-                         condition_from_json, index_from_json,
-                         iter_amalgamate, iter_equal, iter_leq, iter_leq_n,
-                         iter_restrict, prod_amalgamate, prod_extends,
-                         prod_leq, prod_restrict)
-from .degrees import (DegreePoset, ScPattern, TowerCensus, TowerRecipe,
-                      bit_function_from_json, census_decode, census_encode,
-                      poset_dot, sc_census_decode, sc_census_encode,
-                      sc_decode, sc_pattern, sc_schedule, tower_degrees)
+from .bitseq import bits_str
 from .errors import (EngineError, InputError, ResourceError, json_choice,
                      json_int, json_int_keys, json_list)
-from .implicit import (FinStructure, eval_formula, formula_size,
-                       formula_text, free_vars, imp_levels, implicit_subsets,
-                       implicitly_defined_by, parse_formula, vn_levels)
-from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite, suite_report
-from .trees import SkeletonTree, amalgamate, leq_n, subtree_leq, tree_dot
+
+# the package: its __getattr__ imports a layer on first use
+_package = sys.modules[__package__]
 
 
 # -- field readers: (JSON value, field name) -> argument ----------------------
 
 # the library's readers (errors.json_*, bitseq.bits) and decoders
-# (from_json) take (JSON value, name) too; the functions below are the
-# readers that have no library twin
+# (from_json) take (JSON value, name) too.  Those below either look one
+# up on the package at each call, as _apply does each operation, or have
+# no library twin.
+def _lib(ref):  # the reader ref names, looked up at each call
+    get = _ref(ref)
+    return lambda v, name: get(_package)(v, name)
+
+
 _nat, _pos = partial(json_int, minimum=0), partial(json_int, minimum=1)
 _int_list = partial(json_list, read=json_int)
-_tree = SkeletonTree.from_json
+_bits, _tree = _lib("bitseq.bits"), _lib("trees.SkeletonTree.from_json")
 
 
 def _condition(cls, kind):  # any condition's JSON, decoded, of one kind
     def read(v, name):
-        cond = condition_from_json(v, name)
-        if not isinstance(cond, cls):
+        conditions = _package.conditions
+        cond = conditions.condition_from_json(v, name)
+        if not isinstance(cond, getattr(conditions, cls)):
             raise InputError(f"{name}: expected a condition of kind {kind}")
         return cond
     return read
 
 
-_iter = _condition(IterCondition, "iter")
-_product = _condition(ProductCondition, "product")
+_iter = _condition("IterCondition", "iter")
+_product = _condition("ProductCondition", "product")
 
 
 def _object_or_list(cls, key):  # cls's JSON object, or its bare key list
-    return lambda v, name: cls.from_json(
+    return lambda v, name: getattr(_package.degrees, cls).from_json(
         v if isinstance(v, dict) else {key: v}, name)
 
 
-_pattern = _object_or_list(ScPattern, "levels")
-_census = _object_or_list(TowerCensus, "entries")
+_pattern = _object_or_list("ScPattern", "levels")
+_census = _object_or_list("TowerCensus", "entries")
+
+
+def _kinds(v, name):
+    return _package.conditions.TowerRecipe.from_json({"kinds": v}, name)
+
+
+def _universe(v, name):
+    return _package.implicit.FinStructure(_int_list(v, name))
 
 
 def _formula(v, name):
     if not isinstance(v, str):
         raise InputError(f"{name}: expected a formula string")
-    return parse_formula(v)
+    return _package.implicit.parse_formula(v)
 
 
 # -- results whose JSON shape differs from the library's return value ---------
 
 def _pair_split(k):
-    return list(pair_split(k))      # _encode prints a 0/1 tuple as bits
+    # a list, which _encode prints as numbers, not as the bits of a tuple
+    return list(_package.bitseq.pair_split(k))
 
 
 def _sc_decode(pattern):
-    n, g = sc_decode(pattern)
+    n, g = _package.degrees.sc_decode(pattern)
     return {"n": n, "g": g}
 
 
 def _census_decode(c):
-    return [[h.a, h.b, bit] for h, bit in sorted(census_decode(c).items())]
+    return [[h.a, h.b, bit]
+            for h, bit in sorted(_package.degrees.census_decode(c).items())]
 
 
 def _parse(f):
-    return {"text": formula_text(f), "size": formula_size(f),
-            "free": sorted(free_vars(f))}
+    implicit = _package.implicit
+    return {"text": implicit.formula_text(f), "size": implicit.formula_size(f),
+            "free": sorted(implicit.free_vars(f))}
 
 
 # -- the operation table ------------------------------------------------------
 
 # a field is (name, reader) or (name, reader, default) when it is optional
-_SIGMA, _N, _TREE = ("sigma", bits), ("n", _nat), ("tree", _tree)
+_SIGMA, _N, _TREE = ("sigma", _bits), ("n", _nat), ("tree", _tree)
 _Q, _P = ("q", _iter), ("p", _iter)
-_SBAR = ("sbar", partial(json_list, read=index_from_json))
+_SBAR = ("sbar", partial(json_list, read=_lib("conditions.index_from_json")))
 _PQ, _PP = ("q", _product), ("p", _product)
 _FORMULA = ("formula", _formula)
-_UNIVERSE = ("universe", lambda v, name: FinStructure(_int_list(v, name)))
-_KINDS = ("kinds", lambda v, name: TowerRecipe.from_json({"kinds": v}, name))
-_MODE = ("mode", partial(json_choice, options=(COLUMN, PAIRWISE)), COLUMN)
+_UNIVERSE = ("universe", _universe)
+_KINDS = ("kinds", _kinds)
+# conditions.COLUMN and PAIRWISE: eval loads no layer for two names
+_MODE = ("mode", partial(json_choice, options=("column", "pairwise")),
+         "column")
 _PARAMS = ("params", _int_list, ())
 
+# each operation is named by module and attribute, and _apply looks it up
+# on the package at each call: a layer loads when an operation first needs
+# it, and a name rebound there is the one called
 _OPS = {
-    "pair_index": (pair_index, [("m", _nat), _N]),
-    "pair_split": (_pair_split, [("k", _nat)]),
-    "join_pair": (join_pair, [("x", bits), ("y", bits)]),
-    "split_pair": (split_pair, [_SIGMA]),
-    "column": (column, [_SIGMA, _N]),
-    "join_family": (join_family, [("columns", partial(json_list, read=bits)),
-                                  ("length", _nat)]),
-    "width": (width, [("k", _nat)]),
-    "rt": (SkeletonTree.rt, [_TREE, _SIGMA]),
-    "stem": (SkeletonTree.stem, [_TREE]),
-    "restrict_cell": (SkeletonTree.restrict_cell, [_TREE, _SIGMA]),
-    "restrict_node": (SkeletonTree.restrict_node, [_TREE, ("tau", bits)]),
-    "subtree_leq": (subtree_leq, [("sub", _tree), ("sup", _tree)]),
-    "leq_n": (leq_n, [("sub", _tree), ("sup", _tree), _N]),
-    "amalgamate": (amalgamate, [_TREE, _SIGMA, ("graft", _tree)]),
-    "iter_restrict": (iter_restrict,
+    "pair_index": (_ref("bitseq.pair_index"), [("m", _nat), _N]),
+    "pair_split": (_ref("cli._pair_split"), [("k", _nat)]),
+    "join_pair": (_ref("bitseq.join_pair"), [("x", _bits), ("y", _bits)]),
+    "split_pair": (_ref("bitseq.split_pair"), [_SIGMA]),
+    "column": (_ref("bitseq.column"), [_SIGMA, _N]),
+    "join_family": (_ref("bitseq.join_family"),
+                    [("columns", partial(json_list, read=_bits)),
+                     ("length", _nat)]),
+    "width": (_ref("bitseq.width"), [("k", _nat)]),
+    "rt": (_ref("trees.SkeletonTree.rt"), [_TREE, _SIGMA]),
+    "stem": (_ref("trees.SkeletonTree.stem"), [_TREE]),
+    "restrict_cell": (_ref("trees.SkeletonTree.restrict_cell"),
+                      [_TREE, _SIGMA]),
+    "restrict_node": (_ref("trees.SkeletonTree.restrict_node"),
+                      [_TREE, ("tau", _bits)]),
+    "subtree_leq": (_ref("trees.subtree_leq"),
+                    [("sub", _tree), ("sup", _tree)]),
+    "leq_n": (_ref("trees.leq_n"), [("sub", _tree), ("sup", _tree), _N]),
+    "amalgamate": (_ref("trees.amalgamate"),
+                   [_TREE, _SIGMA, ("graft", _tree)]),
+    "iter_restrict": (_ref("conditions.iter_restrict"),
                       [("condition", _iter), _SIGMA, _MODE]),
-    "iter_leq": (iter_leq, [_Q, _P]),
-    "iter_leq_n": (iter_leq_n, [_Q, _P, _N, _MODE]),
-    "iter_equal": (iter_equal, [_Q, _P]),
-    "iter_amalgamate": (iter_amalgamate, [_P, _SIGMA, _Q, _MODE]),
-    "prod_restrict": (prod_restrict,
+    "iter_leq": (_ref("conditions.iter_leq"), [_Q, _P]),
+    "iter_leq_n": (_ref("conditions.iter_leq_n"), [_Q, _P, _N, _MODE]),
+    "iter_equal": (_ref("conditions.iter_equal"), [_Q, _P]),
+    "iter_amalgamate": (_ref("conditions.iter_amalgamate"),
+                        [_P, _SIGMA, _Q, _MODE]),
+    "prod_restrict": (_ref("conditions.prod_restrict"),
                       [("product", _product), _SIGMA, _SBAR]),
-    "prod_extends": (prod_extends, [_PQ, _PP]),
-    "prod_leq": (prod_leq, [_PQ, _PP, _N, _SBAR]),
-    "prod_amalgamate": (prod_amalgamate, [_PP, _SIGMA, _SBAR, _PQ]),
-    "tower_degrees": (tower_degrees, [_KINDS]),
-    "sc_schedule": (sc_schedule, [_N, ("g", bits), ("length", _pos)]),
-    "sc_pattern": (sc_pattern, [_KINDS]),
-    "sc_decode": (_sc_decode, [("pattern", _pattern)]),
-    "census_encode": (census_encode, [("x", bit_function_from_json),
-                                      ("limit_bound", _pos),
-                                      ("n_bound", _pos)]),
-    "census_decode": (_census_decode, [("census", _census)]),
-    "sc_census_encode": (sc_census_encode,
-                         [("h", bits),
+    "prod_extends": (_ref("conditions.prod_extends"), [_PQ, _PP]),
+    "prod_leq": (_ref("conditions.prod_leq"), [_PQ, _PP, _N, _SBAR]),
+    "prod_amalgamate": (_ref("conditions.prod_amalgamate"),
+                        [_PP, _SIGMA, _SBAR, _PQ]),
+    "tower_degrees": (_ref("degrees.tower_degrees"), [_KINDS]),
+    "sc_schedule": (_ref("conditions.sc_schedule"),
+                    [_N, ("g", _bits), ("length", _pos)]),
+    "sc_pattern": (_ref("degrees.sc_pattern"), [_KINDS]),
+    "sc_decode": (_ref("cli._sc_decode"), [("pattern", _pattern)]),
+    "census_encode": (_ref("degrees.census_encode"),
+                      [("x", _lib("degrees.bit_function_from_json")),
+                       ("limit_bound", _pos), ("n_bound", _pos)]),
+    "census_decode": (_ref("cli._census_decode"), [("census", _census)]),
+    "sc_census_encode": (_ref("degrees.sc_census_encode"),
+                         [("h", _bits),
                           ("alpha_bound", partial(json_int, minimum=2))]),
-    "sc_census_decode": (sc_census_decode, [("census", json_int_keys)]),
-    "parse": (_parse, [_FORMULA]),
-    "eval": (eval_formula,
+    "sc_census_decode": (_ref("degrees.sc_census_decode"),
+                         [("census", json_int_keys)]),
+    "parse": (_ref("cli._parse"), [_FORMULA]),
+    "eval": (_ref("implicit.eval_formula"),
              [_FORMULA, _UNIVERSE, ("subset", _int_list), _PARAMS]),
-    "implicitly_defined_by": (implicitly_defined_by,
+    "implicitly_defined_by": (_ref("implicit.implicitly_defined_by"),
                               [_UNIVERSE, _FORMULA, _PARAMS]),
-    "implicit_subsets": (implicit_subsets, [_UNIVERSE, ("budget", _nat)]),
-    "imp_levels": (imp_levels, [_N, ("budget", _nat)]),
-    "vn_levels": (vn_levels, [_N]),
+    "implicit_subsets": (_ref("implicit.implicit_subsets"),
+                         [_UNIVERSE, ("budget", _nat)]),
+    "imp_levels": (_ref("implicit.imp_levels"), [_N, ("budget", _nat)]),
+    "vn_levels": (_ref("implicit.vn_levels"), [_N]),
 }
 
 
@@ -188,7 +215,8 @@ def _encode(value):
 
 
 def _apply(op, payload):
-    """Read op's fields in their listed order; call it; encode the result."""
+    """Read op's fields in their listed order; look op up on the package
+    and call it; encode the result."""
     fn, fields = _OPS[op]
     if not isinstance(payload, dict):
         raise InputError(f"{fields[0][0]}: payload is not a JSON object")
@@ -200,7 +228,7 @@ def _apply(op, payload):
             args.append(default[0])
         else:
             raise InputError(f"{name}: missing field")
-    return _encode(fn(*args))
+    return _encode(fn(_package)(*args))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -237,7 +265,14 @@ def _write(path, text):
     return 0
 
 
+def run_suite(suite, seed):
+    """suites.run_suite: verify is the only subcommand that loads suites."""
+    from .suites import run_suite
+    return run_suite(suite, seed)
+
+
 def cmd_verify(args):
+    from .suites import SUITE_NAMES, suite_report
     start, results = time.perf_counter(), []
     for suite in SUITE_NAMES if args.suite == "all" else (args.suite,):
         began = time.perf_counter()
@@ -268,6 +303,8 @@ def cmd_eval(op, path):
 
 
 def _dot(obj, parser):
+    from .degrees import DegreePoset, TowerRecipe, poset_dot, tower_degrees
+    from .trees import SkeletonTree, tree_dot
     if isinstance(obj, dict) and "skeleton" in obj:
         return tree_dot(SkeletonTree.from_json(obj))
     if isinstance(obj, dict) and "kinds" in obj:
@@ -286,24 +323,27 @@ def cmd_dot(args, parser):
     return code
 
 
-def _seed(text):
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
-
-
-class _ListOps(argparse.Action):
-    """Print each operation and its fields, optional ones in brackets."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        for op, (_, fields) in _OPS.items():
-            print(op, *(f"[{f[0]}]" if len(f) == 3 else f[0] for f in fields))
-        parser.exit()
-
-
 @cache
 def build_parser():
+    import argparse
+
+    from .suites import DEFAULT_SEED, SUITE_NAMES
+
+    def _seed(text):
+        value = int(text)
+        if not 0 <= value < 2 ** 64:
+            raise argparse.ArgumentTypeError("seed must fit in 64 bits")
+        return value
+
+    class _ListOps(argparse.Action):
+        """Print each operation and its fields, optional ones in brackets."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            for op, (_, fields) in _OPS.items():
+                print(op, *(f"[{f[0]}]" if len(f) == 3 else f[0]
+                            for f in fields))
+            parser.exit()
+
     parser = argparse.ArgumentParser(
         prog="sacksforcing",
         description="Verify invariant suites, evaluate operations on JSON "

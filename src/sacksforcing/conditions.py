@@ -340,6 +340,13 @@ class IterCondition:
     """A finite iteration condition: one guarded table per coordinate."""
 
     def __init__(self, schedule, coords, context: GenericContext | None = None):
+        if not isinstance(schedule, (TowerRecipe, ScSchedule)):
+            raise PreconditionError(
+                f"schedule must be a TowerRecipe or an ScSchedule, not "
+                f"{type(schedule).__name__}")
+        if context is not None and not isinstance(context, GenericContext):
+            raise PreconditionError(f"context must be a GenericContext, not "
+                                    f"{type(context).__name__}")
         tables = []
         for beta, table in enumerate([
                 check_items(table, "a coordinate table", "rows")

@@ -269,9 +269,14 @@ def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
 def census_decode(census: TowerCensus):
     """Inverse of census_encode on its range, checked by encoding the
     answer again; anything else is rejected."""
+    try:
+        entries = census.entries
+    except AttributeError:
+        raise PreconditionError(f"census must be a TowerCensus, not "
+                                f"{type(census).__name__}") from None
     # bit n at limit a is read off height w*a + 2n + 1
     x = {Ordinal2(h.a, h.b // 2): 0 if verdict == ONE else 1
-         for h, verdict in census.entries if h.b % 2}
+         for h, verdict in entries if h.b % 2}
     limits = 1 + max((key.a for key in x), default=-1)
     offsets = 1 + max((key.b for key in x), default=-1)
     # the count first: a grid that x cannot fill is never built
@@ -313,7 +318,11 @@ def sc_pattern(recipe: TowerRecipe) -> ScPattern:
 def sc_decode(pattern: ScPattern):
     """Read (n, g) back off a line/diamond pattern: n is one less than
     the first diamond level, g has one bit per level past n+1."""
-    levels = pattern.levels
+    try:
+        levels = pattern.levels
+    except AttributeError:
+        raise PreconditionError(f"pattern must be an ScPattern, not "
+                                f"{type(pattern).__name__}") from None
     first = next((k for k, v in enumerate(levels) if v == DIAMOND), None)
     if first is None:
         raise DecodeError("pattern has no diamond level")

@@ -6,9 +6,10 @@ from sacksforcing.bitseq import (
     bits, bits_str, check_bits, column, join_family, join_pair, pair_index,
     pair_split, split_pair, width,
 )
-from sacksforcing.conditions import sc_schedule
+from sacksforcing.conditions import (SINGLE, GenericContext, IterCondition,
+                                     TowerRecipe, sc_schedule)
 from sacksforcing.errors import PreconditionError
-from sacksforcing.trees import full_tree
+from sacksforcing.trees import SkeletonTree, full_tree
 
 bit_strings = st.lists(st.integers(0, 1), max_size=24).map(tuple)
 
@@ -32,6 +33,30 @@ def test_a_family_that_is_not_iterable_is_refused():
 def test_an_entry_that_is_not_a_bit_is_refused(value):
     with pytest.raises(PreconditionError, match="^not a bit sequence: "):
         check_bits(value)
+
+
+def _guarded(address):
+    """An iteration whose coordinate 1 is guarded by coordinate 0 at
+    address and at the other one-bit address."""
+    other = (1 - int(address[0]),)
+    return IterCondition(TowerRecipe([SINGLE, SINGLE]), [
+        [({}, full_tree())],
+        [({0: address}, full_tree()), ({0: other}, full_tree())]])
+
+
+@pytest.mark.parametrize("bit", [0.0, 1.0, False, True])
+@pytest.mark.parametrize("build", [
+    lambda b: SkeletonTree(0, {(): (0, b)}),
+    lambda b: SkeletonTree(1, {(): (), (b,): (int(b),),
+                               (1 - int(b),): (1 - int(b),)}),
+    lambda b: _guarded((b,)),
+    lambda b: GenericContext({0: (b,)}),
+], ids=["entry", "key", "guard", "commitment"])
+def test_a_bit_that_is_not_an_int_is_refused(build, bit):
+    # each once built, and its repr and to_json raised a TypeError
+    with pytest.raises(PreconditionError, match="^not a bit sequence: "):
+        build(bit)
+    build(int(bit))
 
 
 # -- pairwise join ----------------------------------------------------------

@@ -889,6 +889,51 @@ def test_module_invocation_smoke():
     assert "pass" in proc.stdout
 
 
+# every name the package exported when __init__.py imported each layer
+EXPORTS = """
+    AmalgamationError DecodeError DegreePoset EngineError FinStructure
+    FusionError IncompatibleError InputError IterCondition Ordinal2
+    PairCondition ParseError PreconditionError ProductCondition
+    ResourceError ScPattern SkeletonTree TowerCensus TowerRecipe
+    amalgamate bits bits_str census_decode census_encode column
+    enumerate_trees eval_formula formula_size formula_text full_tree
+    fusion_prefix imp_levels implicit_subsets implicitly_defined_by
+    iter_amalgamate iter_equal iter_leq iter_leq_n iter_restrict
+    join_family join_pair leq_n pair_index pair_split parse_formula
+    plain_iter poset_dot prod_amalgamate prod_extends prod_leq
+    prod_restrict sc_census_decode sc_census_encode sc_decode
+    sc_pattern sc_schedule set_members set_of split_pair subtree_leq
+    tower_degrees tree_dot vn_levels width
+""".split()
+
+
+def test_eval_loads_only_the_layer_of_its_operation(tmp_path):
+    # one child process, its imports logged by -X importtime on stderr
+    src = os.path.dirname(os.path.dirname(sacksforcing.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sacksforcing", "eval",
+         "pair_index", write_json(tmp_path, {"m": 2, "n": 3})],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "17\n")
+    loaded = {line.rsplit("|", 1)[-1].strip()
+              for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"sacksforcing.cli", "sacksforcing.bitseq"} <= loaded
+    assert not loaded & {"argparse", *(f"sacksforcing.{m}" for m in (
+        "implicit", "conditions", "trees", "degrees", "suites"))}
+    # the names load on first use, each from its own layer
+    assert len(EXPORTS) == 64
+    assert set(EXPORTS) <= set(dir(sacksforcing))
+    star = {}
+    exec("from sacksforcing import *", star)
+    for name in EXPORTS:
+        assert star[name] is getattr(sacksforcing, name)
+        assert star[name].__module__.startswith("sacksforcing.")
+    with pytest.raises(AttributeError, match="has no attribute 'no_such'"):
+        sacksforcing.no_such
+
+
 PINNED = json.loads((Path(__file__).parents[1] / "perfbench"
                      / "pinned.json").read_text(encoding="utf-8"))
 MALFORMED = [(op, payload, token)

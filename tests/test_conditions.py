@@ -840,10 +840,15 @@ def test_a_commitment_names_a_natural_coordinate():
     (lambda: ProductCondition([(0, P2, 1)]), "coords must be a mapping"),
     (lambda: GenericContext(5), "commitments must be a mapping"),
     (lambda: GenericContext([(0, (1,), 2)]), "commitments must be a mapping"),
+    (lambda: IterCondition(5, []),
+     "schedule must be a TowerRecipe or an ScSchedule, not int"),
+    (lambda: IterCondition(TowerRecipe([SINGLE]), [[({}, F)]], {0: (0,)}),
+     "context must be a GenericContext, not dict"),
 ], ids=["TowerRecipe", "full_iter", "plain_iter", "IterCondition-coords",
         "IterCondition-table", "ProductCondition", "ProductCondition-entry",
         "ProductCondition-triple", "GenericContext",
-        "GenericContext-triple"])
+        "GenericContext-triple", "IterCondition-schedule",
+        "IterCondition-context"])
 def test_a_value_that_cannot_be_read_is_refused(call, message):
     # each raised a bare TypeError, ValueError or AttributeError before
     with pytest.raises(PreconditionError, match=f"^{message}$"):

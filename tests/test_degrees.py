@@ -46,6 +46,20 @@ def test_a_bit_function_that_is_not_a_mapping_is_refused():
         census_encode(5, 1, 1)
 
 
+def test_a_census_to_decode_that_is_not_a_census_is_refused():
+    # it once raised a bare AttributeError
+    with pytest.raises(PreconditionError,
+                       match="^census must be a TowerCensus, not int$"):
+        census_decode(5)
+
+
+def test_a_pattern_to_decode_that_is_not_a_pattern_is_refused():
+    # it once raised a bare AttributeError
+    with pytest.raises(PreconditionError,
+                       match="^pattern must be an ScPattern, not int$"):
+        sc_decode(5)
+
+
 def test_a_self_coding_census_that_is_not_a_mapping_is_refused():
     # it once raised a bare TypeError
     with pytest.raises(PreconditionError,
