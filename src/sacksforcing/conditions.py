@@ -59,8 +59,8 @@ from .bitseq import (_column, bits, bits_str, check_bits, pair_split,
                      split_pair, width)
 from .errors import (AmalgamationError, IncompatibleError, InputError,
                      PreconditionError, ResourceError, check_items,
-                     check_natural, json_choice, json_fields, json_int,
-                     json_int_keys, json_list)
+                     check_natural, check_type, json_choice, json_fields,
+                     json_int, json_int_keys, json_list)
 from .trees import (SkeletonTree, _cell_leq, _check_cells, _graft,
                     _is_prefix, _strings, full_tree, leq_n)
 
@@ -81,9 +81,10 @@ class PairCondition:
     right: SkeletonTree
 
     def __post_init__(self):
-        if not (isinstance(self.left, SkeletonTree)
-                and isinstance(self.right, SkeletonTree)):
-            raise PreconditionError("a pair condition holds two trees")
+        check_type(self.left, SkeletonTree, "left of the two trees",
+                   "a SkeletonTree")
+        check_type(self.right, SkeletonTree, "right of the two trees",
+                   "a SkeletonTree")
 
     def to_json(self):
         return {"kind": "pair", "left": self.left.to_json(),
@@ -340,13 +341,10 @@ class IterCondition:
     """A finite iteration condition: one guarded table per coordinate."""
 
     def __init__(self, schedule, coords, context: GenericContext | None = None):
-        if not isinstance(schedule, (TowerRecipe, ScSchedule)):
-            raise PreconditionError(
-                f"schedule must be a TowerRecipe or an ScSchedule, not "
-                f"{type(schedule).__name__}")
-        if context is not None and not isinstance(context, GenericContext):
-            raise PreconditionError(f"context must be a GenericContext, not "
-                                    f"{type(context).__name__}")
+        check_type(schedule, (TowerRecipe, ScSchedule), "schedule",
+                   "a TowerRecipe or an ScSchedule")
+        if context is not None:
+            check_type(context, GenericContext, "context", "a GenericContext")
         tables = []
         for beta, table in enumerate([
                 check_items(table, "a coordinate table", "rows")
@@ -497,6 +495,7 @@ def iter_restrict(p: IterCondition, sigma, mode=COLUMN) -> IterCondition:
     """Restrict every coordinate by its share of sigma, specializing
     guards: implied guard entries drop, refined ones keep their residual
     address, incompatible rows die."""
+    check_type(p, IterCondition, "p", "an IterCondition")
     return _iter_restrict(p, _addresses(sigma, mode, p.length))
 
 
@@ -540,6 +539,8 @@ def _graded_leq(q: IterCondition, p: IterCondition, levels=()) -> bool:
 def iter_leq(q: IterCondition, p: IterCondition) -> bool:
     """Extension order, evaluated per shared guard refinement: wherever
     two rows can both apply, q's payload must extend p's."""
+    check_type(q, IterCondition, "q", "an IterCondition")
+    check_type(p, IterCondition, "p", "an IterCondition")
     return _graded_leq(q, p)
 
 
@@ -750,7 +751,7 @@ def _shares(sigma, sbar, *prods):
 def prod_restrict(p: ProductCondition, sigma, sbar) -> ProductCondition:
     """Distribute the columns of sigma over the coordinates listed in
     sbar; everything else is untouched."""
-    coords = p.coords
+    coords = check_type(p, ProductCondition, "p", "a ProductCondition").coords
     for i, addrs in _shares(sigma, _sbar(sbar), p):
         if any(addrs):  # an empty column leaves its coordinate as it is
             coords[i] = _iter_restrict(coords[i], addrs)
@@ -764,6 +765,8 @@ def _at(q: ProductCondition, i, kinds) -> IterCondition:
 
 def prod_extends(q: ProductCondition, p: ProductCondition) -> bool:
     """Plain coordinatewise extension: the graded order at level 0."""
+    check_type(q, ProductCondition, "q", "a ProductCondition")
+    check_type(p, ProductCondition, "p", "a ProductCondition")
     return prod_leq(q, p, 0, ())
 
 
@@ -794,7 +797,7 @@ def prod_amalgamate(p: ProductCondition, sigma, sbar,
         if i in addrs:
             ok = builds[i] = _iter_graft(cond, addrs[i], qi)
         else:
-            ok = iter_leq(qi, cond)
+            ok = _graded_leq(qi, cond)
         if not ok:
             raise AmalgamationError("q does not extend the restriction of p")
     return ProductCondition({**q._coords, **{i: builds[i]() for i in addrs}})

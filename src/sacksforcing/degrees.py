@@ -38,8 +38,8 @@ from .bitseq import Bits, check_bits
 from .conditions import (MAX_SCHEDULE_STEPS, PAIR, SINGLE, TowerRecipe,
                          sc_schedule)
 from .errors import (DecodeError, InputError, PreconditionError,
-                     check_items, check_natural, json_choice, json_fields,
-                     json_int, json_list)
+                     check_items, check_mapping, check_natural, check_type,
+                     json_choice, json_fields, json_int, json_list)
 
 ONE = "one"
 MANY = "many"
@@ -154,6 +154,7 @@ class DegreePoset:
 def tower_degrees(recipe: TowerRecipe) -> DegreePoset:
     """The chain d0 < d1 < ... with a diamond spliced into every pair
     step."""
+    check_type(recipe, TowerRecipe, "recipe", "a TowerRecipe")
     nodes = [f"d{beta}" for beta in range(recipe.length + 1)]
     edges = []
     for beta, kind in enumerate(recipe.kinds):
@@ -178,6 +179,7 @@ def _label_key(label):
 
 
 def poset_dot(poset: DegreePoset) -> str:
+    check_type(poset, DegreePoset, "poset", "a DegreePoset")
     # a DOT ID in quotes escapes its backslashes and quotes
     ids = {v: '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
            for v in poset.nodes}
@@ -247,18 +249,14 @@ def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
     # and past it there are only len(x) of them
     count = (check_natural(limit_bound, "limit_bound")
              * check_natural(n_bound, "n_bound"))
-    try:
-        items = x.items()
-    except AttributeError:
-        raise PreconditionError(f"x must be a mapping, not "
-                                f"{type(x).__name__}") from None
+    x = dict(check_mapping(x, "x"))
     if len(x) != count or count and set(x) != {
             Ordinal2(a, n) for a in range(limit_bound) for n in range(n_bound)}:
         raise PreconditionError(
             f"x must be defined on exactly {limit_bound} limits x "
             f"{n_bound} offsets")
     entries = {}
-    for key, bit in items:
+    for key, bit in x.items():
         if bit not in (0, 1):
             raise PreconditionError(f"bit function value {bit!r}")
         entries[Ordinal2(key.a, 2 * key.b + 1)] = ONE if bit == 0 else MANY
@@ -269,11 +267,8 @@ def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
 def census_decode(census: TowerCensus):
     """Inverse of census_encode on its range, checked by encoding the
     answer again; anything else is rejected."""
-    try:
-        entries = census.entries
-    except AttributeError:
-        raise PreconditionError(f"census must be a TowerCensus, not "
-                                f"{type(census).__name__}") from None
+    entries = check_type(census, TowerCensus, "census",
+                         "a TowerCensus").entries
     # bit n at limit a is read off height w*a + 2n + 1
     x = {Ordinal2(h.a, h.b // 2): 0 if verdict == ONE else 1
          for h, verdict in entries if h.b % 2}
@@ -311,6 +306,7 @@ class ScPattern:
 
 
 def sc_pattern(recipe: TowerRecipe) -> ScPattern:
+    check_type(recipe, TowerRecipe, "recipe", "a TowerRecipe")
     return ScPattern(tuple(
         LINE if kind == SINGLE else DIAMOND for kind in recipe.kinds))
 
@@ -318,11 +314,7 @@ def sc_pattern(recipe: TowerRecipe) -> ScPattern:
 def sc_decode(pattern: ScPattern):
     """Read (n, g) back off a line/diamond pattern: n is one less than
     the first diamond level, g has one bit per level past n+1."""
-    try:
-        levels = pattern.levels
-    except AttributeError:
-        raise PreconditionError(f"pattern must be an ScPattern, not "
-                                f"{type(pattern).__name__}") from None
+    levels = check_type(pattern, ScPattern, "pattern", "an ScPattern").levels
     first = next((k for k, v in enumerate(levels) if v == DIAMOND), None)
     if first is None:
         raise DecodeError("pattern has no diamond level")
@@ -344,12 +336,8 @@ def sc_census_encode(h, alpha_bound: int):
 def sc_census_decode(census) -> Bits:
     """Inverse of sc_census_encode, checked by encoding the answer
     again."""
-    try:
-        h = tuple(1 if census.get(n) == ONE else 0
-                  for n in range(len(census)))
-    except (AttributeError, TypeError):
-        raise PreconditionError(f"census must be a mapping, not "
-                                f"{type(census).__name__}") from None
+    entries = dict(check_mapping(census, "census"))
+    h = tuple(1 if entries.get(n) == ONE else 0 for n in range(len(entries)))
     if sc_census_encode(h, 2) != census:
         raise DecodeError("census is not the encoding of a bit string")
     return h

@@ -1,5 +1,5 @@
-"""Shared exception types, check_natural, the one check of a natural
-argument, check_items, the one check of an iterable argument, and the one
+"""Shared exception types, the one check of each kind of Python argument
+(check_natural, check_items, check_type and check_mapping), and the one
 reader of each JSON value kind: json_fields for named fields, json_int_keys
 for integer keys, json_int, json_list and json_choice; bitseq.bits reads bit
 strings.  Each reader takes the value and name, its path in the input, which
@@ -66,6 +66,23 @@ def check_items(values, name, what):
     except TypeError:
         raise PreconditionError(f"{name} must be an iterable of {what}, not "
                                 f"{type(values).__name__}") from None
+
+
+def check_type(value, types, name, what):
+    """value, an instance of types, or PreconditionError naming what."""
+    if not isinstance(value, types):
+        raise PreconditionError(f"{name} must be {what}, not "
+                                f"{type(value).__name__}")
+    return value
+
+
+def check_mapping(value, name):
+    """value.items(), or PreconditionError if value has no items."""
+    try:
+        return value.items()
+    except AttributeError:
+        raise PreconditionError(f"{name} must be a mapping, not "
+                                f"{type(value).__name__}") from None
 
 
 def json_fields(data, name, *keys):

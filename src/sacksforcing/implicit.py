@@ -49,7 +49,7 @@ from itertools import combinations, product
 from types import SimpleNamespace
 
 from .errors import (ParseError, PreconditionError, ResourceError,
-                     check_items, check_natural)
+                     check_items, check_natural, check_type)
 
 # the largest budget the enumerator accepts.  Up to 13 its slots define
 # every subset that a formula of the budget's size defines, and at 14 it
@@ -358,7 +358,7 @@ class _Parser:
 
 
 def parse_formula(text: str):
-    parser = _Parser(text)
+    parser = _Parser(check_type(text, str, "text", "a str"))
     out = parser.formula()
     if parser.peek() != "":
         raise ParseError(f"unexpected {parser.peek()!r} after formula",
@@ -373,6 +373,7 @@ def eval_formula(f, structure: FinStructure, subset, params=()) -> bool:
     predicate symbol read as membership in ``subset``.  The whole formula
     is checked first (see _formula_table), so a fault raises even where
     the evaluation would skip it."""
+    check_type(structure, FinStructure, "structure", "a FinStructure")
     subset = frozenset(structure._codes(subset, "subset", "subset element"))
     params = structure._codes(params, "params", "parameter")
     _formula_table(structure, f, params, None)

@@ -51,8 +51,8 @@ from math import comb
 
 from .bitseq import Bits, bits, bits_str, check_bits
 from .errors import (AmalgamationError, FusionError, PreconditionError,
-                     ResourceError, check_items, check_natural, json_fields,
-                     json_int)
+                     ResourceError, check_items, check_mapping, check_natural,
+                     check_type, json_fields, json_int)
 
 # amalgamate refuses to build a skeleton with more entries than this, and
 # the level-n queries refuse to list more than this many cells
@@ -137,13 +137,9 @@ class SkeletonTree:
 
     def __init__(self, depth: int, skeleton):
         check_natural(depth, "depth")
-        try:
-            items = skeleton.items()
-        except AttributeError:
-            raise PreconditionError(f"skeleton must be a mapping, not "
-                                    f"{type(skeleton).__name__}") from None
         self._fill(depth, _skeleton(depth, {
-            check_bits(key): check_bits(entry) for key, entry in items}))
+            check_bits(key): check_bits(entry)
+            for key, entry in check_mapping(skeleton, "skeleton")}))
 
     @classmethod
     def _trusted(cls, depth: int, skel) -> "SkeletonTree":
@@ -428,6 +424,8 @@ def fusion_prefix(seq, schedule, n: int) -> SkeletonTree:
     agreeing with it through the settled levels.
     """
     seq = check_items(seq, "seq", "trees")
+    for i, tree in enumerate(seq):
+        check_type(tree, SkeletonTree, f"seq[{i}]", "a SkeletonTree")
     schedule = check_items(schedule, "schedule", "naturals")
     if not seq:
         raise FusionError("fusion_prefix needs a nonempty sequence")
@@ -506,6 +504,7 @@ def enumerate_trees(max_depth: int, slack: int):
 
 def tree_dot(tree: SkeletonTree) -> str:
     """Deterministic DOT rendering of the skeleton (indices as nodes)."""
+    check_type(tree, SkeletonTree, "tree", "a SkeletonTree")
     lines = ["digraph tree {", "  rankdir=TB;"]
     idx = _upto(tree.depth)
     for sigma in idx:

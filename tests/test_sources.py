@@ -2,9 +2,12 @@
 imports only the standard library and itself, and every Python file of
 the repository parses with the Python 3.10 grammar.  ast's
 feature_version check is best effort: it catches new syntax, not new
-library names."""
+library names.  Every public name is used outside the tests, and every
+public callable but four hot operations refuses arguments of the wrong
+type with an EngineError."""
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -77,3 +80,39 @@ def test_every_public_name_is_used_outside_the_tests():
             if len(word.findall(src)) == own and not word.search(outside):
                 unused.append(f"{path.name}: {name}")
     assert not unused
+
+
+# the hot operations that read their arguments unchecked (ROADMAP item
+# 19) and still let a bare AttributeError or TypeError out on object()
+# arguments
+UNCHECKED_ON_OBJECTS = {"bits_str", "implicitly_defined_by",
+                        "iter_amalgamate", "subtree_leq"}
+
+
+def test_every_public_callable_refuses_objects_with_an_engine_error():
+    """Each callable in __all__ that takes arguments, exception classes
+    apart, is called with object() for every required positional
+    argument.  It must raise an EngineError subclass, so that a new
+    public name cannot let a bare AttributeError or TypeError out."""
+    import sacksforcing
+    from sacksforcing.errors import EngineError
+
+    leaks = set()
+    for name in sacksforcing.__all__:
+        call = getattr(sacksforcing, name)
+        if isinstance(call, type) and issubclass(call, BaseException):
+            continue
+        required = [p for p in inspect.signature(call).parameters.values()
+                    if p.default is p.empty and p.kind in (
+                        p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        if not required:
+            continue
+        try:
+            call(*[object() for _ in required])
+        except EngineError:
+            continue
+        except (AttributeError, TypeError):
+            leaks.add(name)
+            continue
+        pytest.fail(f"{name} answered on object() arguments")
+    assert leaks == UNCHECKED_ON_OBJECTS
