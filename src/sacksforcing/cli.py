@@ -41,16 +41,26 @@ _package = sys.modules[__package__]
 
 # the library's readers (errors.json_*, bitseq.bits) and decoders
 # (from_json) take (JSON value, name) too.  Those below either look one
-# up on the package at each call, as _apply does each operation, or have
-# no library twin.
-def _lib(ref):  # the reader ref names, looked up at each call
-    get = _ref(ref)
-    return lambda v, name: get(_package)(v, name)
-
-
+# up on the package at each call, as _apply does each operation, so that
+# a name rebound in its layer is the one called, or have no library twin.
 _nat, _pos = partial(json_int, minimum=0), partial(json_int, minimum=1)
 _int_list = partial(json_list, read=json_int)
-_bits, _tree = _lib("bitseq.bits"), _lib("trees.SkeletonTree.from_json")
+
+
+def _bits(v, name):
+    return _package.bitseq.bits(v, name)
+
+
+def _tree(v, name):
+    return _package.trees.SkeletonTree.from_json(v, name)
+
+
+def _index(v, name):
+    return _package.conditions.index_from_json(v, name)
+
+
+def _bit_function(v, name):
+    return _package.degrees.bit_function_from_json(v, name)
 
 
 def _condition(cls, kind):  # any condition's JSON, decoded, of one kind
@@ -118,7 +128,7 @@ def _parse(f):
 # a field is (name, reader) or (name, reader, default) when it is optional
 _SIGMA, _N, _TREE = ("sigma", _bits), ("n", _nat), ("tree", _tree)
 _Q, _P = ("q", _iter), ("p", _iter)
-_SBAR = ("sbar", partial(json_list, read=_lib("conditions.index_from_json")))
+_SBAR = ("sbar", partial(json_list, read=_index))
 _PQ, _PP = ("q", _product), ("p", _product)
 _FORMULA = ("formula", _formula)
 _UNIVERSE = ("universe", _universe)
@@ -171,7 +181,7 @@ _OPS = {
     "sc_pattern": (_ref("degrees.sc_pattern"), [_KINDS]),
     "sc_decode": (_ref("cli._sc_decode"), [("pattern", _pattern)]),
     "census_encode": (_ref("degrees.census_encode"),
-                      [("x", _lib("degrees.bit_function_from_json")),
+                      [("x", _bit_function),
                        ("limit_bound", _pos), ("n_bound", _pos)]),
     "census_decode": (_ref("cli._census_decode"), [("census", _census)]),
     "sc_census_encode": (_ref("degrees.sc_census_encode"),
@@ -192,6 +202,8 @@ _OPS = {
 
 
 _UNPRINTABLE = 10 ** 4300      # json.dumps prints no int this large
+# json.dumps(value, sort_keys=True), without building an encoder per call
+_dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 def _encode(value):
@@ -239,7 +251,8 @@ def _run(path, work):
         if path == "-":
             obj = json.load(sys.stdin)
         else:
-            with open(path, "rb") as fh:  # decoded as text mode would
+            # unbuffered: one read, decoded as text mode would
+            with open(path, "rb", buffering=0) as fh:
                 text = fh.read().decode("utf-8")
             if "\r" in text:
                 text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -298,7 +311,7 @@ def cmd_eval(op, path):
                              f"known: {', '.join(sorted(_OPS))}")
     code, result = _run(path, lambda payload: _apply(op, payload))
     if code == 0:
-        print(json.dumps(result, sort_keys=True))
+        print(_dumps(result))
     return code
 
 

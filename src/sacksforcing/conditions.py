@@ -34,13 +34,17 @@ operation, whose private twins trust them.  An iteration's two doors read
 each guard once, the constructor by _coordinate and check_bits and
 from_json by _int_keyed, and share one check of the rest (_check): the
 keys' range, nonempty addresses, payload kinds, partitions and
-commitments.  A context from JSON checks only its keys' sign.  Operations
-build iterations unchecked, as full_iter does, each under the fixed
-schedule of its kinds, with no commitments.  Amalgamation restricts
-nothing: _iter_graft checks each pair of rows a graft joins in place,
-q's payload against the cell of p's, and only then counts complement
-rows and builds, _graft and _pair_graft checking the skeleton bound; a
-product checks every coordinate before it grafts any.  The graded orders
+commitments.  A context from JSON checks only its keys' sign, and an
+empty guard or context from JSON needs no reader.  Every iteration
+without commitments shares one frozen context, EMPTY_CONTEXT, and a table
+of one row is a partition exactly when its guard is empty, which
+_table_is_partition tests first.  Operations build iterations unchecked,
+as full_iter does, each under the fixed schedule of its kinds, with no
+commitments.  Amalgamation restricts nothing: _iter_graft checks each
+pair of rows a graft joins in place, q's payload against the cell of
+p's, and only then counts complement rows and builds, _graft and
+_pair_graft checking the skeleton bound; a product checks every
+coordinate before it grafts any.  The graded orders
 check one index of length n for all 2^n and restrict nothing: they share
 one loop, which compares pairs of rows at the lengths of their
 addresses, and iter_leq and prod_extends are their level 0.  A coordinate
@@ -166,9 +170,12 @@ class TowerRecipe:
     @classmethod
     def from_json(cls, data, name="kinds"):
         json_fields(data, name)
+        kinds = data.get("kinds")
+        if not isinstance(kinds, list):
+            json_list(kinds, name, None)    # words the refusal of a list
         # name is already the path of the list, and names a bad kind too
-        return cls(tuple(json_list(data.get("kinds"), name, lambda k, _:
-                                   json_choice(k, name, (SINGLE, PAIR)))))
+        return cls(tuple([json_choice(k, name, (SINGLE, PAIR))
+                          for k in kinds]))
 
 MAX_SCHEDULE_STEPS = 1 << 16     # the longest schedule sc_schedule builds
 
@@ -240,7 +247,10 @@ class GenericContext:
 
     @classmethod
     def _decoded(cls, keyed):
-        """From _int_keyed's dict: only the keys' sign is left to check."""
+        """From _int_keyed's dict: only the keys' sign is left to check.
+        No commitments give the one shared empty context."""
+        if not keyed:
+            return EMPTY_CONTEXT
         context = object.__new__(cls)
         object.__setattr__(context, "commitments", MappingProxyType({
             check_natural(k, "a coordinate"): v for k, v in keyed.items()}))
@@ -253,12 +263,16 @@ class GenericContext:
         return {str(k): bits_str(v) for k, v in sorted(self.commitments.items())}
 
 
+# the empty context: frozen, so every iteration without commitments shares it
+EMPTY_CONTEXT = GenericContext()
+
+
 @lru_cache(maxsize=64)
 def _plain(kinds):
-    """The schedule and the empty context of a trusted iteration with
-    these kinds, built and validated once per kinds tuple and shared by
+    """The schedule of a trusted iteration with these kinds, built and
+    validated once per kinds tuple, and the empty context, both shared by
     every such iteration; nothing changes either after construction."""
-    return TowerRecipe(kinds), GenericContext()
+    return TowerRecipe(kinds), EMPTY_CONTEXT
 
 
 def _coordinate(k):
@@ -315,7 +329,10 @@ def _table_is_partition(rows, beta):
     """Rows must be pairwise incompatible and jointly exhaustive over the
     cells they mention.  Pairwise-incompatible guards are disjoint
     cylinders, a guard with b address bits covering 2^-b of the space, so
-    they cover it exactly when their measures add up to 1."""
+    they cover it exactly when their measures add up to 1.  One row is a
+    partition exactly when its guard is empty."""
+    if len(rows) == 1 and not rows[0][0]:
+        return
     if not rows:
         raise PreconditionError(f"coordinate {beta} has an empty table")
     for i, (g1, _) in enumerate(rows):
@@ -361,7 +378,7 @@ class IterCondition:
                 rows.append(({_coordinate(k): check_bits(addr)
                               for k, addr in items}, payload))
             tables.append(rows)
-        self._check(schedule, tables, context or GenericContext())
+        self._check(schedule, tables, context or EMPTY_CONTEXT)
 
     def _check(self, schedule, coords, context):
         """Both doors' one check of tables, guards keyed by int to bits."""
@@ -439,7 +456,9 @@ class IterCondition:
     def from_json(cls, data, name="condition"):
         sched, tables = json_fields(data, name, "schedule", "coords")
         schedule = schedule_from_json(sched, f"{name}.schedule")
-        context = _int_keyed(data.get("context", {}), f"{name}.context")
+        context = data.get("context", {})
+        if context != {}:                   # an empty one needs no reader
+            context = _int_keyed(context, f"{name}.context")
         coords = json_list(tables, f"{name}.coords", lambda table, at:
                            json_list(table, at, _row_from_json))
         cond = object.__new__(cls)
@@ -449,10 +468,11 @@ class IterCondition:
 
 def _row_from_json(row, name):
     guard, payload = json_fields(row, name, "guard", "payload")
+    if guard != {}:                         # an empty one needs no reader
+        guard = _int_keyed(guard, f"{name}.guard")
     pair = isinstance(payload, dict) and payload.get("kind") == "pair"
     decode = PairCondition.from_json if pair else SkeletonTree.from_json
-    return _int_keyed(guard, f"{name}.guard"), decode(payload,
-                                                       f"{name}.payload")
+    return guard, decode(payload, f"{name}.payload")
 
 
 def plain_iter(kinds, payloads) -> IterCondition:
