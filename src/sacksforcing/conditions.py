@@ -34,8 +34,8 @@ operation, whose private twins trust them.  An iteration's two doors read
 each guard once, the constructor by _coordinate and check_bits and
 from_json by _int_keyed, and share one check of the rest (_check): the
 keys' range, nonempty addresses, payload kinds, partitions and
-commitments.  A context from JSON checks only its keys' sign, and an
-empty guard or context from JSON needs no reader.  Every iteration
+commitments.  GenericContext builds a nonempty context from JSON, and
+an empty guard or context from JSON needs no reader.  Every iteration
 without commitments shares one frozen context, EMPTY_CONTEXT, and a table
 of one row is a partition exactly when its guard is empty, which
 _table_is_partition tests first.  Operations build iterations unchecked,
@@ -245,17 +245,6 @@ class GenericContext:
             check_natural(_coordinate(k), "a coordinate"): check_bits(v)
             for k, v in commitments}))
 
-    @classmethod
-    def _decoded(cls, keyed):
-        """From _int_keyed's dict: only the keys' sign is left to check.
-        No commitments give the one shared empty context."""
-        if not keyed:
-            return EMPTY_CONTEXT
-        context = object.__new__(cls)
-        object.__setattr__(context, "commitments", MappingProxyType({
-            check_natural(k, "a coordinate"): v for k, v in keyed.items()}))
-        return context
-
     def __reduce__(self):  # a view neither pickles nor deep-copies
         return GenericContext, (dict(self.commitments),)
 
@@ -462,7 +451,8 @@ class IterCondition:
         coords = json_list(tables, f"{name}.coords", lambda table, at:
                            json_list(table, at, _row_from_json))
         cond = object.__new__(cls)
-        cond._check(schedule, coords, GenericContext._decoded(context))
+        cond._check(schedule, coords,
+                    GenericContext(context) if context else EMPTY_CONTEXT)
         return cond
 
 

@@ -102,8 +102,6 @@ def json_int_keys(data, name):
     Each key must be written as str writes its integer, so no two keys
     name one integer."""
     json_fields(data, name)
-    if not data:
-        return {}
     try:
         out = {int(k): v for k, v in data.items()}
     except ValueError:

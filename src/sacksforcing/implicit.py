@@ -8,7 +8,8 @@ subset so definable within a formula-size budget, and iterating from the
 empty structure with each level's members re-coded as sets, climbs a
 hierarchy; with enough budget it walks the finite cumulative ranks level
 by level, because parameters make every subset of a finite structure
-pin-downable.
+pin-downable.  Formula syntax is read from the tables _BINARY, _INFIX,
+_QUANT and _RELATION; formula_size, free_vars and formula_text use _parts.
 
 Hereditarily finite sets are coded by naturals: bit i of the code of b
 is set exactly when the set coded by i is a member of b.  Equal codes
@@ -179,71 +180,69 @@ _BINARY = {Iff: ("<->", lambda a, b, ones: a ^ b ^ ones),
            Implies: ("->", lambda a, b, ones: a ^ ones | b),
            Or: ("|", lambda a, b, ones: a | b),
            And: ("&", lambda a, b, ones: a & b)}
-_LEVELS = tuple((kind, token) for kind, (token, _) in _BINARY.items())
+_INFIX = {token: (kind, at)
+          for at, (kind, (token, _)) in enumerate(_BINARY.items())}
 _QUANT = {Forall: "all", Exists: "ex"}
+_RELATION = {Member: "in", Eq: "="}
+
+
+def _parts(f):
+    """(terms, subformulas) of formula node f; PreconditionError for any
+    other value, and for a term position that holds no term."""
+    kind = type(f)
+    if kind is Not or kind in _QUANT:
+        return (), (f.body,)
+    if kind in _BINARY:
+        return (), (f.left, f.right)
+    if kind is not Pred and kind not in _RELATION:
+        raise PreconditionError(f"not a formula node: {f!r}")
+    terms = (f.term,) if kind is Pred else (f.left, f.right)
+    for t in terms:
+        if type(t) is not Var and type(t) is not Param:
+            raise PreconditionError(f"not a term: {t!r}")
+    return terms, ()
 
 
 def formula_size(f) -> int:
     """AST node count; terms count as one node each."""
-    kind = type(f)
-    if kind is Var or kind is Param:
-        return 1
-    if kind is Pred:
-        return 1 + formula_size(f.term)
-    if kind is Not or kind is Forall or kind is Exists:
-        return 1 + formula_size(f.body)
-    if kind is Member or kind is Eq or kind in _BINARY:
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    raise PreconditionError(f"not a formula node: {f!r}")
+    terms, subformulas = _parts(f)
+    return 1 + len(terms) + sum(map(formula_size, subformulas))
 
 
-def free_vars(f, bound=frozenset()):
-    kind = type(f)
-    if kind is Var:
-        return set() if f.name in bound else {f.name}
-    if kind is Param:
-        return set()
-    if kind is Pred:
-        return free_vars(f.term, bound)
-    if kind is Member or kind is Eq or kind in _BINARY:
-        return free_vars(f.left, bound) | free_vars(f.right, bound)
-    if kind is Not:
-        return free_vars(f.body, bound)
-    if kind is Forall or kind is Exists:
-        return free_vars(f.body, bound | {f.var})
-    raise PreconditionError(f"not a formula node: {f!r}")
-
-
-def _term_text(t):
-    return t.name if isinstance(t, Var) else f"#{t.index}"
+def free_vars(f):
+    terms, subformulas = _parts(f)
+    out = {t.name for t in terms if type(t) is Var}
+    for g in subformulas:
+        out |= free_vars(g)
+    return out - {f.var} if type(f) in _QUANT else out
 
 
 def formula_text(f) -> str:
     """Parseable rendering; binary connectives are parenthesized."""
-    if isinstance(f, Pred):
-        return f"S({_term_text(f.term)})"
-    if isinstance(f, (Member, Eq)):
-        op = "in" if isinstance(f, Member) else "="
-        return f"{_term_text(f.left)} {op} {_term_text(f.right)}"
-    if isinstance(f, Not):
-        return "!" + formula_text(f.body)
-    if isinstance(f, (Forall, Exists)):
+    terms, subformulas = _parts(f)
+    texts = [t.name if type(t) is Var else f"#{t.index}" for t in terms]
+    texts += map(formula_text, subformulas)
+    kind = type(f)
+    if kind is Pred:
+        return f"S({texts[0]})"
+    if kind in _RELATION:
+        return f"{texts[0]} {_RELATION[kind]} {texts[1]}"
+    if kind is Not:
+        return "!" + texts[0]
+    if kind in _QUANT:
         # parenthesized so it survives as the left operand of a binary:
         # the parser gives quantifiers the widest possible scope
-        return f"({_QUANT[type(f)]} {f.var}. {formula_text(f.body)})"
-    if type(f) in _BINARY:
-        return (f"({formula_text(f.left)} {_BINARY[type(f)][0]} "
-                f"{formula_text(f.right)})")
-    raise PreconditionError(f"not a formula node: {f!r}")
+        return f"({_QUANT[kind]} {f.var}. {texts[0]})"
+    return f"({texts[0]} {_BINARY[kind][0]} {texts[1]})"
 
 
 # text nested deeper than this is a ParseError: each parenthesis,
 # negation, quantifier and binary connective nests what follows it one
-# level deeper, until its group ends.  The parser and every recursive
-# walk over a formula then stay well inside Python's recursion limit.
-# formula_text wraps each quantifier and binary connective in
-# parentheses, so its text of a formula nested MAX_NESTING // 2 deep
-# is the deepest that always parses back.
+# level deeper, until its group ends.  At the cap a parse runs 256
+# frames deeper than that of S(#0) under parentheses and 193 under
+# quantifiers, and every walk stays well inside the recursion limit.
+# formula_text parenthesizes each quantifier and binary connective, so
+# its text of a formula nested MAX_NESTING // 2 deep always parses back.
 MAX_NESTING = 64
 
 _TOKEN = re.compile(
@@ -293,18 +292,19 @@ class _Parser:
         return out
 
     def formula(self, level=0):
-        """A chain of connectives from _LEVELS[level] on.  Each nests its
-        right operand one level deeper until the chain ends."""
-        if level == len(_LEVELS):
-            return self.unary()
-        kind, token = _LEVELS[level]
-        top = self.depth
-        left = self.formula(level + 1)
-        while self.peek() == token:
+        """Connectives of levels from level on, by precedence climbing.  A
+        chain, a run of one level, nests each right operand one level
+        deeper; the next chain restarts at this call's starting depth."""
+        top, chain = self.depth, None
+        left = self.unary()
+        kind, at = _INFIX.get(self.peek(), (None, -1))
+        while at >= level:
             self.take()
+            if at != chain:
+                self.depth, chain = top, at
             self.deeper()
-            left = kind(left, self.formula(
-                level if kind is Implies else level + 1))
+            left = kind(left, self.formula(at if kind is Implies else at + 1))
+            kind, at = _INFIX.get(self.peek(), (None, -1))
         self.depth = top
         return left
 
@@ -336,12 +336,10 @@ class _Parser:
             return Pred(term)
         left = self.term()
         op = self.peek()
-        if op == "in":
-            self.take()
-            return Member(left, self.term())
-        if op == "=":
-            self.take()
-            return Eq(left, self.term())
+        for kind, token in _RELATION.items():
+            if op == token:
+                self.take()
+                return kind(left, self.term())
         raise ParseError(f"expected 'in' or '=', found {op!r}", self.pos())
 
     def variable(self, what="a variable"):

@@ -218,6 +218,26 @@ def test_parse_nesting_cap():
     assert formula_size(flat) == 3 * MAX_NESTING + 2
 
 
+# a chain is a run of one connective, and each connective nests its
+# right operand one level deeper than the one before it in its chain; a
+# connective of another level starts a new chain
+@pytest.mark.parametrize("text, position", [
+    ("S(#0) & " * 64 + "S(#0) | S(#0)", None),
+    ("S(#0) | " + "S(#0) & " * 64 + "S(#0)", 520),
+    ("S(#0) | " + "S(#0) & " * 63 + "S(#0)", None),
+    (("S(#0) & " * 40 + "S(#0) | ") * 3 + "S(#0)", None),
+    ("S(#0) -> " * 63 + "S(#0) & S(#0)", None),
+    ("S(#0) -> " * 64 + "S(#0) & S(#0)", 584)])
+def test_parse_nesting_cap_on_mixed_chains(text, position):
+    assert MAX_NESTING == 64
+    if position is None:
+        parse_formula(text)
+        return
+    with pytest.raises(ParseError, match="nested deeper") as e:
+        parse_formula(text)
+    assert e.value.position == position
+
+
 def test_formula_text_round_trip_examples():
     for text in ["all x. S(x)",
                  "all x. (S(x) <-> x = #0)",
@@ -268,6 +288,15 @@ def test_free_vars():
 @pytest.mark.parametrize("f", [42, And(Pred(Var("x")), "S(x)")])
 def test_walks_refuse_what_is_not_a_formula_node(walk, f):
     with pytest.raises(PreconditionError, match="^not a formula node: "):
+        walk(f)
+
+
+@pytest.mark.parametrize("walk", [formula_size, free_vars, formula_text])
+@pytest.mark.parametrize("f", [Pred(Not(Pred(Var("x")))),
+                               Member(Var("x"), Not(Pred(Var("x")))),
+                               Eq(Param(0), 5)])
+def test_walks_refuse_a_formula_or_value_where_a_term_belongs(walk, f):
+    with pytest.raises(PreconditionError, match="^not a term: "):
         walk(f)
 
 

@@ -45,10 +45,8 @@ def body_lines(path):
     return lines
 
 
-def trace(pytest_args):
-    """Run pytest under the tracer: (exit status, {(file, line)} reached)."""
-    import pytest
-
+def trace(action):
+    """Run action() under the tracer: (its result, {(file, line)} reached)."""
     files = {str(p) for p in PACKAGE.glob("*.py")}
     reached = set()
     add = reached.add
@@ -63,15 +61,15 @@ def trace(pytest_args):
 
     sys.settrace(calls)
     try:
-        status = pytest.main(pytest_args)
+        return action(), reached
     finally:
         sys.settrace(None)
-    return status, reached
 
 
-def main(argv):
-    sys.path.insert(0, str(ROOT / "src"))
-    status, reached = trace(argv)
+def report(reached, what, note):
+    """Print each function-body line of the package outside reached, as
+    ``path:line: source``, a count for each module, and the total, which
+    says what the lines are and ends with note."""
     counts = {}
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
@@ -83,11 +81,18 @@ def main(argv):
             print(f"{path.relative_to(ROOT)}:{line}: "
                   f"{source[line - 1].strip()}")
     for name, (missed, lines) in counts.items():
-        print(f"{name}: {missed} of {lines} never reached")
+        print(f"{name}: {missed} of {lines} {what}")
     unreached, total = map(sum, zip(*counts.values()))
     print(f"{unreached} of {total} function-body lines in "
-          f"{PACKAGE.relative_to(ROOT)} never reached (pytest exit "
-          f"status {int(status)})")
+          f"{PACKAGE.relative_to(ROOT)} {what} ({note})")
+
+
+def main(argv):
+    sys.path.insert(0, str(ROOT / "src"))
+    import pytest
+
+    status, reached = trace(lambda: pytest.main(argv))
+    report(reached, "never reached", f"pytest exit status {int(status)}")
     return 0
 
 
