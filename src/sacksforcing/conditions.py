@@ -256,12 +256,9 @@ class GenericContext:
 EMPTY_CONTEXT = GenericContext()
 
 
-@lru_cache(maxsize=64)
-def _plain(kinds):
-    """The schedule of a trusted iteration with these kinds, built and
-    validated once per kinds tuple, and the empty context, both shared by
-    every such iteration; nothing changes either after construction."""
-    return TowerRecipe(kinds), EMPTY_CONTEXT
+# the schedule of a trusted iteration, built and validated once per kinds
+# tuple and shared, with EMPTY_CONTEXT, by every such iteration
+_plain = lru_cache(maxsize=64)(TowerRecipe)
 
 
 def _coordinate(k):
@@ -410,7 +407,7 @@ class IterCondition:
         int keys below their coordinate and nonempty bit-tuple addresses,
         payloads of the coordinate's kind, rows forming a partition."""
         cond = object.__new__(cls)
-        cond.schedule, cond.context = _plain(kinds)
+        cond.schedule, cond.context = _plain(kinds), EMPTY_CONTEXT
         cond.kinds = kinds
         cond.coords = tuple(tuple(rows) for rows in coords)
         return cond

@@ -10,7 +10,10 @@ node and e(sigma + (i,)) extends e(sigma) + (i,).  The tree presented is
 the downward closure of { e(sigma) + rho : |sigma| = d, rho any string }.
 
 The same tree has many presentations (deepening a skeleton never changes
-the tree), so equality compares the canonical minimal presentations.
+the tree), each the canonical minimal one deepened to its depth.  A tree
+holds only its depth and skeleton: rt(sigma) is the sigma-th splitting
+node whatever the presentation, so ``==`` compares rt index by index up
+to the larger depth, and ``hash`` hashes the canonical form.
 
 Index strings address everything: rt(sigma) is the sigma-th splitting
 node also beyond the stored depth, restrict_cell(sigma) is the subtree of
@@ -31,8 +34,6 @@ hand them to unchecked private twins (``_rt``, ``_restrict_cell``,
 deepened copy of the tree's skeleton; it can skip the comparison of the
 graft with its cell, but the MAX_SKELETON_ENTRIES bound holds on every
 path.
-Trees are immutable, so each caches its canonical form the first time
-it is asked for, and ``==`` and ``hash`` reuse it.
 
 Two queries walk the skeleton instead of listing the frontier.
 ``contains`` follows the node down the skeleton, taking at each splitting
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
+from operator import eq
 
 from .bitseq import Bits, bits, bits_str, check_bits
 from .errors import (AmalgamationError, FusionError, PreconditionError,
@@ -131,15 +133,13 @@ _set = object.__setattr__
 
 
 class SkeletonTree:
-    # _canon is None until computed, False when this presentation is
-    # already minimal, else the minimal tree
-    __slots__ = ("depth", "_skel", "_canon")
+    __slots__ = ("depth", "_skel")
 
     def __init__(self, depth: int, skeleton):
-        check_natural(depth, "depth")
-        self._fill(depth, _skeleton(depth, {
+        _set(self, "_skel", _skeleton(check_natural(depth, "depth"), {
             check_bits(key): check_bits(entry)
             for key, entry in check_mapping(skeleton, "skeleton")}))
+        _set(self, "depth", depth)
 
     @classmethod
     def _trusted(cls, depth: int, skel) -> "SkeletonTree":
@@ -148,13 +148,9 @@ class SkeletonTree:
         each entry extending its parent entry plus the last index bit.
         Nothing is checked, and the dict is taken over, not copied."""
         tree = object.__new__(cls)
-        tree._fill(depth, skel)
+        _set(tree, "depth", depth)
+        _set(tree, "_skel", skel)
         return tree
-
-    def _fill(self, depth, skel):
-        _set(self, "depth", depth)
-        _set(self, "_skel", skel)
-        _set(self, "_canon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SkeletonTree is immutable: cannot set {name!r}")
@@ -173,9 +169,11 @@ class SkeletonTree:
         return dict(self._skel)
 
     def deepen(self, depth: int) -> "SkeletonTree":
-        """Re-present the same tree with a deeper skeleton."""
+        """Re-present the same tree with a deeper skeleton, of a depth up
+        to the level cap."""
         if check_natural(depth, "depth") < self.depth:
             raise PreconditionError("deepen cannot reduce the stored depth")
+        _check_cells("deepen", depth, "build 2^{} splitting nodes")
         if depth == self.depth:
             return self
         skel = dict(self._skel)
@@ -185,30 +183,26 @@ class SkeletonTree:
         return SkeletonTree._trusted(depth, skel)
 
     def canonical(self) -> "SkeletonTree":
-        """The unique minimal-depth presentation of this tree.
-
-        Its depth is the longest index whose entry does more than extend
-        its parent entry by the index's last bit.  Computed once.
-        """
-        if self._canon is None:
-            skel = self._skel
-            depth = 0
-            for sigma, e in skel.items():
-                if len(sigma) > depth and len(e) != len(skel[sigma[:-1]]) + 1:
-                    depth = len(sigma)
-            canon = False
-            if depth < self.depth:
-                canon = SkeletonTree._trusted(depth, {
-                    s: e for s, e in skel.items() if len(s) <= depth})
-                _set(canon, "_canon", False)
-            _set(self, "_canon", canon)
-        return self._canon or self
+        """The unique minimal-depth presentation of this tree (self if
+        this one is): its depth is the longest index whose entry does more
+        than extend its parent entry by the index's last bit."""
+        skel = self._skel
+        depth = 0
+        for sigma, e in skel.items():
+            if len(sigma) > depth and len(e) != len(skel[sigma[:-1]]) + 1:
+                depth = len(sigma)
+        if depth == self.depth:
+            return self
+        return SkeletonTree._trusted(
+            depth, {s: e for s, e in skel.items() if len(s) <= depth})
 
     def __eq__(self, other):
         if not isinstance(other, SkeletonTree):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return a is b or (a.depth == b.depth and a._skel == b._skel)
+        if self.depth == other.depth:       # one presentation per depth
+            return self._skel == other._skel
+        a, b = (self, other) if self.depth < other.depth else (other, self)
+        return all(map(eq, map(a._rt, b._skel), b._skel.values()))
 
     def __hash__(self):
         c = self.canonical()

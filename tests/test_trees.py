@@ -645,6 +645,30 @@ def test_splitting_level_refuses_past_the_bound():
         full_tree().splitting_level(-1)
 
 
+def test_deepen_refuses_past_the_bound():
+    # deepen(20) once built 2,097,151 entries, and deepen(24) ran out of
+    # memory; a larger depth is not tried here for that reason
+    for tree in (full_tree(), T1):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=r"^deepen would build 2\^17 "
+                           r"splitting nodes; the bound is 65536$"):
+            tree.deepen(17)
+        assert time.perf_counter() - start < 1
+    assert len(full_tree().deepen(16).skeleton) == (2 << 16) - 1
+
+
+def test_equality_and_hash_across_depths_at_the_bound():
+    # == walks every index of the deeper tree, and hash builds the
+    # canonical form, on each call
+    deep = full_tree().deepen(16)
+    assert full_tree() == deep and deep == full_tree()
+    assert hash(deep) == hash(full_tree())
+    tree, cell = T1.deepen(16), T1.restrict_cell(bits("1")).deepen(16)
+    assert T1 == tree and tree == T1 and hash(T1) == hash(tree)
+    assert cell != tree and tree != cell
+    assert cell != T1 and tree != T1.restrict_cell(bits("1"))
+
+
 @pytest.mark.parametrize("skeleton, shown", [(5, "int"), ([((), ())], "list")],
                          ids=["int", "pairs"])
 def test_a_skeleton_that_is_not_a_mapping_is_refused(skeleton, shown):
