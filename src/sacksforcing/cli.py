@@ -257,12 +257,12 @@ def _run(path, work):
             if "\r" in text:
                 text = text.replace("\r\n", "\n").replace("\r", "\n")
             obj = json.loads(text)
-    except (OSError, ValueError) as e:     # bad JSON, text or number
+    except (OSError, RecursionError, ValueError) as e:  # bad or deep JSON
         print(f"input error: {e}", file=sys.stderr)
         return 1, None
     try:
         return 0, work(obj)
-    except EngineError as e:
+    except (EngineError, RecursionError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1, None
 

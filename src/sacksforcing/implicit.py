@@ -8,7 +8,8 @@ subset so definable within a formula-size budget, and iterating from the
 empty structure with each level's members re-coded as sets, climbs a
 hierarchy; with enough budget it walks the finite cumulative ranks level
 by level, because parameters make every subset of a finite structure
-pin-downable.  Formula syntax is read from the tables _BINARY, _INFIX,
+pin-downable.  The parser, the printer, the table evaluators and verify's
+generator take the connectives, quantifiers and relations from _BINARY,
 _QUANT and _RELATION; formula_size, free_vars and formula_text use _parts.
 
 Hereditarily finite sets are coded by naturals: bit i of the code of b
@@ -69,7 +70,10 @@ def set_members(code: int):
 def set_of(members) -> int:
     code = 0
     for m in check_items(members, "members", "set codes"):
-        code |= 1 << check_natural(m, "a set code")
+        if check_natural(m, "a set code") >= MAX_LEVEL_CODE_BITS:
+            raise ResourceError(f"members must lie below {MAX_LEVEL_CODE_BITS}"
+                                f": a set code has at most that many bits")
+        code |= 1 << m
     return code
 
 
@@ -180,10 +184,12 @@ _BINARY = {Iff: ("<->", lambda a, b, ones: a ^ b ^ ones),
            Implies: ("->", lambda a, b, ones: a ^ ones | b),
            Or: ("|", lambda a, b, ones: a | b),
            And: ("&", lambda a, b, ones: a & b)}
-_INFIX = {token: (kind, at)
-          for at, (kind, (token, _)) in enumerate(_BINARY.items())}
 _QUANT = {Forall: "all", Exists: "ex"}
 _RELATION = {Member: "in", Eq: "="}
+# the parser's: token -> (node type, level, its right operand's level)
+_INFIX = {token: (kind, at, at if kind is Implies else at + 1)
+          for at, (kind, (token, _)) in enumerate(_BINARY.items())}
+_BINDER = {token: kind for kind, token in _QUANT.items()}
 
 
 def _parts(f):
@@ -206,14 +212,20 @@ def _parts(f):
 def formula_size(f) -> int:
     """AST node count; terms count as one node each."""
     terms, subformulas = _parts(f)
-    return 1 + len(terms) + sum(map(formula_size, subformulas))
+    try:
+        return 1 + len(terms) + sum(map(formula_size, subformulas))
+    except RecursionError:
+        raise ResourceError(_TOO_DEEP) from None
 
 
 def free_vars(f):
     terms, subformulas = _parts(f)
     out = {t.name for t in terms if type(t) is Var}
-    for g in subformulas:
-        out |= free_vars(g)
+    try:
+        for g in subformulas:
+            out |= free_vars(g)
+    except RecursionError:
+        raise ResourceError(_TOO_DEEP) from None
     return out - {f.var} if type(f) in _QUANT else out
 
 
@@ -221,7 +233,10 @@ def formula_text(f) -> str:
     """Parseable rendering; binary connectives are parenthesized."""
     terms, subformulas = _parts(f)
     texts = [t.name if type(t) is Var else f"#{t.index}" for t in terms]
-    texts += map(formula_text, subformulas)
+    try:
+        texts += map(formula_text, subformulas)
+    except RecursionError:
+        raise ResourceError(_TOO_DEEP) from None
     kind = type(f)
     if kind is Pred:
         return f"S({texts[0]})"
@@ -240,14 +255,17 @@ def formula_text(f) -> str:
 # negation, quantifier and binary connective nests what follows it one
 # level deeper, until its group ends.  At the cap a parse runs 256
 # frames deeper than that of S(#0) under parentheses and 193 under
-# quantifiers, and every walk stays well inside the recursion limit.
+# quantifiers, and every walk of a parsed formula stays well inside the
+# recursion limit.  A formula built in Python has no cap: a walk that
+# meets the limit raises ResourceError(_TOO_DEEP), not RecursionError.
 # formula_text parenthesizes each quantifier and binary connective, so
 # its text of a formula nested MAX_NESTING // 2 deep always parses back.
 MAX_NESTING = 64
+_TOO_DEEP = "formula nested too deep for Python's recursion limit"
 
 _TOKEN = re.compile(
     r"\s*(?:(<->|->|[()=.&|!]|#\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
-_KEYWORDS = {"all", "ex", "in", "S"}
+_KEYWORDS = {*_BINDER, *_RELATION.values(), "S"}
 
 
 def _tokenize(text):
@@ -297,14 +315,14 @@ class _Parser:
         deeper; the next chain restarts at this call's starting depth."""
         top, chain = self.depth, None
         left = self.unary()
-        kind, at = _INFIX.get(self.peek(), (None, -1))
+        kind, at, right = _INFIX.get(self.peek(), (None, -1, -1))
         while at >= level:
             self.take()
             if at != chain:
                 self.depth, chain = top, at
             self.deeper()
-            left = kind(left, self.formula(at if kind is Implies else at + 1))
-            kind, at = _INFIX.get(self.peek(), (None, -1))
+            left = kind(left, self.formula(right))
+            kind, at, right = _INFIX.get(self.peek(), (None, -1, -1))
         self.depth = top
         return left
 
@@ -313,12 +331,11 @@ class _Parser:
         if tok == "!":
             self.take()
             return Not(self.nested(self.unary))
-        if tok in ("all", "ex"):
+        if tok in _BINDER:
             self.take()
             var = self.variable()
             self.take(".")
-            body = self.nested(self.formula)
-            return (Forall if tok == "all" else Exists)(var, body)
+            return _BINDER[tok](var, self.nested(self.formula))
         return self.primary()
 
     def primary(self):
@@ -374,7 +391,6 @@ def eval_formula(f, structure: FinStructure, subset, params=()) -> bool:
     check_type(structure, FinStructure, "structure", "a FinStructure")
     subset = frozenset(structure._codes(subset, "subset", "subset element"))
     params = structure._codes(params, "params", "parameter")
-    _formula_table(structure, f, params, None)
 
     def term_val(t, env):
         return env[t.name] if isinstance(t, Var) else params[t.index]
@@ -402,7 +418,11 @@ def eval_formula(f, structure: FinStructure, subset, params=()) -> bool:
         return any(sat(g.body, {**env, g.var: c})       # Exists
                    for c in structure.universe)
 
-    return sat(f, {})
+    try:
+        _formula_table(structure, f, params, None)
+        return sat(f, {})
+    except RecursionError:
+        raise ResourceError(_TOO_DEEP) from None
 
 
 # a structure caches at most _CACHE_ENTRIES atom tables of at most
@@ -580,7 +600,10 @@ def implicitly_defined_by(structure: FinStructure, f, params=()):
     this is tested against.
     """
     params = structure._codes(params, "params", "parameter")
-    family = _formula_table(structure, f, params, _atom_table)
+    try:
+        family = _formula_table(structure, f, params, _atom_table)
+    except RecursionError:
+        raise ResourceError(_TOO_DEEP) from None
     u = structure.size
     if not family or family & (family - 1):
         return None
@@ -829,7 +852,7 @@ def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None,
         if size == 3:
             for t1, free1 in terms.items():
                 for t2, free2 in terms.items():
-                    for kind in (Member, Eq):
+                    for kind in _RELATION:
                         yield (_atom_table(structure, (nvars, kind, t1, t2)),
                                free1 | free2)
 
@@ -914,12 +937,12 @@ def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None,
 
 # -- hierarchies ---------------------------------------------------------------------
 
-# imp_levels builds at most MAX_LEVELS levels, and no set code of more
-# than MAX_LEVEL_CODE_BITS bits, so every code prints (Python refuses to
-# print an int of more than 4300 digits), and names the level where
-# implicit_subsets refuses.  From budget 2 on, the codes grow as a tower
-# and meet a bound by level 7; budgets 0 and 1 alternate between the
-# empty level and {0} for ever.
+# imp_levels builds at most MAX_LEVELS levels.  Neither it nor set_of
+# builds a set code of more than MAX_LEVEL_CODE_BITS bits, so every code
+# prints (Python refuses to print an int of more than 4300 digits), and
+# imp_levels names the level where implicit_subsets refuses.  From budget
+# 2 on, the codes grow as a tower and meet a bound by level 7; budgets 0
+# and 1 alternate between the empty level and {0} for ever.
 MAX_LEVELS = 64
 MAX_LEVEL_CODE_BITS = 1 << 12
 

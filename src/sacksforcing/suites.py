@@ -23,11 +23,10 @@ from .degrees import (ONE, PAIR, Ordinal2, TowerCensus, TowerRecipe,
                       sc_census_encode, sc_decode, sc_pattern, sc_schedule,
                       tower_degrees)
 from .errors import DecodeError
-from .implicit import (And, Eq, Exists, FinStructure, Forall, Iff, Implies,
-                       Member, Not, Or, Param, Pred, Var, eval_formula,
-                       formula_text, free_vars, imp_levels,
-                       implicitly_defined_by, parse_formula, set_members,
-                       vn_levels)
+from .implicit import (_BINARY, _QUANT, _RELATION, FinStructure, Not, Param,
+                       Pred, Var, eval_formula, formula_text, free_vars,
+                       imp_levels, implicitly_defined_by, parse_formula,
+                       set_members, vn_levels)
 from .trees import (amalgamate, all_bitstrings, bitstrings_upto,
                     enumerate_trees, full_tree, leq_n, leq_n_cellwise,
                     SkeletonTree)
@@ -355,23 +354,19 @@ def _closed_formulas(universe, max_size):
 
     for t in terms:
         add(Pred(t), 2)
-    for t1 in terms:
-        for t2 in terms:
-            add(Member(t1, t2), 3)
-            add(Eq(t1, t2), 3)
+    for t1, t2, kind in product(terms, terms, _RELATION):
+        add(kind(t1, t2), 3)
     for size in range(3, max_size + 1):
         for f in by_size.get(size - 1, []):
             add(Not(f), size)
-            for v in ("x", "y"):
-                add(Forall(v, f), size)
-                add(Exists(v, f), size)
+            for v, kind in product(("x", "y"), _QUANT):
+                add(kind(v, f), size)
         for s1 in range(2, size - 2):
             for f1 in by_size.get(s1, []):
                 for f2 in by_size.get(size - 1 - s1, []):
-                    add(And(f1, f2), size)
-                    add(Or(f1, f2), size)
-                    add(Implies(f1, f2), size)
-                    add(Iff(f1, f2), size)
+                    # tightest first, so that the seeded samples stay the same
+                    for kind in reversed(_BINARY):
+                        add(kind(f1, f2), size)
     return [f for fs in by_size.values() for f in fs if not free_vars(f)]
 
 

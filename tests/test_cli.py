@@ -875,6 +875,39 @@ def test_dot_unsupported_kind(tmp_path, capsys):
     assert e.value.code == 2
 
 
+# -- nesting past the recursion limit -------------------------------------
+
+def _deep_list(depth):
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    (["eval", "pair_index", "-"], f'{{"m": {_deep_list(5000)}, "n": 0}}',
+     "input error: "),
+    (["eval", "pair_index", "IN"], f'{{"m": {_deep_list(5000)}, "n": 0}}',
+     "input error: "),
+    (["dot", "IN", "-"], _deep_list(5000), "input error: "),
+    # decoded, but nested too deep for the product index reader
+    (["eval", "prod_restrict", "IN"],
+     '{"product": {"kind": "product", "coords": []}, "sigma": "0", '
+     f'"sbar": {_deep_list(400)}}}', "RecursionError: "),
+], ids=["eval stdin", "eval file", "dot", "eval work"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, argv, text, error):
+    # each once ended in a traceback; the child starts from an empty stack
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(sacksforcing.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sacksforcing",
+         *(str(path) if a == "IN" else a for a in argv)],
+        input=text, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(error)
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 # -- installed entry point --------------------------------------------------
 
 def test_module_invocation_smoke():

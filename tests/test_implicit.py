@@ -109,6 +109,15 @@ def test_codes_that_are_no_set_codes_are_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize("member", [implicit.MAX_LEVEL_CODE_BITS, 10 ** 30])
+def test_set_of_refuses_a_member_past_the_code_bound(member):
+    # 10**30 once raised a bare OverflowError, and 2**40 a MemoryError;
+    # the bound is the widest code that imp_levels builds
+    with pytest.raises(ResourceError, match="^members must lie below 4096: "):
+        set_of([0, member])
+    assert set_of([0, 4095]) == 1 | 1 << 4095
+
+
 # -- structures -----------------------------------------------------------
 
 def test_structure_universe_sorted_and_distinct():
@@ -339,6 +348,33 @@ def test_eval_domain_errors():
         eval_formula(parse_formula("(all y. y = y) | S(x)"), S1, ())
     with pytest.raises(PreconditionError, match="no parameter #5"):
         eval_formula(parse_formula("all x. S(#5)"), EMPTY, ())
+
+
+def _nested(node, core, depth):
+    for _ in range(depth):
+        core = node(core)
+    return core
+
+
+@pytest.mark.parametrize("walk", [
+    formula_size, free_vars, formula_text,
+    lambda f: eval_formula(f, S1, (), params=(0,)),
+    lambda f: implicitly_defined_by(S1, f, (0,))],
+    ids=["formula_size", "free_vars", "formula_text", "eval_formula",
+         "implicitly_defined_by"])
+def test_walks_refuse_a_formula_nested_past_the_recursion_limit(walk):
+    # MAX_NESTING bounds parsed text only; a chain built in Python once
+    # made each walk raise a bare RecursionError
+    f = _nested(Not, Pred(Param(0)), 5000)
+    with pytest.raises(ResourceError, match="recursion limit$"):
+        walk(f)
+
+
+def test_eval_formula_refuses_quantifiers_nested_past_the_recursion_limit():
+    # the reference evaluation takes two frames per quantifier
+    f = _nested(lambda g: Exists("x", g), Pred(Var("x")), 600)
+    with pytest.raises(ResourceError, match="recursion limit$"):
+        eval_formula(f, S1, (0,))
 
 
 # -- implicit definitions ---------------------------------------------------
