@@ -24,6 +24,9 @@ from .errors import InputError, PreconditionError, check_items, check_natural
 
 Bits = tuple[int, ...]
 
+# index strings and bit tuples' columns this short are built once and shared
+_CACHED_LENGTH = 10
+_COLUMNS = {}
 
 _BIT_CODES = str.maketrans("01", "\x00\x01")
 
@@ -115,6 +118,16 @@ def _column(sigma: Bits, n: int) -> Bits:
         p += step
         step += 1
     return tuple(out)
+
+
+def _columns(sigma: Bits) -> tuple:
+    """Every nonempty column of the checked bit tuple sigma, in order."""
+    out = _COLUMNS.get(sigma)
+    if out is None:
+        out = tuple(_column(sigma, n) for n in range(width(len(sigma))))
+        if len(sigma) <= _CACHED_LENGTH:
+            _COLUMNS[sigma] = out
+    return out
 
 
 def width(k: int) -> int:

@@ -49,22 +49,24 @@ check one index of length n for all 2^n and restrict nothing: they share
 one loop, which compares pairs of rows at the lengths of their
 addresses, and iter_leq and prod_extends are their level 0.  A coordinate
 that a product q lacks reads as the full iteration of p's kinds, the
-weakest condition (_at).
+weakest condition (_at).  A sigma's addresses are its columns: the
+nonempty ones, listed once per short sigma (_columns), padded to one per
+coordinate by _spread, which refuses a sigma with more columns than
+coordinates; a product spreads each column so in turn.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 
-from .bitseq import (_column, bits, bits_str, check_bits, pair_split,
-                     split_pair, width)
+from .bitseq import _columns, bits, bits_str, check_bits, pair_split, split_pair
 from .errors import (AmalgamationError, IncompatibleError, InputError,
                      PreconditionError, ResourceError, check_items,
-                     check_natural, check_type, json_choice, json_fields,
-                     json_int, json_int_keys, json_list)
+                     check_natural, check_type, int_text, json_choice,
+                     json_fields, json_int, json_int_keys, json_list)
 from .trees import (SkeletonTree, _cell_leq, _check_cells, _graft,
                     _is_prefix, _strings, full_tree, leq_n)
 
@@ -187,8 +189,8 @@ def sc_schedule(n: int, g, K: int) -> TowerRecipe:
     g = check_bits(g)
     check_natural(n, "n")
     if check_natural(K, "K") > MAX_SCHEDULE_STEPS:
-        raise ResourceError(f"K={K} exceeds {MAX_SCHEDULE_STEPS} steps, the "
-                            f"supported maximum")
+        raise ResourceError(f"K={int_text(K)} exceeds {MAX_SCHEDULE_STEPS} "
+                            f"steps, the supported maximum")
     if K > n + 2 + len(g):
         raise PreconditionError(
             f"K={K} needs {K - n - 2} data bits, g has {len(g)}")
@@ -409,7 +411,7 @@ class IterCondition:
         cond = object.__new__(cls)
         cond.schedule, cond.context = _plain(kinds), EMPTY_CONTEXT
         cond.kinds = kinds
-        cond.coords = tuple(tuple(rows) for rows in coords)
+        cond.coords = tuple(map(tuple, coords))
         return cond
 
     @property
@@ -475,13 +477,14 @@ def full_iter(kinds) -> IterCondition:
                                           for k in kinds])
 
 
-def _check_columns(size, length):
-    """Refuse a sigma of this size with more nonempty columns than
-    length coordinates to take them."""
-    if width(size) > length:
+def _spread(cols, length):
+    """cols, the nonempty columns of a sigma, padded with empty ones to
+    one per coordinate of length; refuses more columns than that."""
+    if len(cols) > length:
         raise PreconditionError(
-            f"sigma has {width(size)} nonempty columns but only {length} "
+            f"sigma has {len(cols)} nonempty columns but only {length} "
             f"coordinates take them")
+    return cols + ((),) * (length - len(cols))
 
 
 def _addresses(sigma, mode, length):
@@ -489,8 +492,7 @@ def _addresses(sigma, mode, length):
     each of its coordinates its address."""
     sigma = check_bits(sigma)
     if mode == COLUMN:
-        _check_columns(len(sigma), length)
-        return [_column(sigma, k) for k in range(length)]
+        return _spread(_columns(sigma), length)
     if mode != PAIRWISE:
         raise PreconditionError(f"unknown mode {mode!r}")
     if length != 2:
@@ -533,12 +535,13 @@ def _graded_leq(q: IterCondition, p: IterCondition, levels=()) -> bool:
     if q.kinds != p.kinds:
         raise IncompatibleError(f"kind mismatch: {q.kinds} vs {p.kinds}")
     for m, kind in enumerate(p.kinds):
-        leq = _PAYLOADS[kind].cell_leq
-        if levels and levels[m]:
-            leq = partial(_PAYLOADS[kind].leq, n=levels[m])
+        n = levels[m] if levels else 0
+        leq = _PAYLOADS[kind].leq if n else _PAYLOADS[kind].cell_leq
         for gq, pay_q in q.coords[m]:
             for gp, pay_p in p.coords[m]:
-                if _guards_compatible(gq, gp) and not leq(pay_q, pay_p):
+                if gq and gp and not _guards_compatible(gq, gp):
+                    continue
+                if not (leq(pay_q, pay_p, n) if n else leq(pay_q, pay_p)):
                     return False
     return True
 
@@ -739,7 +742,7 @@ def _shares(sigma, sbar, *prods):
     that i's column of sigma gives the coordinates of the longest
     iteration at i."""
     cols = _addresses(sigma, COLUMN, len(sbar))
-    lengths = {}
+    shares = {}
     for p in prods:
         for i, addr in zip(sbar, cols):
             cond = p._coords.get(i)
@@ -749,10 +752,10 @@ def _shares(sigma, sbar, *prods):
                         f"cannot restrict coordinate {i!r} outside the "
                         f"support")
                 continue
-            _check_columns(len(addr), cond.length)
-            lengths[i] = max(lengths.get(i, 0), cond.length)
-    return [(i, [_column(addr, k) for k in range(lengths[i])])
-            for i, addr in zip(sbar, cols) if i in lengths]
+            spread = _spread(_columns(addr), len(cond.kinds))
+            if len(spread) > len(shares.get(i, ())):
+                shares[i] = spread
+    return [(i, shares[i]) for i in sbar if i in shares]
 
 
 def prod_restrict(p: ProductCondition, sigma, sbar) -> ProductCondition:

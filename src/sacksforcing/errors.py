@@ -1,5 +1,6 @@
 """Shared exception types, the one check of each kind of Python argument
-(check_natural, check_items, check_type and check_mapping), and the one
+(check_natural, check_items, check_type and check_mapping), int_text,
+which words an int for a message however large it is, and the one
 reader of each JSON value kind: json_fields for named fields, json_int_keys
 for integer keys, json_int, json_list and json_choice; bitseq.bits reads bit
 strings.  Each reader takes the value and name, its path in the input, which
@@ -56,6 +57,15 @@ def check_natural(value, name):
     if type(value) is not int or value < 0:
         raise PreconditionError(f"{name} must be a natural number")
     return value
+
+
+def int_text(n):
+    """str(n), or for an int with more digits than Python writes out,
+    its bit length: "<16610-bit int>"."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit int>"
 
 
 def check_items(values, name, what):

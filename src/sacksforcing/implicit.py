@@ -51,7 +51,7 @@ from itertools import combinations, product
 from types import SimpleNamespace
 
 from .errors import (ParseError, PreconditionError, ResourceError,
-                     check_items, check_natural, check_type)
+                     check_items, check_natural, check_type, int_text)
 
 # the largest budget the enumerator accepts.  Up to 13 its slots define
 # every subset that a formula of the budget's size defines, and at 14 it
@@ -662,9 +662,9 @@ _memo = {}
 def _check_budget(budget):
     if check_natural(budget, "budget") > MAX_BUDGET:
         raise ResourceError(
-            f"budget {budget} exceeds {MAX_BUDGET}, the largest budget "
-            f"the enumerator runs (its slots are proved complete up to "
-            f"13, and 14 counts formulas on three variables)")
+            f"budget {int_text(budget)} exceeds {MAX_BUDGET}, the largest "
+            f"budget the enumerator runs (its slots are proved complete up "
+            f"to 13, and 14 counts formulas on three variables)")
 
 
 def implicit_subsets(structure: FinStructure, budget: int):
@@ -951,8 +951,8 @@ def imp_levels(n: int, budget: int):
     """Levels 0..n of the iterated implicitly-definable powerset, each a
     set of set codes; level 0 is empty."""
     if check_natural(n, "n") > MAX_LEVELS:
-        raise ResourceError(f"n = {n} levels exceeds {MAX_LEVELS}, the "
-                            f"supported maximum")
+        raise ResourceError(f"n = {int_text(n)} levels exceeds {MAX_LEVELS}, "
+                            f"the supported maximum")
     _check_budget(budget)
     levels = [frozenset()]
     for k in range(1, n + 1):

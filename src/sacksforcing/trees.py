@@ -30,10 +30,11 @@ themselves (deepen, canonical, restrict_cell, amalgamate, ...), valid by
 construction.  Public methods check their bit-string arguments once and
 hand them to unchecked private twins (``_rt``, ``_restrict_cell``,
 ``_contains``, ``_graft``) that internal callers use directly.
-``_graft``, amalgamate's twin, overwrites the cell's entries in a
-deepened copy of the tree's skeleton; it can skip the comparison of the
-graft with its cell, but the MAX_SKELETON_ENTRIES bound holds on every
-path.
+``_graft``, amalgamate's twin, overwrites the cell's entries, read off
+the graft's skeleton in place, in one copy of the tree's skeleton that
+``_deepened``, deepen's fill loop, builds; it can skip the comparison of
+the graft with its cell, but the MAX_SKELETON_ENTRIES bound holds on
+every path.
 
 Two queries walk the skeleton instead of listing the frontier.
 ``contains`` follows the node down the skeleton, taking at each splitting
@@ -51,10 +52,10 @@ from itertools import product
 from math import comb
 from operator import eq
 
-from .bitseq import Bits, bits, bits_str, check_bits
+from .bitseq import _CACHED_LENGTH, Bits, bits, bits_str, check_bits
 from .errors import (AmalgamationError, FusionError, PreconditionError,
                      ResourceError, check_items, check_mapping, check_natural,
-                     check_type, json_fields, json_int)
+                     check_type, int_text, json_fields, json_int)
 
 # amalgamate refuses to build a skeleton with more entries than this, and
 # the level-n queries refuse to list more than this many cells
@@ -63,8 +64,6 @@ _MAX_LEVEL = MAX_SKELETON_ENTRIES.bit_length() - 1
 # enumerate_trees refuses a family of more skeleton entries than this
 MAX_ENUMERATED_ENTRIES = 1 << 20
 
-# index strings of at most this length are built once and shared
-_CACHED_LENGTH = 10
 _STRINGS = {}
 _UPTO = {}
 
@@ -97,6 +96,7 @@ def _check_cells(op, n, work=None):
     """Refuse a level n that is not a natural or is past _MAX_LEVEL; work
     says what a query that loops over the 2^n cells would do there."""
     if check_natural(n, "level n") > _MAX_LEVEL:
+        n = int_text(n)
         raise ResourceError(
             f"{op} refuses level {n}, past the cap of {_MAX_LEVEL}"
             if work is None else f"{op} would {work.format(n)}; the bound "
@@ -176,11 +176,7 @@ class SkeletonTree:
         _check_cells("deepen", depth, "build 2^{} splitting nodes")
         if depth == self.depth:
             return self
-        skel = dict(self._skel)
-        for k in range(self.depth + 1, depth + 1):
-            for sigma in _strings(k):
-                skel[sigma] = skel[sigma[:-1]] + sigma[-1:]
-        return SkeletonTree._trusted(depth, skel)
+        return SkeletonTree._trusted(depth, _deepened(self, depth))
 
     def canonical(self) -> "SkeletonTree":
         """The unique minimal-depth presentation of this tree (self if
@@ -307,6 +303,15 @@ class SkeletonTree:
                                              skel))
 
 
+def _deepened(tree: SkeletonTree, depth: int) -> dict:
+    """A copy of tree's skeleton, filled out to depth >= tree.depth."""
+    skel = dict(tree._skel)
+    for k in range(tree.depth + 1, depth + 1):
+        for sigma in _strings(k):
+            skel[sigma] = skel[sigma[:-1]] + sigma[-1:]
+    return skel
+
+
 def full_tree() -> SkeletonTree:
     """The complete binary tree."""
     return SkeletonTree._trusted(0, {(): ()})
@@ -331,13 +336,15 @@ def _cell_leq(sub: SkeletonTree, sup: SkeletonTree, sigma: Bits = ()) -> bool:
     """
     if len(sigma) >= sup.depth:
         return _is_prefix(sup._rt(sigma), sub._skel[()])
+    top, skel, sup_top, sup_skel = sub.depth, sub._skel, sup.depth, sup._skel
     stack = [((), sigma)]
     while stack:
         s, t = stack.pop()
-        a, b = sub._rt(s), sup._skel[t]
-        if not _is_prefix(b, a):
+        a = skel[s] if len(s) <= top else skel[s[:top]] + s[top:]
+        b = sup_skel[t]
+        if a[: len(b)] != b:
             return False
-        if len(t) == sup.depth:
+        if len(t) == sup_top:
             continue
         if len(a) == len(b):
             stack.append((s + (0,), t + (0,)))
@@ -401,9 +408,10 @@ def _graft(tree: SkeletonTree, sigma: Bits, graft: SkeletonTree,
     if check and not _cell_leq(graft, tree, sigma):
         raise AmalgamationError(
             f"graft is not a subtree of the {bits_str(sigma) or 'root'} cell")
-    skel = dict(tree.deepen(depth)._skel)
+    skel, top, entries = _deepened(tree, depth), graft.depth, graft._skel
     for rho in _upto(depth - n):
-        skel[sigma + rho] = graft._rt(rho)
+        skel[sigma + rho] = (entries[rho] if len(rho) <= top
+                             else entries[rho[:top]] + rho[top:])
     return SkeletonTree._trusted(depth, skel)
 
 

@@ -1,10 +1,13 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sacksforcing import bitseq
 from sacksforcing.bitseq import (
-    bits, bits_str, check_bits, column, join_family, join_pair, pair_index,
-    pair_split, split_pair, width,
+    _columns, bits, bits_str, check_bits, column, join_family, join_pair,
+    pair_index, pair_split, split_pair, width,
 )
 from sacksforcing.conditions import (SINGLE, GenericContext, IterCondition,
                                      TowerRecipe, sc_schedule)
@@ -178,6 +181,22 @@ def test_width_marks_last_nonempty_column():
         n = width(k)
         assert column(sigma, n) == ()
         assert column(sigma, n - 1) != ()
+
+
+def test_columns_lists_every_nonempty_column():
+    # past the cache's length too, and again once cached
+    for k in range(13):
+        for sigma in product((0, 1), repeat=k):
+            want = tuple(column(sigma, n) for n in range(width(k)))
+            assert _columns(sigma) == want
+            assert _columns(sigma) == want
+
+
+def test_columns_caches_only_short_sigmas():
+    for k in (10, 11, 12):
+        _columns((1,) * k)
+    assert (1,) * 10 in bitseq._COLUMNS
+    assert max(map(len, bitseq._COLUMNS)) <= 10
 
 
 # -- family join ------------------------------------------------------------

@@ -1650,3 +1650,32 @@ def test_prod_amalgamate_refuses_exactly_off_its_precondition():
             counts["lacks off sbar"] += bool(lacks - set(sbar))
     assert min(counts.values()) >= 50, counts
     assert counts[True] >= 500 and counts[False] >= 500, counts
+
+
+# the refusals of a sigma with more nonempty columns than coordinates to
+# take them: the outer one (sbar's entries, an iteration's coordinates)
+# and, in products, the inner one (a column against its iteration)
+WIDE = [
+    ("iter_restrict", lambda: iter_restrict(iter_of(F), bits("000")), 2, 1),
+    ("iter_restrict", lambda: iter_restrict(P2, bits("000000")), 3, 2),
+    ("prod_restrict", lambda: prod_restrict(
+        ProductCondition({0: iter_of(F)}), bits("000"), [0]), 2, 1),
+    ("prod_restrict", lambda: prod_restrict(
+        ProductCondition({0: iter_of(F), 1: iter_of(F)}), bits("0000"),
+        [0, 1]), 2, 1),
+    ("prod_leq", lambda: prod_leq(
+        ProductCondition({0: iter_of(F), 1: iter_of(F)}),
+        ProductCondition({0: P2, 1: iter_of(F)}), 4, [0, 1]), 2, 1),
+    ("prod_leq", lambda: prod_leq(
+        ProductCondition({0: P2, 1: iter_of(F)}),
+        ProductCondition({0: P2, 1: iter_of(F)}), 7, [0, 1]), 3, 2),
+]
+
+
+@pytest.mark.parametrize("op, call, columns, length", WIDE,
+                         ids=[f"{w[0]}-{i}" for i, w in enumerate(WIDE)])
+def test_too_wide_sigmas_keep_their_refusals(op, call, columns, length):
+    with pytest.raises(PreconditionError) as e:
+        call()
+    assert str(e.value) == (f"sigma has {columns} nonempty columns but "
+                            f"only {length} coordinates take them")

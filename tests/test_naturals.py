@@ -12,7 +12,8 @@ from sacksforcing.conditions import (
     sc_schedule,
 )
 from sacksforcing.degrees import Ordinal2, census_encode, sc_census_encode
-from sacksforcing.errors import PreconditionError, check_natural
+from sacksforcing.errors import (PreconditionError, ResourceError,
+                                 check_natural, int_text)
 from sacksforcing.implicit import (
     FinStructure, imp_levels, implicit_subsets, set_members, set_of,
     vn_levels,
@@ -80,3 +81,22 @@ def test_check_natural_returns_the_value_and_names_the_argument():
         with pytest.raises(PreconditionError,
                            match="^budget must be a natural number$"):
             check_natural(value, "budget")
+
+
+# the refusals of a natural past its bound word it with int_text, so an
+# int with more digits than Python writes out is refused all the same
+PAST_THE_BOUND = ["deepen", "splitting_level", "leq_n_cellwise",
+                  "iter_leq_n", "prod_leq", "sc_schedule K", "imp_levels n",
+                  "imp_levels budget", "implicit_subsets"]
+
+
+@pytest.mark.parametrize("call", PAST_THE_BOUND)
+def test_a_natural_too_long_to_print_is_refused_by_its_bit_length(call):
+    with pytest.raises(ResourceError, match="<16610-bit int>"):
+        CALLS[call](10 ** 5000)
+
+
+def test_int_text_writes_an_int_or_its_bit_length():
+    assert int_text(0) == "0"
+    assert int_text(10 ** 30) == str(10 ** 30)
+    assert int_text(10 ** 5000) == "<16610-bit int>"
