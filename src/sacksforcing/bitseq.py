@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import InputError, PreconditionError, check_items, check_natural
+from .errors import (InputError, PreconditionError, check_items, check_natural,
+                     int_text)
 
 Bits = tuple[int, ...]
 
@@ -39,7 +40,7 @@ def bits(text: str, name="text") -> Bits:
     A checked text maps "0" and "1" to the code points 0 and 1, whose
     UTF-8 bytes are the ints 0 and 1 of the tuple."""
     if not isinstance(text, str):
-        raise InputError(f"{name}: not a bit string: {text!r}")
+        raise InputError(f"{name}: not a bit string: {int_text(text)}")
     if text.strip("01"):
         raise PreconditionError(f"{name}: not a bit string: {text!r}")
     return tuple(text.translate(_BIT_CODES).encode())
@@ -53,10 +54,10 @@ def check_bits(b) -> Bits:
     try:
         b = tuple(b)
     except TypeError:
-        raise PreconditionError(f"not a bit sequence: {b!r}") from None
+        raise PreconditionError(f"not a bit sequence: {int_text(b)}") from None
     for x in b:     # an int, not a bool or a float, and 0 or 1
         if type(x) is not int or x >> 1:
-            raise PreconditionError(f"not a bit sequence: {b!r}")
+            raise PreconditionError(f"not a bit sequence: {int_text(b)}")
     return b
 
 

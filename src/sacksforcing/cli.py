@@ -30,8 +30,8 @@ from functools import cache, partial
 from operator import attrgetter as _ref
 
 from .bitseq import bits_str
-from .errors import (EngineError, InputError, ResourceError, json_choice,
-                     json_int, json_int_keys, json_list)
+from .errors import (EngineError, InputError, ResourceError, int_text,
+                     json_choice, json_int, json_int_keys, json_list)
 
 # the package: its __getattr__ imports a layer on first use
 _package = sys.modules[__package__]
@@ -201,15 +201,15 @@ _OPS = {
 }
 
 
-_UNPRINTABLE = 10 ** 4300      # json.dumps prints no int this large
 # json.dumps(value, sort_keys=True), without building an encoder per call
 _dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 def _encode(value):
-    if isinstance(value, int) and abs(value) >= _UNPRINTABLE:
-        raise ResourceError(f"a result of {value.bit_length()} bits has "
-                            f"more than 4300 digits, Python's print limit")
+    if isinstance(value, int) and int_text(value)[0] == "<":  # a stand-in
+        raise ResourceError(f"a result of {value.bit_length()} bits has more "
+                            f"than {sys.get_int_max_str_digits()} digits, "
+                            f"Python's print limit")
     if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, tuple) and all(v in (0, 1) for v in value):

@@ -155,7 +155,7 @@ class TowerRecipe:
         kinds = check_items(self.kinds, "kinds", "step kinds")
         object.__setattr__(self, "kinds", kinds)
         if kinds.count(SINGLE) + kinds.count(PAIR) != len(kinds):
-            raise PreconditionError(f"bad kinds: {kinds!r}")
+            raise PreconditionError(f"bad kinds: {int_text(kinds)}")
         if kinds and kinds[0] != SINGLE:
             raise PreconditionError("step 0 must be single")
 
@@ -266,7 +266,7 @@ _plain = lru_cache(maxsize=64)(TowerRecipe)
 def _coordinate(k):
     """A coordinate position: only an int, so no two keys name one."""
     if type(k) is not int:
-        raise PreconditionError(f"coordinate {k!r} is not an integer")
+        raise PreconditionError(f"coordinate {int_text(k)} is not an integer")
     return k
 
 
@@ -373,7 +373,8 @@ class IterCondition:
         # the coordinate count comes first: it bounds the schedule's length
         if len(coords) != schedule.length:
             raise PreconditionError(
-                f"expected {schedule.length} coordinates, got {len(coords)}")
+                f"expected {int_text(schedule.length)} coordinates, got "
+                f"{len(coords)}")
         self.schedule = schedule
         self.context = context
         self.kinds = schedule.recipe(context).kinds
@@ -383,7 +384,8 @@ class IterCondition:
                 for k, addr in guard.items():
                     if not 0 <= k < beta:
                         raise PreconditionError(
-                            f"guard mentions coordinate {k}, not below {beta}")
+                            f"guard mentions coordinate {int_text(k)}, not "
+                            f"below {beta}")
                     if not addr:
                         raise PreconditionError(
                             "guard addresses must be nonempty")
@@ -422,7 +424,7 @@ class IterCondition:
         """The payload at an unconditional coordinate (single-row table)."""
         if not 0 <= _coordinate(beta) < self.length:
             raise PreconditionError(
-                f"no coordinate {beta}: the length is {self.length}")
+                f"no coordinate {int_text(beta)}: the length is {self.length}")
         table = self.coords[beta]
         if len(table) != 1 or table[0][0]:
             raise PreconditionError(f"coordinate {beta} is conditional")
@@ -494,7 +496,7 @@ def _addresses(sigma, mode, length):
     if mode == COLUMN:
         return _spread(_columns(sigma), length)
     if mode != PAIRWISE:
-        raise PreconditionError(f"unknown mode {mode!r}")
+        raise PreconditionError(f"unknown mode {int_text(mode)}")
     if length != 2:
         raise PreconditionError("pairwise mode needs a length-2 iteration")
     return [sigma[0::2], sigma[1::2]]
@@ -628,8 +630,8 @@ def _iter_graft(p: IterCondition, addrs, q: IterCondition):
     def build():
         if count > MAX_COMPLEMENT_ROWS:
             raise ResourceError(
-                f"iter_amalgamate would build {count} complement rows; the "
-                f"bound is {MAX_COMPLEMENT_ROWS}")
+                f"iter_amalgamate would build {int_text(count)} complement "
+                f"rows; the bound is {MAX_COMPLEMENT_ROWS}")
         coords = []
         for m, (sguard, planned) in enumerate(plan):
             graft = _PAYLOADS[p.kinds[m]].graft
@@ -686,7 +688,7 @@ class ProductCondition:
         for i, cond in self._coords.items():
             if not isinstance(cond, IterCondition):
                 raise PreconditionError(
-                    f"coordinate {i!r} must be an iteration condition")
+                    f"coordinate {int_text(i)} must be an iteration condition")
 
     @property
     def support(self):
@@ -700,7 +702,8 @@ class ProductCondition:
         try:
             return self._coords[i]
         except (KeyError, TypeError):
-            raise PreconditionError(f"no coordinate at index {i!r}") from None
+            raise PreconditionError(
+                f"no coordinate at index {int_text(i)}") from None
 
     def to_json(self):
         return {
@@ -749,8 +752,8 @@ def _shares(sigma, sbar, *prods):
             if cond is None:
                 if addr:
                     raise PreconditionError(
-                        f"cannot restrict coordinate {i!r} outside the "
-                        f"support")
+                        f"cannot restrict coordinate {int_text(i)} outside "
+                        f"the support")
                 continue
             spread = _spread(_columns(addr), len(cond.kinds))
             if len(spread) > len(shares.get(i, ())):
@@ -824,4 +827,4 @@ def condition_from_json(data, name="condition"):
         return IterCondition.from_json(data, name)
     if kind == "product":
         return ProductCondition.from_json(data, name)
-    raise PreconditionError(f"{name}: unknown condition kind {kind!r}")
+    raise PreconditionError(f"{name}: unknown condition kind {int_text(kind)}")

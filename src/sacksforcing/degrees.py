@@ -39,7 +39,7 @@ from .conditions import (MAX_SCHEDULE_STEPS, PAIR, SINGLE, TowerRecipe,
                          sc_schedule)
 from .errors import (DecodeError, InputError, PreconditionError,
                      check_items, check_mapping, check_natural, check_type,
-                     json_choice, json_fields, json_int, json_list)
+                     int_text, json_choice, json_fields, json_int, json_list)
 
 ONE = "one"
 MANY = "many"
@@ -130,7 +130,8 @@ class DegreePoset:
     def _masks_for(self, *labels):
         for v in labels:
             if not isinstance(v, str) or v not in self._index:
-                raise PreconditionError(f"{v!r} is not a node of the poset")
+                raise PreconditionError(
+                    f"{int_text(v)} is not a node of the poset")
         return self._masks
 
     def to_json(self):
@@ -211,9 +212,11 @@ class TowerCensus:
         object.__setattr__(self, "entries", cooked)
         for height, verdict in cooked:
             if not isinstance(height, Ordinal2) or height.is_zero:
-                raise PreconditionError(f"bad census height {height!r}")
+                raise PreconditionError(
+                    f"bad census height {int_text(height)}")
             if verdict not in (ONE, MANY):
-                raise PreconditionError(f"bad census verdict {verdict!r}")
+                raise PreconditionError(
+                    f"bad census verdict {int_text(verdict)}")
 
     def to_json(self):
         return {"entries": [[h.to_json(), v] for h, v in self.entries]}
@@ -253,12 +256,12 @@ def census_encode(x, limit_bound: int, n_bound: int) -> TowerCensus:
     if len(x) != count or count and set(x) != {
             Ordinal2(a, n) for a in range(limit_bound) for n in range(n_bound)}:
         raise PreconditionError(
-            f"x must be defined on exactly {limit_bound} limits x "
-            f"{n_bound} offsets")
+            f"x must be defined on exactly {int_text(limit_bound)} limits "
+            f"x {int_text(n_bound)} offsets")
     entries = {}
     for key, bit in x.items():
         if bit not in (0, 1):
-            raise PreconditionError(f"bit function value {bit!r}")
+            raise PreconditionError(f"bit function value {int_text(bit)}")
         entries[Ordinal2(key.a, 2 * key.b + 1)] = ONE if bit == 0 else MANY
         entries[Ordinal2(key.a, 2 * key.b + 2)] = MANY
     return TowerCensus(tuple(entries.items()))
@@ -291,7 +294,7 @@ class ScPattern:
         levels = check_items(self.levels, "levels", "pattern levels")
         object.__setattr__(self, "levels", levels)
         if any(v not in (LINE, DIAMOND) for v in levels):
-            raise PreconditionError(f"bad pattern levels: {levels!r}")
+            raise PreconditionError(f"bad pattern levels: {int_text(levels)}")
         if levels and levels[0] != LINE:
             raise PreconditionError("level 0 must be a line")
 

@@ -1,6 +1,6 @@
 """Shared exception types, the one check of each kind of Python argument
-(check_natural, check_items, check_type and check_mapping), int_text,
-which words an int for a message however large it is, and the one
+(check_natural, check_items, check_type and check_mapping), int_text, the
+one writer of a caller's value, or a count from one, into text, and the one
 reader of each JSON value kind: json_fields for named fields, json_int_keys
 for integer keys, json_int, json_list and json_choice; bitseq.bits reads bit
 strings.  Each reader takes the value and name, its path in the input, which
@@ -59,13 +59,14 @@ def check_natural(value, name):
     return value
 
 
-def int_text(n):
-    """str(n), or for an int with more digits than Python writes out,
-    its bit length: "<16610-bit int>"."""
+def int_text(value):
+    """repr(value); where Python will not write an int in value, a stand-in:
+    "<16610-bit int>" for an int, else the type of value, "<tuple>"."""
     try:
-        return str(n)
+        return repr(value)
     except ValueError:
-        return f"<{n.bit_length()}-bit int>"
+        return (f"<{value.bit_length()}-bit int>" if isinstance(value, int)
+                else f"<{type(value).__name__}>")
 
 
 def check_items(values, name, what):

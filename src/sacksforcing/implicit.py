@@ -104,7 +104,8 @@ class FinStructure:
         values = check_items(values, name, "set codes")
         for c in values:
             if c not in self:
-                raise PreconditionError(f"{what} {c!r} outside the universe")
+                raise PreconditionError(
+                    f"{what} {int_text(c)} outside the universe")
         return values
 
 
@@ -201,11 +202,11 @@ def _parts(f):
     if kind in _BINARY:
         return (), (f.left, f.right)
     if kind is not Pred and kind not in _RELATION:
-        raise PreconditionError(f"not a formula node: {f!r}")
+        raise PreconditionError(f"not a formula node: {int_text(f)}")
     terms = (f.term,) if kind is Pred else (f.left, f.right)
     for t in terms:
         if type(t) is not Var and type(t) is not Param:
-            raise PreconditionError(f"not a term: {t!r}")
+            raise PreconditionError(f"not a term: {int_text(t)}")
     return terms, ()
 
 
@@ -232,7 +233,12 @@ def free_vars(f):
 def formula_text(f) -> str:
     """Parseable rendering; binary connectives are parenthesized."""
     terms, subformulas = _parts(f)
-    texts = [t.name if type(t) is Var else f"#{t.index}" for t in terms]
+    try:    # no stand-in for an int that Python will not write parses back
+        texts = [str(t.name) if type(t) is Var else f"#{t.index}"
+                 for t in terms]
+    except ValueError:
+        raise ResourceError(f"{int_text(f)} has a term too long to write "
+                            f"as text") from None
     try:
         texts += map(formula_text, subformulas)
     except RecursionError:
@@ -367,9 +373,14 @@ class _Parser:
         return tok
 
     def term(self):
-        if self.peek().startswith("#"):
-            return Param(int(self.take()[1:]))
-        return Var(self.variable("a term"))
+        if not self.peek().startswith("#"):
+            return Var(self.variable("a term"))
+        pos, digits = self.pos(), self.take()[1:]
+        try:
+            return Param(int(digits))
+        except ValueError:      # more digits than Python reads
+            raise ParseError(f"a parameter index of {len(digits)} digits, "
+                             f"more than Python reads", pos) from None
 
 
 def parse_formula(text: str):
@@ -508,8 +519,8 @@ MAX_ASSIGNMENTS = 1 << 16
 
 
 def _refuse(cost, what, depth, n, bound):
-    raise ResourceError(f"{cost} {what} under {depth} quantifiers over "
-                        f"{n} elements exceed the bound {bound}")
+    raise ResourceError(f"{int_text(cost)} {what} under {depth} quantifiers "
+                        f"over {n} elements exceed the bound {bound}")
 
 
 def _counted_atom(structure, key):
@@ -549,13 +560,14 @@ def _formula_table(structure, f, params, atom):
     def term(t, scope):
         if type(t) is Var:
             if t.name not in scope:
-                raise PreconditionError(f"unbound variable {t.name!r}")
+                raise PreconditionError(
+                    f"unbound variable {int_text(t.name)}")
             return scope[t.name]
         if type(t) is Param:
             if not 0 <= t.index < len(params):
-                raise PreconditionError(f"no parameter #{t.index}")
+                raise PreconditionError(f"no parameter #{int_text(t.index)}")
             return ~params[t.index]
-        raise PreconditionError(f"not a term: {t!r}")
+        raise PreconditionError(f"not a term: {int_text(t)}")
 
     def table(g, scope, depth, bits):
         kind = type(g)
@@ -584,7 +596,7 @@ def _formula_table(structure, f, params, atom):
             return _BINARY[kind][1](table(g.left, scope, depth, bits),
                                     table(g.right, scope, depth, bits),
                                     (1 << bits) - 1)
-        raise PreconditionError(f"not a formula node: {g!r}")
+        raise PreconditionError(f"not a formula node: {int_text(g)}")
 
     return table(f, {}, 0, 1 << u)
 
@@ -938,11 +950,11 @@ def _tables(structure, budget, wanted=lambda f: True, done=lambda s: None,
 # -- hierarchies ---------------------------------------------------------------------
 
 # imp_levels builds at most MAX_LEVELS levels.  Neither it nor set_of
-# builds a set code of more than MAX_LEVEL_CODE_BITS bits, so every code
-# prints (Python refuses to print an int of more than 4300 digits), and
-# imp_levels names the level where implicit_subsets refuses.  From budget
-# 2 on, the codes grow as a tower and meet a bound by level 7; budgets 0
-# and 1 alternate between the empty level and {0} for ever.
+# builds a set code of more than MAX_LEVEL_CODE_BITS bits, 1,234 digits,
+# so every code prints under Python's default digit limit, and imp_levels
+# names the level where implicit_subsets refuses.  From budget 2 on, the
+# codes grow as a tower and meet a bound by level 7; budgets 0 and 1
+# alternate between the empty level and {0} for ever.
 MAX_LEVELS = 64
 MAX_LEVEL_CODE_BITS = 1 << 12
 

@@ -119,7 +119,8 @@ def _skeleton(depth, skel):
     count = len(skel)
     if count.bit_length() != depth + 1 or count != (2 << depth) - 1:
         raise PreconditionError(
-            f"skeleton must have one entry per index of length <= {depth}")
+            f"skeleton must have one entry per index of length <= "
+            f"{int_text(depth)}")
     for sigma in _upto(depth):
         if sigma not in skel:
             raise PreconditionError(f"missing skeleton index {sigma}")
@@ -432,7 +433,7 @@ def fusion_prefix(seq, schedule, n: int) -> SkeletonTree:
     if not seq:
         raise FusionError("fusion_prefix needs a nonempty sequence")
     if len(schedule) < check_natural(n, "n") + 1:
-        raise FusionError(f"schedule must cover levels 0..{n}")
+        raise FusionError(f"schedule must cover levels 0..{int_text(n)}")
     for j in range(n + 1):
         if type(schedule[j]) is not int or not 0 <= schedule[j] < len(seq):
             raise FusionError(f"schedule[{j}] must be a natural number "

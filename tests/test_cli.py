@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import sacksforcing
-from sacksforcing import cli
+from sacksforcing import cli, errors
+from sacksforcing.bitseq import pair_index
 from sacksforcing.cli import _OPS, build_parser, main
 from sacksforcing.conditions import (SINGLE, ProductCondition, full_iter,
                                      full_tree, iter_restrict, plain_iter)
@@ -609,6 +610,77 @@ def test_eval_unprintable_result(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("ResourceError: a result of 26568 bits has more "
                           "than 4300 digits")
+
+
+_TWO_STEPS = full_iter([SINGLE, SINGLE])
+# payloads whose refusal once wrote a count or an index of more digits
+# than Python writes, or reads, and ended in a ValueError traceback
+LONG_VALUES = {
+    "iter_amalgamate": lambda: {
+        "p": _TWO_STEPS.to_json(), "sigma": "0" * 30000, "mode": "pairwise",
+        "q": iter_restrict(_TWO_STEPS, (0,) * 30000, "pairwise").to_json()},
+    "implicit_subsets": lambda: {"universe": list(range(15000)),
+                                 "budget": 10},
+    "implicitly_defined_by": lambda: {"universe": list(range(15000)),
+                                      "formula": "S(#0)", "params": [0]},
+    "parse": lambda: {"formula": "S(#" + "9" * 5000 + ")"},
+}
+
+
+@pytest.mark.parametrize("op", sorted(LONG_VALUES))
+def test_eval_refuses_a_value_too_long_to_write_in_one_line(op, tmp_path,
+                                                            capsys):
+    path = write_json(tmp_path, LONG_VALUES[op]())
+    start = time.perf_counter()
+    code = main(["eval", op, path])
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")
+    assert issubclass(getattr(errors, out.err.split(":")[0]),
+                      errors.EngineError)
+
+
+def _eval_in_child(tmp_path, op, payload, digits):
+    """cmd_eval in a child process whose Python prints ints of at most
+    digits digits (0: of any length)."""
+    src = os.path.dirname(os.path.dirname(sacksforcing.__file__))
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": str(digits),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "sacksforcing", "eval", op,
+         write_json(tmp_path, payload)],
+        capture_output=True, text=True, env=env)
+
+
+_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python prints ints of any length")
+
+
+@_DIGIT_LIMIT
+def test_eval_refuses_a_result_past_a_lowered_digit_limit(tmp_path):
+    proc = _eval_in_child(tmp_path, "pair_index",
+                          {"m": 10 ** 399, "n": 10 ** 399}, 640)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("ResourceError: a result of 2652 bits has more "
+                           "than 640 digits, Python's print limit\n")
+
+
+@_DIGIT_LIMIT
+def test_eval_prints_a_long_result_without_a_digit_limit(tmp_path):
+    proc = _eval_in_child(tmp_path, "pair_index", {"m": 1, "n": 10 ** 3999},
+                          0)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(pair_index(1, 10 ** 3999))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 7998
+    assert proc.stdout == expected + "\n"
 
 
 def test_eval_sc_schedule_past_the_step_bound(tmp_path, capsys):

@@ -206,6 +206,53 @@ def test_iter_leq_kind_mismatch():
         iter_leq(P2, p3)
 
 
+# -- the two cases of ROADMAP item 16 -------------------------------------------
+# Under the module docstring's reading a guard {k: a} asks that coordinate
+# k's generic pass through cell a of k's own payload, so q <= p asks that
+# q's branches be p's.  iter_leq gives the opposite answer on both cases.
+# Once every operation reads guards that way these pass, which a strict
+# xfail reports as a failure: the change that does it removes the marks.
+
+def _stem(stem):
+    return {"depth": 0, "skeleton": {"": stem}}
+
+
+def _cells(root, left, right):
+    return {"depth": 1, "skeleton": {"": root, "0": left, "1": right}}
+
+
+def _two_steps(first, rows):
+    """A two-step single iteration: one payload, then guarded rows."""
+    return condition_from_json({
+        "kind": "iter", "schedule": {"kinds": [SINGLE, SINGLE]},
+        "coords": [[{"guard": {}, "payload": first}],
+                   [{"guard": g, "payload": pay} for g, pay in rows]]})
+
+
+@pytest.mark.xfail(strict=True, reason="guards compared in two frames")
+def test_iter_leq_reads_guards_in_their_own_payload_unsound_case():
+    # (110..., 100...) is in q: 110... passes q_0's cell 0, whose row
+    # takes any branch above 1; it is not in p: 110... lies in p_0's
+    # cell 1, whose row asks for a branch above 01
+    p = _two_steps(_cells("", "00", "11"),
+                   [({"0": "1"}, _cells("01", "010", "011")),
+                    ({"0": "0"}, _cells("", "01", "1"))])
+    q = _two_steps(_stem("11"), [({"0": "1"}, _stem("011")),
+                                 ({"0": "0"}, _stem("1"))])
+    assert iter_leq(q, p) is False
+
+
+@pytest.mark.xfail(strict=True, reason="rows that q never reaches compared")
+def test_iter_leq_skips_rows_that_q_never_reaches_incomplete_case():
+    # q_0 lies in p_0's cell 0 and q_1 extends that row's payload; the
+    # row of cell 1 is one that q's branches never reach
+    p = _two_steps(_cells("", "00", "1110"),
+                   [({"0": "0"}, _cells("", "01", "1")),
+                    ({"0": "1"}, _cells("", "010", "1"))])
+    q = _two_steps(_stem("001"), [({}, _stem("011"))])
+    assert iter_leq(q, p) is True
+
+
 # -- restriction composition and mode agreement --------------------------------
 
 def guarded_fixture():
